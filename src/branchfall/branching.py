@@ -16,8 +16,7 @@ configuration-space (super)orthogonality measures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,6 +29,7 @@ from .qstate import DensityMatrix, GridSpec, PhasePoint, WaveFunction, mean_phas
 __all__ = [
     "BranchNode",
     "BranchTree",
+    "BornSampler",
     "branch_step",
     "sample_trajectory",
     "mixture_consistency",
@@ -40,6 +40,11 @@ __all__ = [
     "decoherence_functional",
     "superorthogonality_overlap",
 ]
+
+
+# Default live-leaf cap of branch_step and the most history nodes one
+# BornSampler caches: both bound how many density kernels stay alive.
+NODE_CAP = 256
 
 
 def suggested_branch_interval(lambda_rate: float, d_x: float) -> float:
@@ -114,13 +119,47 @@ def _branch_weights(povm: POVMSet, elements: np.ndarray) -> tuple[np.ndarray, fl
     return np.clip(w, 0.0, None), max(esc, 0.0)
 
 
+def _interval_propagator(
+    grid: GridSpec, potential: Potential, lambda_rate: float, dt: float, dt_int: float
+) -> tuple[Propagator, int]:
+    """Substep map for one interval dt cut into round(dt / dt_int) equal substeps."""
+    n_sub = max(1, int(round(dt / dt_int)))
+    return Propagator(grid, potential, lambda_rate, dt / n_sub), n_sub
+
+
+def _evolve_and_weigh(
+    prop: Propagator, n_sub: int, povm: POVMSet, elements: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Evolve a kernel over one interval and weigh the cells.
+
+    Returns (evolved kernel, cell weights, escape weight, total weight).
+    """
+    for _ in range(n_sub):
+        elements = prop.step_elements(elements)
+    weights, esc = _branch_weights(povm, elements)
+    return elements, weights, esc, weights.sum() + esc
+
+
+def _collapse(povm: POVMSet, elements: np.ndarray, alpha: int) -> Optional[np.ndarray]:
+    """Lueders update onto cell alpha, normalized and re-symmetrized.
+
+    None when the projected kernel has no positive trace.
+    """
+    proj = povm.project(elements, alpha)
+    tr = float(np.sum(np.diag(proj)).real * povm.grid.dx)
+    if tr <= 0:
+        return None
+    child = proj / tr
+    return 0.5 * (child + child.conj().T)
+
+
 def branch_step(
     tree: BranchTree,
     potential: Potential,
     lambda_rate: float,
     dt_int: float,
     escape_tol: float = 0.05,
-    leaf_cap: int = 256,
+    leaf_cap: int = NODE_CAP,
 ) -> BranchTree:
     """Evolve every leaf for the branching interval, then split it.
 
@@ -133,18 +172,13 @@ def branch_step(
     if not tree.leaves:
         raise EmptyTree("branch_step needs at least one live leaf")
     grid = tree.povm.grid
-    n_sub = max(1, int(round(tree.dt / dt_int)))
-    prop = Propagator(grid, potential, lambda_rate, tree.dt / n_sub)
+    prop, n_sub = _interval_propagator(grid, potential, lambda_rate, tree.dt, dt_int)
 
     new_leaves: list[BranchNode] = []
     dropped = tree.dropped_weight
     escaped = tree.escape_weight
     for leaf in tree.leaves:
-        el = leaf.state.elements
-        for _ in range(n_sub):
-            el = prop.step_elements(el)
-        weights, esc = _branch_weights(tree.povm, el)
-        total = weights.sum() + esc
+        el, weights, esc, total = _evolve_and_weigh(prop, n_sub, tree.povm, leaf.state.elements)
         if total <= 0:
             raise EmptyTree(f"leaf {leaf.history} has no weight anywhere")
         if esc / total > escape_tol:
@@ -152,20 +186,16 @@ def branch_step(
                 f"leaf {leaf.history}: escape fraction {esc / total:.3f} > {escape_tol}"
             )
         escaped += leaf.weight_sq * esc / total
-        evolved = DensityMatrix(grid, el, validate=False)
         for alpha in np.nonzero(weights)[0]:
             cond = weights[alpha] / total
             w_child = leaf.weight_sq * cond
             if w_child < tree.prune_epsilon:
                 dropped += w_child
                 continue
-            proj = tree.povm.project(el, int(alpha))
-            tr = float(np.sum(np.diag(proj)).real * grid.dx)
-            if tr <= 0:
+            child_el = _collapse(tree.povm, el, int(alpha))
+            if child_el is None:
                 dropped += w_child
                 continue
-            child_el = proj / tr
-            child_el = 0.5 * (child_el + child_el.conj().T)
             child = DensityMatrix(grid, child_el, validate=False)
             new_leaves.append(
                 BranchNode(
@@ -192,6 +222,106 @@ def branch_step(
     )
 
 
+@dataclass
+class _HistoryNode:
+    """A BornSampler cache entry: the state after one collapse history and,
+    once evolved, the kernel and cumulative cell weights of the next interval.
+    Past the root, evolving a node releases its state (see trajectory)."""
+
+    state: Optional[np.ndarray]
+    z: PhasePoint
+    evolved: Optional[np.ndarray] = None
+    cum: Optional[np.ndarray] = None
+    total: float = 0.0
+
+
+class BornSampler:
+    """Born-weighted collapse trajectories from one initial state.
+
+    Trajectories that share a collapse-history prefix share its evolution.
+    The history tree is expanded lazily, keyed by prefix: a node keeps its
+    post-collapse state and phase point and, once a trajectory leaves it,
+    the evolved kernel and cumulative cell weights of the next interval.
+    Each trajectory draws from its own rng stream against those weights.
+    The float operations per history are those of evolving it alone, so
+    results are bit-identical to independent sampling.  At most NODE_CAP
+    nodes are cached, each holding one kernel (the root two); past the cap,
+    trajectories continue on uncached states.
+    """
+
+    def __init__(
+        self,
+        rho0: DensityMatrix,
+        potential: Potential,
+        lambda_rate: float,
+        povm: POVMSet,
+        dt: float,
+        dt_int: float | None = None,
+    ):
+        if rho0.grid != povm.grid:
+            raise ValueError("rho0 and povm must share one grid")
+        if dt_int is None:
+            dt_int = dt / max(1, round(dt / 0.01))
+        self.grid = rho0.grid
+        self.povm = povm
+        self.dt = dt
+        self._prop, self._n_sub = _interval_propagator(
+            self.grid, potential, lambda_rate, dt, dt_int
+        )
+        root = _HistoryNode(rho0.elements.copy(), mean_phase_point(rho0))
+        self._nodes: dict[tuple[int, ...], _HistoryNode] = {(): root}
+
+    def trajectory(self, n_steps: int, rng_seed, stop=None):
+        """One history: evolve dt, collapse to one sampled cell, repeat.
+
+        Same contract as sample_trajectory: returns (records, final_state),
+        raises EscapeSampled with .time and .records when the remainder
+        element is drawn, and ends early once stop(t, alpha, z) is true.
+        """
+        rng = np.random.default_rng(rng_seed)
+        history: tuple[int, ...] = ()
+        node = self._nodes[history]
+        records = [(0.0, None, node.z)]
+        for step in range(1, n_steps + 1):
+            if node.cum is None:
+                node.evolved, weights, _, node.total = _evolve_and_weigh(
+                    self._prop, self._n_sub, self.povm, node.state
+                )
+                node.cum = np.cumsum(weights)
+                if history:
+                    node.state = None
+            t = step * self.dt
+            draw = rng.random() * node.total
+            alpha = int(np.searchsorted(node.cum, draw, side="right"))
+            if alpha >= len(node.cum):
+                err = EscapeSampled(f"escape element drawn at t = {t:.6g}")
+                err.time = t
+                err.records = records
+                raise err
+            history += (alpha,)
+            node = self._child(history, node, alpha)
+            records.append((t, alpha, node.z))
+            if stop is not None and stop(t, alpha, node.z):
+                break
+        if node.state is None:
+            # a longer trajectory evolved this node: project the parent again
+            final = _collapse(self.povm, self._nodes[history[:-1]].evolved, history[-1])
+        else:
+            final = node.state.copy()
+        return records, DensityMatrix(self.grid, final, validate=False)
+
+    def _child(self, history: tuple[int, ...], parent: _HistoryNode, alpha: int) -> _HistoryNode:
+        node = self._nodes.get(history)
+        if node is None:
+            state = _collapse(self.povm, parent.evolved, alpha)
+            if state is None:
+                raise ExplosionGuard(f"history {history}: projected trace is not positive")
+            node = _HistoryNode(state, mean_phase_point(DensityMatrix(self.grid, state, validate=False)))
+            if len(self._nodes) < NODE_CAP:
+                self._nodes[history] = node
+        return node
+
+
 def sample_trajectory(
     rho0: DensityMatrix,
     potential: Potential,
@@ -212,39 +342,13 @@ def sample_trajectory(
 
     stop, when given, is called after each collapse with (t, alpha, z);
     returning True ends the run early with the records so far.
-    """
-    grid = rho0.grid
-    if dt_int is None:
-        dt_int = dt / max(1, round(dt / 0.01))
-    n_sub = max(1, int(round(dt / dt_int)))
-    prop = Propagator(grid, potential, lambda_rate, dt / n_sub)
-    rng = np.random.default_rng(rng_seed)
 
-    el = rho0.elements.copy()
-    records = [(0.0, None, mean_phase_point(rho0))]
-    for step in range(1, n_steps + 1):
-        for _ in range(n_sub):
-            el = prop.step_elements(el)
-        weights, esc = _branch_weights(povm, el)
-        total = weights.sum() + esc
-        t = step * dt
-        draw = rng.random() * total
-        cum = np.cumsum(weights)
-        alpha = int(np.searchsorted(cum, draw, side="right"))
-        if alpha >= len(weights):
-            err = EscapeSampled(f"escape element drawn at t = {t:.6g}")
-            err.time = t
-            err.records = records
-            raise err
-        proj = povm.project(el, alpha)
-        tr = float(np.sum(np.diag(proj)).real * grid.dx)
-        el = proj / tr
-        el = 0.5 * (el + el.conj().T)
-        state = DensityMatrix(grid, el, validate=False)
-        records.append((t, alpha, mean_phase_point(state)))
-        if stop is not None and stop(t, alpha, records[-1][2]):
-            break
-    return records, DensityMatrix(grid, el, validate=False)
+    A one-shot BornSampler: to draw many trajectories from one initial
+    state, call BornSampler.trajectory on one shared sampler instead, which
+    evolves every shared history prefix once and returns identical results.
+    """
+    sampler = BornSampler(rho0, potential, lambda_rate, povm, dt, dt_int)
+    return sampler.trajectory(n_steps, rng_seed, stop)
 
 
 def mixture_consistency(tree: BranchTree, reference: DensityMatrix) -> float:

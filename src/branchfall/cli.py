@@ -19,11 +19,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .branching import BranchTree, ExplicitModel, branch_step, evolve_explicit, sample_trajectory
+from .branching import BornSampler, BranchTree, ExplicitModel, branch_step, evolve_explicit
 from .config import ConfigError, load_config, make_grid, make_potential, make_povm
 from .dynamics import evolve, unitary_step
 from .ehrenfest import WidthSeries, classicality_horizon, ehrenfest_residual
-from .errors import BranchfallError, EscapeSampled
+from .errors import BranchfallError, EscapeSampled, ExplosionGuard
 from .mechanisms import BohmEnsemble, GRWParams, bohm_evolve, grw_evolve
 from .pointer import predictability_sieve
 from .qstate import PhasePoint, coherent_state
@@ -44,7 +44,7 @@ def _cell(value) -> str:
         return str(int(value))
     f = float(value)
     if not math.isfinite(f):
-        raise ValueError("non-finite value bound for CSV output")
+        raise ExplosionGuard("non-finite value bound for CSV output")
     return "%.17g" % f
 
 
@@ -86,7 +86,7 @@ def _sha256(path: str) -> str:
 
 
 def _reject_constant(token):
-    raise ValueError(f"non-finite number {token} in JSON output")
+    raise ExplosionGuard(f"non-finite number {token} in JSON output")
 
 
 def _assert_finite_outputs(run_dir: str, names) -> None:
@@ -106,7 +106,7 @@ def _assert_finite_outputs(run_dir: str, names) -> None:
                         except ValueError:
                             continue
                         if not math.isfinite(value):
-                            raise ValueError(f"non-finite value in {name}: {cell}")
+                            raise ExplosionGuard(f"non-finite value in {name}: {cell}")
 
 
 def _new_run_dir(root: str, kind: str) -> str:
@@ -231,16 +231,16 @@ def _run_sample(cfg, run_dir):
     grid = make_grid(cfg)
     potential = make_potential(cfg)
     povm = make_povm(cfg, grid)
-    rho0 = _packet(cfg, grid).to_density()
+    sampler = BornSampler(
+        _packet(cfg, grid).to_density(), potential, cfg["lambda"], povm,
+        cfg["dt"], cfg["dt_int"],
+    )
     rows = []
     escapes = []
     for tid in range(cfg["n_traj"]):
         seed = np.random.SeedSequence(entropy=cfg["seed"], spawn_key=(tid,))
         try:
-            records, _ = sample_trajectory(
-                rho0, potential, cfg["lambda"], povm, cfg["dt"], cfg["n_steps"],
-                seed, dt_int=cfg["dt_int"],
-            )
+            records, _ = sampler.trajectory(cfg["n_steps"], seed)
         except EscapeSampled as err:
             records = err.records
             escapes.append({"traj_id": tid, "t": float(err.time)})

@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .branching import sample_trajectory
+from .branching import BornSampler
 from .dynamics import Potential, evolve
 from .ehrenfest import WidthSeries, classicality_horizon
 from .errors import EscapeSampled, WindowTooSmall
@@ -311,8 +311,9 @@ def verify_reduction(spec: ReductionSpec, rng_seed: int) -> ReductionReport:
     orbit within 2*delta for a whole horizon tau_c.
 
     For each Z0: prepare the coherent packet there, integrate the classical
-    orbit, then draw n_traj collapse histories and compare every readout at
-    collapse times up to tau_c.  A trajectory fails at its first readout
+    orbit, then draw n_traj collapse histories from one BornSampler (so
+    histories that share a prefix evolve it once) and compare every readout
+    at collapse times up to tau_c.  A trajectory fails at its first readout
     outside the margin; drawing the escape element fails it at that time.
     Verdict is PASS iff every Z0 keeps at least a 1 - epsilon surviving
     fraction.  Deterministic for a fixed seed.
@@ -338,6 +339,9 @@ def verify_reduction(spec: ReductionSpec, rng_seed: int) -> ReductionReport:
         horizon = min(horizon, _measured_horizon(spec, z0, total_time))
 
         rho0 = coherent_state(spec.povm.grid, z0.q, z0.p, spec.sigma_x).to_density()
+        sampler = BornSampler(
+            rho0, spec.potential, spec.lambda_rate, spec.povm, spec.dt, spec.dt_int,
+        )
         judge = _PathJudge(traj, _CL_NODES_PER_COLLAPSE, spec.dt, spec.delta_z)
         violations = []
         n_escaped = 0
@@ -346,10 +350,7 @@ def verify_reduction(spec: ReductionSpec, rng_seed: int) -> ReductionReport:
             judge.reset()
             seed = np.random.SeedSequence(entropy=int(rng_seed), spawn_key=(i, j))
             try:
-                sample_trajectory(
-                    rho0, spec.potential, spec.lambda_rate, spec.povm,
-                    spec.dt, n_steps, seed, dt_int=spec.dt_int, stop=judge,
-                )
+                sampler.trajectory(n_steps, seed, stop=judge)
             except EscapeSampled as err:
                 n_escaped += 1
                 violations.append(float(err.time))

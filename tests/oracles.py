@@ -2,11 +2,16 @@
 
 These deliberately avoid the package's own code paths: the cell operator
 below comes from doing the coherent-state window integrals in closed form
-(erf factor in position, boxcar Fourier factor in momentum).
+(erf factor in position, boxcar Fourier factor in momentum), and the
+reference sampler is the plain per-trajectory loop that the shared-history
+sampler must reproduce bit for bit.
 """
 
 import numpy as np
 from scipy.special import erf
+
+from branchfall import DensityMatrix, EscapeSampled, mean_phase_point
+from branchfall.dynamics import Propagator
 
 
 def closed_form_cell(x, dx, sigma, q1, q2, p1, p2):
@@ -24,3 +29,43 @@ def closed_form_cell(x, dx, sigma, q1, q2, p1, p2):
         efac = (np.exp(1j * p2 * u) - np.exp(1j * p1 * u)) / (1j * u)
     np.fill_diagonal(efac, p2 - p1)
     return (qfac * gfac * efac) * dx / (4 * np.pi)
+
+
+def reference_trajectory(rho0, potential, lambda_rate, povm, dt, n_steps, rng_seed, dt_int, stop=None):
+    """One Born-sampled history evolved on its own from rho0.
+
+    Fresh propagator, then per interval: evolve, weigh with
+    Tr(Pi_alpha^2 rho), draw, Lueders-project and renormalize.  Returns
+    (records, final kernel); drawing the remainder raises EscapeSampled
+    with .time and .records, and stop(t, alpha, z) ends the run early.
+    """
+    grid = rho0.grid
+    dx = grid.dx
+    n_sub = max(1, int(round(dt / dt_int)))
+    prop = Propagator(grid, potential, lambda_rate, dt / n_sub)
+    rng = np.random.default_rng(rng_seed)
+    rest_sq = povm.rest @ povm.rest
+    el = rho0.elements.copy()
+    records = [(0.0, None, mean_phase_point(rho0))]
+    for step in range(1, n_steps + 1):
+        for _ in range(n_sub):
+            el = prop.step_elements(el)
+        weights = np.clip(np.einsum("aij,ji->a", povm.squares, el).real * dx, 0.0, None)
+        esc = max(float(np.sum(rest_sq * el.T).real * dx), 0.0)
+        t = step * dt
+        draw = rng.random() * (weights.sum() + esc)
+        alpha = int(np.searchsorted(np.cumsum(weights), draw, side="right"))
+        if alpha >= len(weights):
+            err = EscapeSampled(f"escape element drawn at t = {t:.6g}")
+            err.time = t
+            err.records = records
+            raise err
+        pi = povm.operators[alpha]
+        proj = (pi @ el) @ pi
+        el = proj / float(np.sum(np.diag(proj)).real * dx)
+        el = 0.5 * (el + el.conj().T)
+        z = mean_phase_point(DensityMatrix(grid, el, validate=False))
+        records.append((t, alpha, z))
+        if stop is not None and stop(t, alpha, z):
+            break
+    return records, el

@@ -18,6 +18,7 @@ from scipy import stats
 
 from branchfall import (
     BohmEnsemble,
+    BornSampler,
     BranchTree,
     DensityMatrix,
     EscapeSampled,
@@ -42,7 +43,6 @@ from branchfall import (
     harmonic_potential,
     mixture_consistency,
     pvm_quality,
-    sample_trajectory,
     unitary_step,
     verify_reduction,
 )
@@ -254,12 +254,11 @@ def test_branch_weights_telescope_and_follow_born_rule():
     n = 10_000
     counts = [0, 0]
     escapes = 0
+    sampler = BornSampler(cat, free_potential(), 1.0, born_povm, 0.05, dt_int=0.05)
     for i in range(n):
         seed = np.random.SeedSequence(entropy=42, spawn_key=(i,))
         try:
-            recs, _ = sample_trajectory(
-                cat, free_potential(), 1.0, born_povm, 0.05, 1, seed, dt_int=0.05
-            )
+            recs, _ = sampler.trajectory(1, seed)
             counts[recs[1][1]] += 1
         except EscapeSampled:
             escapes += 1

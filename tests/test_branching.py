@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from branchfall import (
+    BornSampler,
     BranchTree,
     DensityMatrix,
     EmptyTree,
@@ -30,7 +31,9 @@ from branchfall import (
     superorthogonality_overlap,
     unitary_step,
 )
+from branchfall import branching
 from branchfall.dynamics import Propagator
+from oracles import reference_trajectory
 
 
 GRID = GridSpec(128, -10.0, 10.0, 1.0)
@@ -205,12 +208,10 @@ def test_sample_trajectory_born_fractions(povm_2x1):
     rho = cat_state(GRID, 4.0, 0.9)
     counts = {0: 0, 1: 0, "escape": 0}
     n = 200
+    sampler = BornSampler(rho, free_potential(), 5.0, povm_2x1, 0.4, dt_int=0.02)
     for seed in range(n):
         try:
-            recs, _ = sample_trajectory(
-                rho, free_potential(), 5.0, povm_2x1, 0.4, 1,
-                rng_seed=1000 + seed, dt_int=0.02,
-            )
+            recs, _ = sampler.trajectory(1, rng_seed=1000 + seed)
             counts[recs[1][1]] += 1
         except EscapeSampled:
             counts["escape"] += 1
@@ -233,6 +234,115 @@ def test_escape_sampled_carries_context(povm_3x3):
             assert err.time == pytest.approx(0.05)
             assert len(err.records) == 1
     assert hits > 0  # escape weight is ~0.35, a dozen draws must hit it
+
+
+def _outcome(run):
+    """("ok", records, final kernel) or ("escape", time, records)."""
+    try:
+        recs, final = run()
+    except EscapeSampled as err:
+        return "escape", err.time, err.records
+    return "ok", recs, getattr(final, "elements", final)
+
+
+def _sample_against_reference(args, dt_int, runs, stop=None):
+    """Draw every (n_steps, seed) run from one shared BornSampler and from
+    the reference loop; assert bit-identical outcomes, return the sampler's."""
+    sampler = BornSampler(*args, dt_int=dt_int)
+    outcomes = []
+    for n_steps, seed in runs:
+        got = _outcome(lambda: sampler.trajectory(n_steps, seed, stop=stop))
+        want = _outcome(lambda: reference_trajectory(*args, n_steps, seed, dt_int, stop=stop))
+        assert got[:2] == want[:2]
+        if got[0] == "ok":
+            assert np.array_equal(got[2], want[2])
+        else:
+            assert got[2] == want[2]
+        outcomes.append(got)
+    return outcomes
+
+
+def test_born_sampler_matches_reference_multi_step(povm_3x3):
+    # packet near a cell corner: the collapses spread over several cells
+    rho = DensityMatrix.from_pure(coherent_state(GRID, 3.0, 2.0, 1.0))
+    args = (rho, harmonic_potential(1.0, 1.0), 0.3, povm_3x3, 0.3)
+    seeds = [np.random.SeedSequence(entropy=5, spawn_key=(i,)) for i in range(30)]
+    # the shorter reruns end on nodes that the longer runs already evolved
+    runs = [(3, seed) for seed in seeds] + [(2, seed) for seed in seeds[:10]]
+    outcomes = _sample_against_reference(args, 0.03, runs)
+    histories = {tuple(r[1] for r in recs[1:]) for kind, recs, _ in outcomes[:30] if kind == "ok"}
+    assert len(histories) >= 3 and all(len(h) == 3 for h in histories)
+
+
+def test_born_sampler_matches_reference_on_escape(povm_3x3):
+    rho = DensityMatrix.from_pure(coherent_state(GRID, 0.0, 5.8, 1.0))
+    args = (rho, free_potential(), 0.0, povm_3x3, 0.05)
+    outcomes = _sample_against_reference(args, 0.005, [(2, seed) for seed in range(12)])
+    kinds = {kind for kind, _, _ in outcomes}
+    assert kinds == {"ok", "escape"}
+
+
+def test_born_sampler_matches_reference_with_stop_hook(povm_3x3):
+    rho = DensityMatrix.from_pure(coherent_state(GRID, 3.0, 2.0, 1.0))
+    args = (rho, harmonic_potential(1.0, 1.0), 0.3, povm_3x3, 0.3)
+    seeds = [np.random.SeedSequence(entropy=9, spawn_key=(i,)) for i in range(20)]
+    outcomes = _sample_against_reference(
+        args, 0.03, [(3, seed) for seed in seeds], stop=lambda t, alpha, z: alpha == 4
+    )
+    lengths = {len(recs) for kind, recs, _ in outcomes if kind == "ok"}
+    assert 2 in lengths and len(lengths) > 1  # some stopped early, some ran on
+
+
+def test_born_sampler_evolves_shared_interval_once(povm_2x1, monkeypatch):
+    builds, steps = [], []
+    init, step = Propagator.__init__, Propagator.step_elements
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    def counting_step(self, elements):
+        steps.append(1)
+        return step(self, elements)
+
+    monkeypatch.setattr(Propagator, "__init__", counting_init)
+    monkeypatch.setattr(Propagator, "step_elements", counting_step)
+    rho = cat_state(GRID, 4.0, 0.9)
+    sampler = BornSampler(rho, free_potential(), 5.0, povm_2x1, 0.4, dt_int=0.02)
+    alphas = set()
+    for i in range(100):
+        seed = np.random.SeedSequence(entropy=3, spawn_key=(i,))
+        try:
+            alphas.add(sampler.trajectory(1, seed)[0][1][1])
+        except EscapeSampled:
+            pass
+    assert alphas == {0, 1}
+    assert len(builds) == 1
+    assert len(steps) == 20  # n_sub = 0.4 / 0.02, once for all 100 trajectories
+
+
+def test_born_sampler_cache_cap_keeps_results(povm_3x3, monkeypatch):
+    rho = DensityMatrix.from_pure(coherent_state(GRID, 3.0, 2.0, 1.0))
+    args = (rho, harmonic_potential(1.0, 1.0), 0.3, povm_3x3, 0.3)
+    seeds = [np.random.SeedSequence(entropy=5, spawn_key=(i,)) for i in range(12)]
+
+    def run(sampler, sizes):
+        out = []
+        for seed in seeds:
+            recs, final = sampler.trajectory(3, seed)
+            out.append((recs, final.elements))
+            sizes.append(len(sampler._nodes))
+        return out
+
+    uncapped_sizes, capped_sizes = [], []
+    uncapped = run(BornSampler(*args, dt_int=0.03), uncapped_sizes)
+    monkeypatch.setattr(branching, "NODE_CAP", 2)
+    capped = run(BornSampler(*args, dt_int=0.03), capped_sizes)
+    assert max(uncapped_sizes) > 2
+    assert max(capped_sizes) <= 2
+    for (recs_a, final_a), (recs_b, final_b) in zip(uncapped, capped):
+        assert recs_a == recs_b
+        assert np.array_equal(final_a, final_b)
 
 
 def test_suggested_branch_interval():

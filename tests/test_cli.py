@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from branchfall import cli
 from branchfall.cli import main
 from branchfall.config import (
     ConfigError,
@@ -330,6 +331,29 @@ def test_boundary_abort_exits_3(tmp_path, capsys):
     assert main(["run", path]) == 3
     assert "numerical abort" in capsys.readouterr().err
     # aborted runs leave no manifest behind
+    run_dir = only_run_dir(tmp_path / "runs")
+    assert "manifest.json" not in os.listdir(run_dir)
+
+
+def _nan_through_csv_writer(cfg, run_dir):
+    cli._write_csv(os.path.join(run_dir, "evolve.csv"), ["t", "x"], [(0.0, float("nan"))])
+    return {}, cli.EXIT_OK
+
+
+def _nan_past_the_writer(cfg, run_dir):
+    with open(os.path.join(run_dir, "evolve.csv"), "w", encoding="utf-8") as fh:
+        fh.write("t,x\n0,nan\n")
+    return {}, cli.EXIT_OK
+
+
+@pytest.mark.parametrize("runner", [_nan_through_csv_writer, _nan_past_the_writer])
+def test_non_finite_output_exits_3(tmp_path, capsys, monkeypatch, runner):
+    # caught by the CSV cell formatter or by the defect scan after the run
+    monkeypatch.setitem(cli._RUNNERS, "evolve", runner)
+    path = write_cfg(tmp_path, "e.cfg", EVOLVE_BODY.format(out=tmp_path / "runs"))
+    assert main(["run", path]) == 3
+    err = capsys.readouterr().err
+    assert "numerical abort" in err and "non-finite" in err
     run_dir = only_run_dir(tmp_path / "runs")
     assert "manifest.json" not in os.listdir(run_dir)
 
