@@ -103,19 +103,11 @@ class BranchTree:
         ]
 
 
-def _rest_square(povm: POVMSet) -> np.ndarray:
-    cache = getattr(povm, "_rest_square", None)
-    if cache is None:
-        cache = povm.rest @ povm.rest
-        povm._rest_square = cache
-    return cache
-
-
 def _branch_weights(povm: POVMSet, elements: np.ndarray) -> tuple[np.ndarray, float]:
     """(Tr(Pi_alpha^2 rho) per cell, Tr(Pi_rest^2 rho)); clipped at zero."""
     dx = povm.grid.dx
     w = np.einsum("aij,ji->a", povm.squares, elements).real * dx
-    esc = float(np.sum(_rest_square(povm) * elements.T).real * dx)
+    esc = float(np.sum(povm._rest_square * elements.T).real * dx)
     return np.clip(w, 0.0, None), max(esc, 0.0)
 
 

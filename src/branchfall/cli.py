@@ -65,6 +65,8 @@ def _jsonable(value):
         return int(value)
     if isinstance(value, (np.floating, float)):
         f = float(value)
+        if math.isnan(f):
+            raise ExplosionGuard("non-finite number NaN bound for JSON output")
         return f if math.isfinite(f) else ("inf" if f > 0 else "-inf")
     if isinstance(value, np.ndarray):
         return _jsonable(value.tolist())
@@ -390,6 +392,8 @@ def cmd_run(config_path: str) -> int:
         results, code = _RUNNERS[cfg["kind"]](cfg, run_dir)
         names = [n for n in os.listdir(run_dir) if n != "manifest.json"]
         _assert_finite_outputs(run_dir, names)
+        results["exit_code"] = code
+        _write_manifest(run_dir, cfg, started, results)
     except BranchfallError as err:
         print(f"numerical abort: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -399,8 +403,6 @@ def cmd_run(config_path: str) -> int:
     except ValueError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    results["exit_code"] = code
-    _write_manifest(run_dir, cfg, started, results)
     print(run_dir)
     return code
 

@@ -49,12 +49,7 @@ class Potential:
         return np.asarray(self.v(grid.x), dtype=float)
 
     def derivative_values(self, grid: GridSpec) -> np.ndarray:
-        if self.dv is not None:
-            return np.asarray(self.dv(grid.x), dtype=float)
-        x, h = grid.x, grid.dx
-        return (
-            -self.v(x + 2 * h) + 8 * self.v(x + h) - 8 * self.v(x - h) + self.v(x - 2 * h)
-        ) / (12 * h)
+        return np.asarray(self.slope(grid.x, grid.dx), dtype=float)
 
     def slope(self, x, h: float = 1e-4):
         """V'(x) at arbitrary points (same stencil when dv is missing)."""
@@ -176,7 +171,6 @@ class EvolutionRecord:
     final: DensityMatrix
     dt: float
     lambda_rate: float
-    field_names = ("t", "mean_x", "mean_p", "var_x", "var_p", "s_lin", "purity")
 
     def as_columns(self) -> dict:
         """Column dict in CSV order (diagnostic extras excluded)."""

@@ -109,14 +109,19 @@ class PhasePartition:
         )
 
 
-def _packet(grid: GridSpec, q: float, p: float, sigma_x: float) -> np.ndarray:
-    """Discretely normalized Gaussian; no containment guard (quadrature nodes
-    may sit near the window edge, where the escape element absorbs the loss)."""
-    psi = np.exp(-((grid.x - q) ** 2) / (4.0 * sigma_x**2)) * np.exp(1j * p * grid.x)
-    nrm = math.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx)
-    if nrm <= 0:
-        raise ValueError(f"packet at ({q}, {p}) has no support on the grid")
-    return psi / nrm
+def _packets(grid: GridSpec, q, p, sigma_x: float) -> np.ndarray:
+    """Discretely normalized Gaussians at the nodes (q_a, p_b), row a * len(p) + b:
+    the broadcast product of q-only envelopes and p-only plane waves.  No
+    containment guard (quadrature nodes may sit near the window edge, where
+    the escape element absorbs the loss)."""
+    env = np.exp(-((grid.x - np.asarray(q, dtype=float)[:, None]) ** 2) / (4.0 * sigma_x**2))
+    wave = np.exp(1j * np.asarray(p, dtype=float)[:, None] * grid.x)
+    block = (env[:, None, :] * wave[None, :, :]).reshape(-1, grid.n_points)
+    nrm = np.sqrt(np.sum(np.abs(block) ** 2, axis=1) * grid.dx)
+    if np.any(nrm <= 0):
+        raise ValueError(f"a packet at q in {q}, p in {p} has no support on the grid")
+    block /= nrm[:, None]
+    return block
 
 
 def _axis_nodes(lo: float, hi: float, n: int, rule: str):
@@ -149,7 +154,12 @@ class POVMSet:
     @cached_property
     def squares(self) -> np.ndarray:
         """Pi_alpha^2 for repeated-application weights; built on first use."""
-        return np.einsum("aij,ajk->aik", self.operators, self.operators)
+        return self.operators @ self.operators
+
+    @cached_property
+    def _rest_square(self) -> np.ndarray:
+        """Pi_rest^2 for the escape weight; built on first use."""
+        return self.rest @ self.rest
 
     def trace_product(self, op: np.ndarray, rho: DensityMatrix) -> float:
         return float(np.sum(op * rho.elements.T).real * self.grid.dx)
@@ -216,33 +226,30 @@ def build_povm(
         q1, q2, p1, p2 = partition.cell_bounds(alpha)
         qn, qw = _axis_nodes(q1, q2, nq, rule)
         pn, pw = _axis_nodes(p1, p2, npp, rule)
-        # stack the quadrature-node packets and contract once per cell
-        cols = np.empty((n, nq * npp), dtype=np.complex128)
-        wts = np.empty(nq * npp)
-        k = 0
-        for a, wa in zip(qn, qw):
-            for b, wb in zip(pn, pw):
-                cols[:, k] = _packet(grid, a, b, sigma_x)
-                wts[k] = wa * wb
-                k += 1
-        op = (cols * wts) @ cols.conj().T
+        # all of the cell's quadrature-node packets, contracted in one gemm
+        block = _packets(grid, qn, pn, sigma_x)
+        op = (block * np.outer(qw, pw).reshape(-1, 1)).T @ np.conjugate(block, out=block)
+        del block
         op *= grid.dx / (2.0 * math.pi)
         ops[alpha] = 0.5 * (op + op.conj().T)
 
     rest = np.eye(n) - ops.sum(axis=0)
     povm = POVMSet(grid, partition, sigma_x, ops, rest, rule, (nq, npp))
-
-    center_q = 0.5 * (partition.x_window[0] + partition.x_window[1])
-    center_p = 0.5 * (partition.p_window[0] + partition.p_window[1])
-    probe = _packet(grid, center_q, center_p, sigma_x)
-    probe_rho = np.outer(probe, probe.conj()) * grid.dx
-    leak = float(np.linalg.norm(rest @ probe_rho, 2))
+    leak = _probe_leak(povm)
     if leak > 0.1:
         raise WindowTooSmall(
             f"remainder acts at {leak:.3f} on a centered probe packet "
             f"(window {partition.x_window} x {partition.p_window})"
         )
     return povm
+
+
+def _probe_leak(povm: POVMSet) -> float:
+    """Operator norm of Pi_rest |v><v| dx for the packet v at the window center;
+    the product has rank one, so the norm is ||Pi_rest v|| ||v|| dx."""
+    part = povm.partition
+    v = _packets(povm.grid, [sum(part.x_window) / 2], [sum(part.p_window) / 2], povm.sigma_x)[0]
+    return float(np.linalg.norm(povm.rest @ v) * np.linalg.norm(v) * povm.grid.dx)
 
 
 def _opnorm_power(m: np.ndarray, iters: int = 60, tol: float = 1e-12) -> float:

@@ -2,10 +2,14 @@
 
 These deliberately avoid the package's own code paths: the cell operator
 below comes from doing the coherent-state window integrals in closed form
-(erf factor in position, boxcar Fourier factor in momentum), and the
-reference sampler is the plain per-trajectory loop that the shared-history
-sampler must reproduce bit for bit.
+(erf factor in position, boxcar Fourier factor in momentum), the reference
+window POVM is the plain per-node packet loop that the blocked build must
+reproduce bit for bit, and the reference sampler is the plain
+per-trajectory loop that the shared-history sampler must reproduce bit for
+bit.
 """
+
+import math
 
 import numpy as np
 from scipy.special import erf
@@ -29,6 +33,48 @@ def closed_form_cell(x, dx, sigma, q1, q2, p1, p2):
         efac = (np.exp(1j * p2 * u) - np.exp(1j * p1 * u)) / (1j * u)
     np.fill_diagonal(efac, p2 - p1)
     return (qfac * gfac * efac) * dx / (4 * np.pi)
+
+
+def reference_povm(grid, partition, sigma_x, quadrature):
+    """Gauss-Legendre cell operators built one quadrature node at a time.
+
+    Returns (operators, rest, squares, rest_square, leak): squares by
+    einsum, and leak as the full-SVD operator norm of Pi_rest acting on
+    the normalized probe packet parked at the window center.
+    """
+    nq, npp = quadrature
+
+    def packet(q, p):
+        psi = np.exp(-((grid.x - q) ** 2) / (4.0 * sigma_x**2)) * np.exp(1j * p * grid.x)
+        return psi / math.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx)
+
+    def nodes(lo, hi, n):
+        t, w = np.polynomial.legendre.leggauss(n)
+        return 0.5 * (hi + lo) + 0.5 * (hi - lo) * t, 0.5 * (hi - lo) * w
+
+    n = grid.n_points
+    ops = np.empty((partition.n_cells, n, n), dtype=np.complex128)
+    for alpha in range(partition.n_cells):
+        q1, q2, p1, p2 = partition.cell_bounds(alpha)
+        qn, qw = nodes(q1, q2, nq)
+        pn, pw = nodes(p1, p2, npp)
+        cols = np.empty((n, nq * npp), dtype=np.complex128)
+        wts = np.empty(nq * npp)
+        k = 0
+        for a, wa in zip(qn, qw):
+            for b, wb in zip(pn, pw):
+                cols[:, k] = packet(a, b)
+                wts[k] = wa * wb
+                k += 1
+        op = (cols * wts) @ cols.conj().T
+        op *= grid.dx / (2.0 * math.pi)
+        ops[alpha] = 0.5 * (op + op.conj().T)
+    rest = np.eye(n) - ops.sum(axis=0)
+    squares = np.einsum("aij,ajk->aik", ops, ops)
+    rest_square = np.einsum("ij,jk->ik", rest, rest)
+    probe = packet(0.5 * sum(partition.x_window), 0.5 * sum(partition.p_window))
+    leak = float(np.linalg.norm(rest @ np.outer(probe, probe.conj()) * grid.dx, 2))
+    return ops, rest, squares, rest_square, leak
 
 
 def reference_trajectory(rho0, potential, lambda_rate, povm, dt, n_steps, rng_seed, dt_int, stop=None):

@@ -346,9 +346,22 @@ def _nan_past_the_writer(cfg, run_dir):
     return {}, cli.EXIT_OK
 
 
-@pytest.mark.parametrize("runner", [_nan_through_csv_writer, _nan_past_the_writer])
+def _nan_through_json_writer(cfg, run_dir):
+    cli._write_json(os.path.join(run_dir, "horizon.json"), {"T": float("nan")})
+    return {}, cli.EXIT_OK
+
+
+def _nan_in_results(cfg, run_dir):
+    return {"horizon": {"T": float("nan")}}, cli.EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "runner",
+    [_nan_through_csv_writer, _nan_past_the_writer, _nan_through_json_writer, _nan_in_results],
+)
 def test_non_finite_output_exits_3(tmp_path, capsys, monkeypatch, runner):
-    # caught by the CSV cell formatter or by the defect scan after the run
+    # caught by the CSV cell or JSON formatter, by the defect scan after the
+    # run, or while the manifest's results are formatted
     monkeypatch.setitem(cli._RUNNERS, "evolve", runner)
     path = write_cfg(tmp_path, "e.cfg", EVOLVE_BODY.format(out=tmp_path / "runs"))
     assert main(["run", path]) == 3

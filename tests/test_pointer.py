@@ -12,6 +12,8 @@ from branchfall import (
     WindowTooSmall,
     coherent_state,
 )
+from branchfall import pointer
+from branchfall.branching import _branch_weights
 from branchfall.dynamics import harmonic_potential
 from branchfall.pointer import (
     PhasePartition,
@@ -19,7 +21,7 @@ from branchfall.pointer import (
     predictability_sieve,
     pvm_quality,
 )
-from oracles import closed_form_cell
+from oracles import closed_form_cell, reference_povm
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +181,38 @@ def test_project_consistent_with_squares(grid, three_sigma):
     direct = np.sum(np.diag(updated)).real * grid.dx
     via_square = three_sigma.trace_product(three_sigma.squares[alpha], rho)
     assert direct == pytest.approx(via_square, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, lo, hi, n_x, n_p",
+    [(128, -10.0, 10.0, 3, 3), (256, -12.0, 12.0, 1, 2)],
+)
+def test_blocked_build_matches_per_node_loop(n, lo, hi, n_x, n_p):
+    g = GridSpec(n, lo, hi, mass=1.0)
+    part = PhasePartition((-6.0, 6.0), (-6.0, 6.0), n_x, n_p)
+    povm = build_povm(g, part, 0.7071)
+    ops, rest, squares, rest_square, leak = reference_povm(g, part, 0.7071, povm.quadrature)
+    assert np.array_equal(povm.operators, ops)
+    assert np.array_equal(povm.rest, rest)
+    # batched gemm against einsum: roundoff only, relative to the largest entry
+    for got, want in ((povm.squares, squares), (povm._rest_square, rest_square)):
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+    assert pointer._probe_leak(povm) == pytest.approx(leak, rel=1e-12, abs=1e-15)
+
+
+def test_packet_without_support_raises(grid):
+    # the envelope underflows to zero everywhere for a node far off the grid
+    with pytest.raises(ValueError, match="no support"):
+        pointer._packets(grid, np.array([0.0, 1e3]), np.array([0.0]), 1.0)
+
+
+def test_rest_square_built_once(grid, three_sigma):
+    rho = coherent_state(grid, 0.5, 0.3, 1.0).to_density()
+    _branch_weights(three_sigma, rho.elements)
+    first = three_sigma.__dict__["_rest_square"]
+    _branch_weights(three_sigma, rho.elements)
+    assert three_sigma._rest_square is first
+    assert np.array_equal(first, three_sigma.rest @ three_sigma.rest)
 
 
 def test_window_too_small(grid):
