@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -21,12 +22,12 @@ import numpy as np
 from . import __version__
 from .branching import BornSampler, BranchTree, ExplicitModel, branch_step, evolve_explicit
 from .config import ConfigError, load_config, make_grid, make_potential, make_povm
-from .dynamics import evolve, unitary_step
+from .dynamics import Propagator, evolve
 from .ehrenfest import WidthSeries, classicality_horizon, ehrenfest_residual
 from .errors import BranchfallError, EscapeSampled, ExplosionGuard
 from .mechanisms import BohmEnsemble, GRWParams, bohm_evolve, grw_evolve
 from .pointer import predictability_sieve
-from .qstate import PhasePoint, coherent_state
+from .qstate import PhasePoint, WaveFunction, coherent_state
 from .reduction import ReductionSpec, verify_reduction
 
 EXIT_OK = 0
@@ -48,12 +49,41 @@ def _cell(value) -> str:
     return "%.17g" % f
 
 
-def _write_csv(path: str, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
+_BLOCK_ROWS = 4096
+
+
+def _write_csv(path: str, columns) -> None:
+    """Write an ordered {name: 1-D sequence} mapping as CSV.
+
+    One format per column, chosen from its dtype: bool as 1/0, integers with
+    %d, floats with %.17g after one whole-column finite check; any other
+    column goes cell by cell through _cell.  Every check runs before the
+    file is opened, so a rejected payload leaves no file behind.  Rows are
+    formatted and written _BLOCK_ROWS at a time, so memory does not grow
+    with the row count.
+    """
+    cols = [np.asarray(c) for c in columns.values()]
+    n_rows = len(cols[0]) if cols else 0
+    if any(c.ndim != 1 or len(c) != n_rows for c in cols):
+        raise ValueError("CSV columns must be 1-D and of equal length")
+    fmts = []
+    for i, col in enumerate(cols):
+        kind = col.dtype.kind
+        if kind in "biu":
+            fmts.append("%d")
+        elif kind == "f":
+            if not np.isfinite(col).all():
+                raise ExplosionGuard("non-finite value bound for CSV output")
+            fmts.append("%.17g")
+        else:
+            cols[i] = np.array([_cell(v) for v in col.tolist()], dtype=object)
+            fmts.append("%s")
+    template = ",".join(fmts) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            rows = zip(*(c[start:start + _BLOCK_ROWS].tolist() for c in cols))
+            fh.write("".join([template % row for row in rows]))
 
 
 def _jsonable(value):
@@ -91,6 +121,66 @@ def _reject_constant(token):
     raise ExplosionGuard(f"non-finite number {token} in JSON output")
 
 
+_LONG_EXPONENT = re.compile(r"[eE][+-]?[0-9_]{3}")
+_LONG_LINE = 200
+_SCAN_CHARS = 1 << 18
+
+
+def _scan_lines(name: str, lines) -> None:
+    for line in lines:
+        for cell in line.rstrip("\n").split(","):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            if not math.isfinite(value):
+                raise ExplosionGuard(f"non-finite value in {name}: {cell}")
+
+
+def _clean(chunk: str) -> bool:
+    """True when no cell of the chunk can parse to a non-finite float.
+
+    That holds when the chunk is ASCII (float() also reads other Unicode
+    digits), has no letter of nan/inf, no exponent of three or more digits
+    (underscores count, as float() skips them) and no line of _LONG_LINE
+    characters (a 309-digit integer parses to inf).
+    """
+    return (
+        chunk.isascii()
+        and not any(letter in chunk for letter in "nNiI")
+        and _LONG_EXPONENT.search(chunk) is None
+        and max(map(len, chunk.split("\n"))) < _LONG_LINE
+    )
+
+
+def _scan_csv(path: str, name: str) -> None:
+    """Run _scan_lines over every line after the header, chunk by chunk.
+
+    Chunks end at line ends, and only a chunk that _clean cannot clear goes
+    through the per-cell loop.  When that loop finds a non-finite value, or
+    the file is not UTF-8, the loop runs once more over the whole file as
+    one stream, so an abort raises exactly what it alone would raise.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            fh.readline()
+            tail = ""
+            while True:
+                block = fh.read(_SCAN_CHARS)
+                chunk = tail + block
+                cut = chunk.rfind("\n") + 1 if block else len(chunk)
+                chunk, tail = chunk[:cut], chunk[cut:]
+                if chunk and not _clean(chunk):
+                    _scan_lines(name, chunk.split("\n"))
+                if not block:
+                    return
+    except (UnicodeDecodeError, ExplosionGuard):
+        with open(path, "r", encoding="utf-8") as fh:
+            fh.readline()
+            _scan_lines(name, fh)
+        raise
+
+
 def _assert_finite_outputs(run_dir: str, names) -> None:
     """Defect scan: every number in every emitted file must be finite."""
     for name in names:
@@ -99,16 +189,7 @@ def _assert_finite_outputs(run_dir: str, names) -> None:
             with open(path, "r", encoding="utf-8") as fh:
                 json.load(fh, parse_constant=_reject_constant)
         elif name.endswith(".csv"):
-            with open(path, "r", encoding="utf-8") as fh:
-                next(fh, None)
-                for line in fh:
-                    for cell in line.rstrip("\n").split(","):
-                        try:
-                            value = float(cell)
-                        except ValueError:
-                            continue
-                        if not math.isfinite(value):
-                            raise ExplosionGuard(f"non-finite value in {name}: {cell}")
+            _scan_csv(path, name)
 
 
 def _new_run_dir(root: str, kind: str) -> str:
@@ -169,11 +250,7 @@ def _run_evolve(cfg, run_dir):
         _packet(cfg, grid).to_density(), make_potential(cfg), cfg["lambda"],
         cfg["dt"], cfg["n_steps"], cfg["record_every"],
     )
-    cols = rec.as_columns()
-    _write_csv(
-        os.path.join(run_dir, "evolve.csv"), list(cols),
-        zip(*cols.values()),
-    )
+    _write_csv(os.path.join(run_dir, "evolve.csv"), rec.as_columns())
     return {"rows": len(rec.times), "final_purity": float(rec.purity[-1])}, EXIT_OK
 
 
@@ -183,10 +260,7 @@ def _run_sieve(cfg, run_dir):
         grid, make_potential(cfg), cfg["lambda"], cfg["sigma_list"],
         PhasePoint(cfg["q0"], cfg["p0"]), cfg["horizon"], cfg["dt"],
     )
-    _write_csv(
-        os.path.join(run_dir, "sieve.csv"), ["sigma", "t", "s_lin"],
-        result.csv_rows(),
-    )
+    _write_csv(os.path.join(run_dir, "sieve.csv"), result.as_columns())
     return {"argmin_width": float(result.argmin_width)}, EXIT_OK
 
 
@@ -209,15 +283,13 @@ def _run_branch(cfg, run_dir):
             tree, potential, cfg["lambda"], _default_dt_int(cfg),
             cfg["escape_tol"], cfg["leaf_cap"],
         )
-    rows = [
-        ("/".join(str(a) for a in leaf["history"]), leaf["weight"],
-         leaf["z"][0], leaf["z"][1])
-        for leaf in tree.snapshot()
-    ]
-    _write_csv(
-        os.path.join(run_dir, "branches.csv"),
-        ["history", "weight", "z_q", "z_p"], rows,
-    )
+    leaves = tree.snapshot()
+    _write_csv(os.path.join(run_dir, "branches.csv"), {
+        "history": ["/".join(str(a) for a in leaf["history"]) for leaf in leaves],
+        "weight": [leaf["weight"] for leaf in leaves],
+        "z_q": [leaf["z"][0] for leaf in leaves],
+        "z_p": [leaf["z"][1] for leaf in leaves],
+    })
     summary = {
         "n_leaves": len(tree.leaves),
         "closure": tree.weight_closure(),
@@ -237,7 +309,7 @@ def _run_sample(cfg, run_dir):
         _packet(cfg, grid).to_density(), potential, cfg["lambda"], povm,
         cfg["dt"], cfg["dt_int"],
     )
-    rows = []
+    cols = {"traj_id": [], "t": [], "alpha": [], "x": [], "p": []}
     escapes = []
     for tid in range(cfg["n_traj"]):
         seed = np.random.SeedSequence(entropy=cfg["seed"], spawn_key=(tid,))
@@ -247,11 +319,12 @@ def _run_sample(cfg, run_dir):
             records = err.records
             escapes.append({"traj_id": tid, "t": float(err.time)})
         for t, alpha, z in records:
-            rows.append((tid, t, -1 if alpha is None else alpha, z.q, z.p))
-    _write_csv(
-        os.path.join(run_dir, "trajectories.csv"),
-        ["traj_id", "t", "alpha", "x", "p"], rows,
-    )
+            cols["traj_id"].append(tid)
+            cols["t"].append(t)
+            cols["alpha"].append(-1 if alpha is None else alpha)
+            cols["x"].append(z.q)
+            cols["p"].append(z.p)
+    _write_csv(os.path.join(run_dir, "trajectories.csv"), cols)
     summary = {"n_traj": cfg["n_traj"], "n_escaped": len(escapes), "escapes": escapes}
     _write_json(os.path.join(run_dir, "sample.json"), summary)
     return {"n_traj": cfg["n_traj"], "n_escaped": len(escapes)}, EXIT_OK
@@ -267,8 +340,8 @@ def _run_explicit(cfg, run_dir):
     )
     reduced = model.reduced_density()
     _write_csv(
-        os.path.join(run_dir, "explicit.csv"), ["x", "density"],
-        zip(grid.x, reduced.position_density()),
+        os.path.join(run_dir, "explicit.csv"),
+        {"x": grid.x, "density": reduced.position_density()},
     )
     payload = {
         "k": model.k,
@@ -290,7 +363,10 @@ def _run_grw(cfg, run_dir):
         GRWParams(cfg["hit_rate"], cfg["r_c"]), cfg["total_time"],
         cfg["seed"], cfg["dt_int"],
     )
-    _write_csv(os.path.join(run_dir, "hits.csv"), ["t", "x0"], run.hit_rows())
+    _write_csv(os.path.join(run_dir, "hits.csv"), {
+        "t": [hit.time for hit in run.hits],
+        "x0": [hit.center for hit in run.hits],
+    })
     summary = {"n_hits": len(run.hits), "total_time": run.total_time}
     _write_json(os.path.join(run_dir, "grw.json"), summary)
     return summary, EXIT_OK
@@ -301,17 +377,15 @@ def _run_bohm(cfg, run_dir):
     potential = make_potential(cfg)
     n_snap = max(1, int(round(cfg["total_time"] / cfg["dt"])))
     psi = _packet(cfg, grid)
+    prop = Propagator(grid, potential, 0.0, cfg["dt"])
     snapshots = [psi]
     for _ in range(n_snap):
-        psi = unitary_step(psi, potential, cfg["dt"])
+        psi = WaveFunction(grid, prop.step_wave(psi.amplitudes), validate=False)
         snapshots.append(psi)
     times = np.arange(n_snap + 1) * cfg["dt"]
     ensemble = BohmEnsemble.from_state(snapshots[0], cfg["n_traj"], cfg["seed"])
     run = bohm_evolve(ensemble, snapshots, times, cfg["ode_dt"], cfg["checkpoints"])
-    _write_csv(
-        os.path.join(run_dir, "bohm.csv"), ["traj_id", "t", "x"],
-        run.trajectory_rows(),
-    )
+    _write_csv(os.path.join(run_dir, "bohm.csv"), run.as_columns())
     summary = {
         "n_traj": cfg["n_traj"],
         "n_flagged": int(np.sum(run.node_flags)),
@@ -328,13 +402,13 @@ def _run_ehrenfest(cfg, run_dir):
         _packet(cfg, grid).to_density(), potential, cfg["lambda"],
         cfg["dt"], cfg["n_steps"], cfg["record_every"],
     )
-    cols = rec.as_columns()
-    _write_csv(os.path.join(run_dir, "evolve.csv"), list(cols), zip(*cols.values()))
-    res = ehrenfest_residual(rec, potential).as_columns()
-    _write_csv(os.path.join(run_dir, "residual.csv"), list(res), zip(*res.values()))
+    _write_csv(os.path.join(run_dir, "evolve.csv"), rec.as_columns())
+    _write_csv(
+        os.path.join(run_dir, "residual.csv"),
+        ehrenfest_residual(rec, potential).as_columns(),
+    )
     widths = WidthSeries.from_record(rec)
-    wcols = widths.as_columns()
-    _write_csv(os.path.join(run_dir, "widths.csv"), list(wcols), zip(*wcols.values()))
+    _write_csv(os.path.join(run_dir, "widths.csv"), widths.as_columns())
     horizon = classicality_horizon(widths, (cfg["delta_x"], cfg["delta_p"]), cfg["l_v"])
     _write_json(os.path.join(run_dir, "horizon.json"), horizon.as_json())
     return {"horizon": horizon.as_json()}, EXIT_OK

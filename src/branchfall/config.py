@@ -64,6 +64,13 @@ def _floats(s: str) -> tuple:
     return tuple(float(p.strip()) for p in s.split(",") if p.strip())
 
 
+def _has_nan(value) -> bool:
+    """True for a NaN float, or a (nested) tuple of values holding one."""
+    if isinstance(value, float):
+        return math.isnan(value)
+    return isinstance(value, tuple) and any(_has_nan(v) for v in value)
+
+
 _BASE = {
     "kind": (str, REQUIRED),
     "seed": (int, 0),
@@ -224,6 +231,8 @@ def validate_config(raw: dict) -> dict:
                 cfg[key] = caster(raw[key])
             except (TypeError, ValueError) as err:
                 raise ConfigError(f"bad value for key '{key}': {err}") from err
+            if _has_nan(cfg[key]):
+                raise ConfigError(f"bad value for key '{key}': NaN is not a number")
         elif default is REQUIRED:
             raise ConfigError(f"missing required key '{key}' for kind '{kind}'")
         else:

@@ -225,10 +225,14 @@ class BohmRun:
     occupancy: Optional[dict] = None  # checkpoint time -> (left, right) fractions
     crossings: Optional[int] = None
 
-    def trajectory_rows(self):
-        for tid in range(self.positions.shape[0]):
-            for k, t in enumerate(self.times):
-                yield tid, float(t), float(self.positions[tid, k])
+    def as_columns(self) -> dict:
+        """traj_id, t, x columns in CSV order, one row per (trajectory, time)."""
+        n_traj, n_times = self.positions.shape
+        return {
+            "traj_id": np.repeat(np.arange(n_traj), n_times),
+            "t": np.tile(self.times, n_traj),
+            "x": self.positions.ravel(),
+        }
 
 
 def _ks_distance(samples: np.ndarray, grid: GridSpec, density: np.ndarray) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -323,10 +323,14 @@ class SieveResult:
     curves: np.ndarray  # shape (len(sigma_list), len(times))
     argmin_width: float
 
-    def csv_rows(self) -> Iterator[tuple[float, float, float]]:
-        for sigma, curve in zip(self.sigma_list, self.curves):
-            for t, s in zip(self.times, curve):
-                yield (float(sigma), float(t), float(s))
+    def as_columns(self) -> dict:
+        """sigma, t, s_lin columns in CSV order, one row per (width, time)."""
+        n_sigma, n_times = self.curves.shape
+        return {
+            "sigma": np.repeat(self.sigma_list, n_times),
+            "t": np.tile(self.times, n_sigma),
+            "s_lin": self.curves.ravel(),
+        }
 
     def summary(self) -> dict:
         return {"argmin_width": self.argmin_width}

@@ -23,7 +23,6 @@ from .ehrenfest import WidthSeries, classicality_horizon
 from .errors import EscapeSampled, WindowTooSmall
 from .pointer import POVMSet
 from .qstate import (
-    DensityMatrix,
     GridSpec,
     PhasePoint,
     coherent_state,
@@ -36,7 +35,6 @@ __all__ = [
     "PointResult",
     "ReductionReport",
     "classical_evolve",
-    "bridge",
     "within_margin",
     "verify_reduction",
 ]
@@ -97,11 +95,6 @@ def classical_evolve(
     return ClassicalTrajectory(np.linspace(0.0, total_time, n + 1), q, p)
 
 
-def bridge(rho: DensityMatrix) -> PhasePoint:
-    """(Tr rho X, Tr rho P): the affine map from states to phase points."""
-    return mean_phase_point(rho)
-
-
 def within_margin(z: PhasePoint, z_ref: PhasePoint, delta_z) -> bool:
     """Componentwise |q - q_ref| < 2 delta_X and |p - p_ref| < 2 delta_P.
 
@@ -122,7 +115,7 @@ class ReductionSpec:
     tolerated failure probability, sampling effort, and the physics.
 
     The particle mass lives on povm.grid; sigma_x sets the width of the
-    coherent packet prepared at each Z0 (the bridge maps it back to Z0).
+    coherent packet prepared at each Z0 (mean_phase_point maps it back to Z0).
     l_v caps the position bound of the measured width horizon for
     anharmonic forces.
     """

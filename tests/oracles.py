@@ -6,7 +6,9 @@ below comes from doing the coherent-state window integrals in closed form
 window POVM is the plain per-node packet loop that the blocked build must
 reproduce bit for bit, and the reference sampler is the plain
 per-trajectory loop that the shared-history sampler must reproduce bit for
-bit.
+bit.  The reference CSV writer and defect scan are the per-cell loops that
+the columnar writer and the prefiltered scan must match byte for byte and
+verdict for verdict.
 """
 
 import math
@@ -14,7 +16,7 @@ import math
 import numpy as np
 from scipy.special import erf
 
-from branchfall import DensityMatrix, EscapeSampled, mean_phase_point
+from branchfall import DensityMatrix, EscapeSampled, ExplosionGuard, mean_phase_point
 from branchfall.dynamics import Propagator
 
 
@@ -115,3 +117,40 @@ def reference_trajectory(rho0, potential, lambda_rate, povm, dt, n_steps, rng_se
         if stop is not None and stop(t, alpha, z):
             break
     return records, el
+
+
+def _reference_cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    f = float(value)
+    if not math.isfinite(f):
+        raise ExplosionGuard("non-finite value bound for CSV output")
+    return "%.17g" % f
+
+
+def reference_write_csv(path, header, rows):
+    """Row-wise CSV writer: each cell formatted on its own by type."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_reference_cell(v) for v in row))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def reference_finite_scan(path, name):
+    """Per-line defect scan: float() on every cell after the header line,
+    raising ExplosionGuard on the first one that parses non-finite."""
+    with open(path, "r", encoding="utf-8") as fh:
+        next(fh, None)
+        for line in fh:
+            for cell in line.rstrip("\n").split(","):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                if not math.isfinite(value):
+                    raise ExplosionGuard(f"non-finite value in {name}: {cell}")

@@ -6,10 +6,17 @@ exit codes, artifact layout, and byte determinism, not physics.
 
 import hashlib
 import json
+import math
 import os
+import tempfile
 import time
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import reference_finite_scan, reference_write_csv
 
 from branchfall import cli
 from branchfall.cli import main
@@ -147,6 +154,30 @@ def test_validate_reports_bad_value():
         validate_config(
             {"kind": "evolve", "lambda": "0", "dt": "soon", "n_steps": "5"}
         )
+
+
+def test_nan_scalar_key_exits_2_before_any_work(tmp_path, capsys):
+    out = tmp_path / "runs"
+    body = (
+        "kind = ehrenfest\ngrid_n = 64\nx_min = -8\nx_max = 8\n"
+        f"delta_x = 1.5\ndelta_p = 1.5\nl_v = {{l_v}}\nout = {out}\n"
+    )
+    assert main(["run", write_cfg(tmp_path, "nan.cfg", body.format(l_v="nan"))]) == 2
+    assert "bad value for key 'l_v'" in capsys.readouterr().err
+    assert not out.exists()
+    # an infinite l_v (no position cap) stays valid
+    assert validate_config(parse_config(body.format(l_v="inf")))["l_v"] == math.inf
+
+
+def test_nan_in_float_list_key_rejected():
+    with pytest.raises(ConfigError, match="bad value for key 'sigma_list'.*NaN"):
+        validate_config({"kind": "sieve", "lambda": "0.2", "sigma_list": "0.5, NaN"})
+
+
+def test_nan_in_pair_key_rejected():
+    raw = parse_config(REDUCE_BODY.format(dx=1, dp=1, out="runs"))
+    with pytest.raises(ConfigError, match="bad value for key 'd_c'.*NaN"):
+        validate_config({**raw, "d_c": "1.5, 0.0; nan, 0.5"})
 
 
 def test_validate_fills_defaults_and_types():
@@ -336,7 +367,7 @@ def test_boundary_abort_exits_3(tmp_path, capsys):
 
 
 def _nan_through_csv_writer(cfg, run_dir):
-    cli._write_csv(os.path.join(run_dir, "evolve.csv"), ["t", "x"], [(0.0, float("nan"))])
+    cli._write_csv(os.path.join(run_dir, "evolve.csv"), {"t": [0.0], "x": [float("nan")]})
     return {}, cli.EXIT_OK
 
 
@@ -369,6 +400,85 @@ def test_non_finite_output_exits_3(tmp_path, capsys, monkeypatch, runner):
     assert "numerical abort" in err and "non-finite" in err
     run_dir = only_run_dir(tmp_path / "runs")
     assert "manifest.json" not in os.listdir(run_dir)
+
+
+# ---------------------------------------------------------------- CSV writer and defect scan
+
+_FLOATS = [-0.0, 0.0, 5e-324, 1e300, -1e300, 3.0, -42.0, 0.1, 1.7976931348623157e308, 2.5e-17]
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        {
+            "flag": np.array([True, False] * 5),
+            "n": np.array([0, -1, 7, 2**62, -(2**40), 3, 4, 5, 6, 9]),
+            "name": ["", "0/1", "3", "a b", "x"] * 2,
+            "v": np.array(_FLOATS),
+            "w": np.array([0.1, -0.0, 1e-40, 3.0, -1e30] * 2, dtype=np.float32),
+        },
+        {"flag": [True, False], "n": [3, -3], "v": [2.0, 1e16], "h": ["1/2", ""]},
+        {"t": [], "x": np.empty(0)},
+        {
+            "i": np.arange(2 * cli._BLOCK_ROWS + 3),
+            "x": np.random.default_rng(5).normal(size=2 * cli._BLOCK_ROWS + 3) * 1e3,
+        },
+    ],
+    ids=["typed-arrays", "python-lists", "header-only", "several-blocks"],
+)
+def test_columnar_writer_matches_per_cell_writer(tmp_path, columns):
+    cli._write_csv(str(tmp_path / "new.csv"), columns)
+    reference_write_csv(str(tmp_path / "ref.csv"), list(columns), zip(*columns.values()))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+_SCAN_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda f: "%.17g" % f),
+    st.integers().map(str),
+    st.sampled_from([
+        "nan", "-Inf", "infinity", "NaN", "1e309", "-1e308", "1e-400", "1_0e3_08",
+        "1e3_0", "1E+99", "\u0661e\u0663\u0660\u0669", "\u0661\u0662", "abc", "",
+        " 2 ", "\u2028", "1\u2028nan", "\xe9",
+    ]),
+    st.integers(190, 400).map(lambda n: "9" * n),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def _csv_files(draw):
+    rows = draw(st.lists(st.lists(_SCAN_CELLS, min_size=1, max_size=4), max_size=10))
+    sep = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = sep.join(["a,b"] + [",".join(row) for row in rows]) + draw(st.sampled_from(["", sep]))
+    data = text.encode("utf-8")
+    if draw(st.sampled_from([False, False, False, True])):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def _scan_outcome(scan):
+    try:
+        scan()
+    except (cli.ExplosionGuard, UnicodeDecodeError) as err:
+        return type(err), str(err)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=_csv_files(), chunk=st.integers(1, 64))
+# a NaN decoded well before a byte that is not UTF-8, at the real chunk size
+@example(data=b"a,b\n0,nan\n" + b"1,2\n" * 4000 + b"\xff\n", chunk=cli._SCAN_CHARS)
+def test_defect_scan_agrees_with_per_cell_loop(data, chunk):
+    # small chunks so that bodies span several, cut at arbitrary line ends
+    with tempfile.TemporaryDirectory() as run_dir:
+        path = os.path.join(run_dir, "data.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with mock.patch.object(cli, "_SCAN_CHARS", chunk):
+            new = _scan_outcome(lambda: cli._assert_finite_outputs(run_dir, ["data.csv"]))
+        assert new == _scan_outcome(lambda: reference_finite_scan(path, "data.csv"))
 
 
 def test_reduce_fail_exits_4_with_report(tmp_path):

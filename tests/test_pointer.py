@@ -272,7 +272,8 @@ def test_sieve_argmin_is_balanced_width(sieve_run):
 
 
 def test_sieve_serialization(sieve_run):
-    rows = list(sieve_run.csv_rows())
-    assert len(rows) == sieve_run.curves.size
-    assert rows[0][0] == pytest.approx(0.45)
+    cols = sieve_run.as_columns()
+    assert list(cols) == ["sigma", "t", "s_lin"]
+    assert all(len(col) == sieve_run.curves.size for col in cols.values())
+    assert cols["sigma"][0] == pytest.approx(0.45)
     assert sieve_run.summary() == {"argmin_width": pytest.approx(1 / math.sqrt(2))}

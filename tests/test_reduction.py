@@ -8,10 +8,15 @@ import pytest
 from branchfall.dynamics import Potential, free_potential, harmonic_potential
 from branchfall.errors import WindowTooSmall
 from branchfall.pointer import PhasePartition, build_povm
-from branchfall.qstate import DensityMatrix, GridSpec, PhasePoint, coherent_state
+from branchfall.qstate import (
+    DensityMatrix,
+    GridSpec,
+    PhasePoint,
+    coherent_state,
+    mean_phase_point,
+)
 from branchfall.reduction import (
     ReductionSpec,
-    bridge,
     classical_evolve,
     verify_reduction,
     within_margin,
@@ -84,13 +89,13 @@ def test_classical_evolve_validation():
 
 def test_bridge_centers():
     rho = coherent_state(GRID, 1.5, 0.0, SIGMA).to_density()
-    z = bridge(rho)
+    z = mean_phase_point(rho)
     assert abs(z.q - 1.5) < 1e-8 and abs(z.p) < 1e-8
     mix = DensityMatrix.from_mixture(
         [0.5, 0.5],
         [coherent_state(GRID, 2.0, 3.0, 0.5), coherent_state(GRID, -2.0, -3.0, 0.5)],
     )
-    z = bridge(mix)
+    z = mean_phase_point(mix)
     assert abs(z.q) < 1e-12 and abs(z.p) < 1e-12
 
 
@@ -98,7 +103,8 @@ def test_bridge_affine():
     a = coherent_state(GRID, 1.0, 2.0, 0.5)
     b = coherent_state(GRID, -2.0, 1.0, 0.7)
     mix = DensityMatrix.from_mixture([0.3, 0.7], [a, b])
-    za, zb, zm = bridge(a.to_density()), bridge(b.to_density()), bridge(mix)
+    za, zb = mean_phase_point(a.to_density()), mean_phase_point(b.to_density())
+    zm = mean_phase_point(mix)
     assert abs(zm.q - (0.3 * za.q + 0.7 * zb.q)) < 1e-10
     assert abs(zm.p - (0.3 * za.p + 0.7 * zb.p)) < 1e-10
 
