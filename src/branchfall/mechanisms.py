@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .branching import BranchTree, ExplicitModel
-from .dynamics import Potential
+from .dynamics import Potential, _SplitStep
 from .errors import EmptyTree, NodeRegion
 from .qstate import GridSpec, WaveFunction
 
@@ -33,19 +33,6 @@ __all__ = [
     "bohm_evolve",
     "sample_positions",
 ]
-
-
-class _WaveStepper:
-    """Strang split-step for wavefunctions without building dense matrices."""
-
-    def __init__(self, grid: GridSpec, potential: Potential, dt: float):
-        self.kin_half = np.exp(-1j * grid.p**2 / (2.0 * grid.mass) * (dt / 2.0))
-        self.pot_full = np.exp(-1j * potential.values(grid) * dt)
-
-    def step(self, amps: np.ndarray) -> np.ndarray:
-        out = np.fft.ifft(self.kin_half * np.fft.fft(amps))
-        out = self.pot_full * out
-        return np.fft.ifft(self.kin_half * np.fft.fft(out))
 
 
 @dataclass(frozen=True)
@@ -83,17 +70,16 @@ class GRWRun:
         return [(hit.time, hit.center) for hit in self.hits]
 
 
-def _evolve_segment(amps, grid, potential, duration, dt_int):
+def _evolve_segment(amps, core, grid, v_vals, duration, dt_int):
+    """int(duration / dt_int) fused steps of core (built for dt_int), then
+    one step over the remainder."""
     if duration <= 0:
         return amps
     n_full = int(duration / dt_int)
-    if n_full:
-        stepper = _WaveStepper(grid, potential, dt_int)
-        for _ in range(n_full):
-            amps = stepper.step(amps)
+    amps = core.run(amps, n_full)
     rem = duration - n_full * dt_int
     if rem > 1e-15 * max(1.0, duration):
-        amps = _WaveStepper(grid, potential, rem).step(amps)
+        amps = _SplitStep(grid, v_vals, rem).run(amps)
     return amps
 
 
@@ -112,6 +98,8 @@ def grw_evolve(
     and renormalized.  Everything is deterministic for a fixed seed.
     """
     grid = psi.grid
+    v_vals = potential.values(grid)
+    core = _SplitStep(grid, v_vals, dt_int)
     rng = np.random.default_rng(rng_seed)
     amps = psi.amplitudes.copy()
     hits: list[GRWHit] = []
@@ -119,9 +107,9 @@ def grw_evolve(
     while True:
         wait = rng.exponential(1.0 / params.hit_rate) if params.hit_rate > 0 else math.inf
         if t + wait >= total_time:
-            amps = _evolve_segment(amps, grid, potential, total_time - t, dt_int)
+            amps = _evolve_segment(amps, core, grid, v_vals, total_time - t, dt_int)
             break
-        amps = _evolve_segment(amps, grid, potential, wait, dt_int)
+        amps = _evolve_segment(amps, core, grid, v_vals, wait, dt_int)
         t += wait
         pre = WaveFunction(grid, amps.copy(), validate=False)
         prob = np.abs(amps) ** 2 * grid.dx

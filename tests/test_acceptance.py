@@ -11,6 +11,7 @@ the measured floors, not weakened until they pass.
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +44,6 @@ from branchfall import (
     harmonic_potential,
     mixture_consistency,
     pvm_quality,
-    unitary_step,
     verify_reduction,
 )
 from branchfall.cli import main as cli_main
@@ -70,8 +70,9 @@ def cat_state(grid, q, sigma, p=0.0):
 def free_run(grid, psi0, dt_snap, n_snap):
     snaps, ts = [psi0], [0.0]
     wave = psi0
+    prop = Propagator(grid, free_potential(), 0.0, dt_snap)
     for k in range(n_snap):
-        wave = unitary_step(wave, free_potential(), dt_snap)
+        wave = WaveFunction(grid, prop.step_wave(wave.amplitudes), validate=False)
         snaps.append(wave)
         ts.append((k + 1) * dt_snap)
     return snaps, ts
@@ -540,7 +541,7 @@ def test_rerun_produces_identical_payload_bytes(tmp_path):
         assert cli_main(["run", str(cfg)]) == 0
         run_dir = os.path.join(out, os.listdir(out)[0])
         blobs.append({
-            name: open(os.path.join(run_dir, name), "rb").read()
+            name: Path(os.path.join(run_dir, name)).read_bytes()
             for name in sorted(os.listdir(run_dir))
             if name != "manifest.json"  # manifest embeds the config path
         })

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from branchfall import (
+    BoundaryViolation,
     BornSampler,
     BranchTree,
     DensityMatrix,
@@ -29,11 +30,10 @@ from branchfall import (
     sample_trajectory,
     suggested_branch_interval,
     superorthogonality_overlap,
-    unitary_step,
 )
 from branchfall import branching
 from branchfall.dynamics import Propagator
-from oracles import reference_trajectory
+from oracles import reference_strang, reference_trajectory
 
 
 GRID = GridSpec(128, -10.0, 10.0, 1.0)
@@ -115,6 +115,17 @@ def test_escape_mass_raises(povm_3x3):
     tree = BranchTree.from_state(rho, povm_3x3, dt=0.05, prune_epsilon=0.0)
     with pytest.raises(EscapeMass):
         branch_step(tree, free_potential(), 0.0, dt_int=0.05)
+
+
+def test_branch_step_stops_packet_at_grid_edge():
+    # a packet running into the edge of the periodic grid: unchecked, its
+    # mass wraps around and is booked to the opposite cell
+    grid = GridSpec(64, -8.0, 8.0, 1.0)
+    povm = build_povm(grid, PhasePartition((-7.0, 7.0), (-8.0, 8.0), 2, 1), sigma_x=0.8)
+    tree = BranchTree.from_state(coherent_state(grid, 3.0, 4.0, 0.7).to_density(), povm, dt=0.5)
+    tree = branch_step(tree, free_potential(), 0.1, dt_int=0.05, escape_tol=1.0)
+    with pytest.raises(BoundaryViolation):
+        branch_step(tree, free_potential(), 0.1, dt_int=0.05, escape_tol=1.0)
 
 
 def test_explosion_guard(povm_3x3):
@@ -361,11 +372,41 @@ def test_explicit_k0_matches_unitary_step():
     model = ExplicitModel.from_wavefunction(psi, [])
     pot = harmonic_potential(1.0, 1.0)
     out, report = evolve_explicit(model, pot, 0.02, 25)
-    wave = psi
+    prop = Propagator(GRID, pot, 0.0, 0.02)
+    wave = psi.amplitudes
     for _ in range(25):
-        wave = unitary_step(wave, pot, 0.02)
-    assert np.max(np.abs(out.state[:, 0] - wave.amplitudes)) < 1e-12
+        wave = prop.step_wave(wave)
+    assert np.max(np.abs(out.state[:, 0] - wave)) < 1e-12
     assert report.env_overlaps == pytest.approx(np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("dt", [0.02, -0.02])
+@pytest.mark.parametrize("n", [1, 2, 7, 100])
+def test_explicit_block_matches_unfused_reference(n, dt):
+    # 2^k == n_points, so a phase laid on the wrong axis still broadcasts
+    grid = GridSpec(64, -10.0, 10.0, 1.0)
+    g, h = np.linspace(-0.6, 0.9, 6), np.linspace(0.3, -0.2, 6)
+    model = ExplicitModel.from_wavefunction(coherent_state(grid, 1.0, 0.5, 0.8), g, h)
+    pot = harmonic_potential(1.0, 1.0)
+    out, _ = evolve_explicit(model, pot, dt, n)
+    signs = 1.0 - 2.0 * ((np.arange(64)[:, None] >> np.arange(6)) & 1)
+    diag = pot.values(grid)[:, None] + grid.x[:, None] * (signs @ g) + signs @ h
+    ref = reference_strang(grid, diag, dt, model.state, n)
+    assert np.max(np.abs(out.state - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_evolve_explicit_fuses_half_kicks(monkeypatch):
+    model = ExplicitModel.from_wavefunction(coherent_state(GRID, 1.0, 0.5, 0.8), [0.4, -0.3])
+    calls = []
+    fft = np.fft.fft
+
+    def counting_fft(*args, **kwargs):
+        calls.append(1)
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting_fft)
+    evolve_explicit(model, free_potential(), 0.02, 9)
+    assert len(calls) == 10
 
 
 def test_reduced_lobe_follows_cosine_envelope():

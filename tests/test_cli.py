@@ -10,6 +10,7 @@ import math
 import os
 import tempfile
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -265,7 +266,7 @@ def test_run_evolve_layout_and_header(tmp_path):
     run_dir = only_run_dir(out)
     names = sorted(os.listdir(run_dir))
     assert names == ["evolve.csv", "manifest.json"]
-    lines = open(os.path.join(run_dir, "evolve.csv")).read().splitlines()
+    lines = Path(os.path.join(run_dir, "evolve.csv")).read_text().splitlines()
     assert lines[0] == "t,mean_x,mean_p,var_x,var_p,s_lin,purity"
     assert len(lines) == 1 + 5  # record_every=5 over 20 steps, plus t=0
     for line in lines[1:]:
@@ -279,7 +280,7 @@ def test_manifest_digests_match_files(tmp_path):
     path = write_cfg(tmp_path, "e.cfg", EVOLVE_BODY.format(out=out))
     main(["run", path])
     run_dir = only_run_dir(out)
-    manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
+    manifest = json.loads(Path(os.path.join(run_dir, "manifest.json")).read_text())
     assert manifest["kind"] == "evolve"
     assert manifest["seed"] == 7
     assert manifest["results"]["exit_code"] == 0
@@ -287,7 +288,7 @@ def test_manifest_digests_match_files(tmp_path):
     listed = [e["name"] for e in manifest["files"]]
     assert listed == sorted(listed)
     for entry in manifest["files"]:
-        blob = open(os.path.join(run_dir, entry["name"]), "rb").read()
+        blob = Path(os.path.join(run_dir, entry["name"])).read_bytes()
         assert len(blob) == entry["bytes"]
         assert hashlib.sha256(blob).hexdigest() == entry["sha256"]
 
@@ -316,8 +317,8 @@ def test_rerun_payloads_byte_identical(tmp_path):
     assert main(["run", path_b]) == 0
     dir_a, dir_b = only_run_dir(out_a), only_run_dir(out_b)
     for name in ("trajectories.csv", "sample.json"):
-        blob_a = open(os.path.join(dir_a, name), "rb").read()
-        blob_b = open(os.path.join(dir_b, name), "rb").read()
+        blob_a = Path(os.path.join(dir_a, name)).read_bytes()
+        blob_b = Path(os.path.join(dir_b, name)).read_bytes()
         assert blob_a == blob_b, f"{name} differs between identical runs"
 
 
@@ -326,7 +327,7 @@ def test_sample_initial_rows_use_sentinel_alpha(tmp_path):
     path = write_cfg(tmp_path, "s.cfg", SAMPLE_BODY.format(out=out))
     main(["run", path])
     run_dir = only_run_dir(out)
-    lines = open(os.path.join(run_dir, "trajectories.csv")).read().splitlines()
+    lines = Path(os.path.join(run_dir, "trajectories.csv")).read_text().splitlines()
     assert lines[0] == "traj_id,t,alpha,x,p"
     zero_rows = [l for l in lines[1:] if float(l.split(",")[1]) == 0.0]
     assert len(zero_rows) == 5
@@ -488,10 +489,10 @@ def test_reduce_fail_exits_4_with_report(tmp_path):
     )
     assert main(["run", path]) == 4
     run_dir = only_run_dir(out)
-    report = json.load(open(os.path.join(run_dir, "reduction.json")))
+    report = json.loads(Path(os.path.join(run_dir, "reduction.json")).read_text())
     assert report["verdict"] == "FAIL"
     assert report["per_z0"][0]["pass_fraction"] < 0.95
-    manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
+    manifest = json.loads(Path(os.path.join(run_dir, "manifest.json")).read_text())
     assert manifest["results"]["exit_code"] == 4
 
 
@@ -502,7 +503,7 @@ def test_reduce_pass_exits_0(tmp_path):
     )
     assert main(["run", path]) == 0
     run_dir = only_run_dir(out)
-    report = json.load(open(os.path.join(run_dir, "reduction.json")))
+    report = json.loads(Path(os.path.join(run_dir, "reduction.json")).read_text())
     assert report["verdict"] == "PASS"
     assert report["per_z0"][0]["pass_fraction"] == 1.0
 
@@ -550,9 +551,9 @@ def test_run_sieve_writes_curves(tmp_path):
     path = write_cfg(tmp_path, "sv.cfg", body)
     assert main(["run", path]) == 0
     run_dir = only_run_dir(out)
-    lines = open(os.path.join(run_dir, "sieve.csv")).read().splitlines()
+    lines = Path(os.path.join(run_dir, "sieve.csv")).read_text().splitlines()
     assert lines[0] == "sigma,t,s_lin"
-    manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
+    manifest = json.loads(Path(os.path.join(run_dir, "manifest.json")).read_text())
     assert manifest["results"]["argmin_width"] in (0.6, 0.7071, 1.1)
 
 
@@ -575,9 +576,9 @@ def test_run_ehrenfest_writes_residuals_and_horizon(tmp_path):
         "residual.csv",
         "widths.csv",
     ]
-    horizon = json.load(open(os.path.join(run_dir, "horizon.json")))
+    horizon = json.loads(Path(os.path.join(run_dir, "horizon.json")).read_text())
     assert horizon["T"] == "inf"
-    lines = open(os.path.join(run_dir, "residual.csv")).read().splitlines()
+    lines = Path(os.path.join(run_dir, "residual.csv")).read_text().splitlines()
     assert lines[0] == "t,raw,relative,newton_gap"
 
 
@@ -591,6 +592,6 @@ def test_cli_has_no_nan_leakage(tmp_path):
     for name in os.listdir(run_dir):
         if name == "manifest.json":
             continue
-        blob = open(os.path.join(run_dir, name)).read()
+        blob = Path(os.path.join(run_dir, name)).read_text()
         assert "nan" not in blob.lower()
         assert "infinity" not in blob.lower()

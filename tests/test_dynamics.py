@@ -23,13 +23,13 @@ from branchfall import (
 from branchfall.dynamics import (
     Potential,
     Propagator,
-    cl_step,
     double_well_potential,
     evolve,
     free_potential,
     harmonic_potential,
-    unitary_step,
 )
+from branchfall.dynamics import _SplitStep
+from oracles import reference_strang, reference_unitary
 
 
 def _moments(rec):
@@ -94,7 +94,8 @@ def test_leapfrog_moment_identities_per_step():
     grid = GridSpec(64, -10.0, 10.0, mass=2.0)
     rho = coherent_state(grid, 1.2, -0.5, 0.7).to_density()
     m, w, dt = 2.0, 1.3, 0.02
-    out = cl_step(rho, harmonic_potential(m, w), 0.5, dt)
+    prop = Propagator(grid, harmonic_potential(m, w), 0.5, dt)
+    out = DensityMatrix(grid, prop.step_elements(rho.elements), validate=False)
     x0, p0 = expectation(rho, "x"), expectation(rho, "p")
     x1, p1 = expectation(out, "x"), expectation(out, "p")
     x_mid = x0 + 0.5 * dt * p0 / m
@@ -134,13 +135,14 @@ def test_unitary_step_round_trip():
     grid = GridSpec(64, -10.0, 10.0, mass=1.0)
     psi = coherent_state(grid, 0.5, 2.0, 0.7)
     pot = harmonic_potential(1.0, 1.0)
-    fwd = unitary_step(psi, pot, 0.05)
-    back = unitary_step(fwd, pot, -0.05)
-    assert np.max(np.abs(back.amplitudes - psi.amplitudes)) < 1e-12
+    prop = Propagator(grid, pot, 0.0, 0.05)
+    fwd = WaveFunction(grid, prop.step_wave(psi.amplitudes), validate=False)
+    back = Propagator(grid, pot, 0.0, -0.05).step_wave(fwd.amplitudes)
+    assert np.max(np.abs(back - psi.amplitudes)) < 1e-12
     assert fwd.norm_squared() == pytest.approx(1.0, abs=1e-12)
-    rho_fwd = unitary_step(psi.to_density(), pot, 0.05)
+    rho_fwd = prop.step_elements(psi.to_density().elements)
     direct = np.outer(fwd.amplitudes, fwd.amplitudes.conj())
-    assert np.max(np.abs(rho_fwd.elements - direct)) < 1e-12
+    assert np.max(np.abs(rho_fwd - direct)) < 1e-12
 
 
 def test_explosion_guard_trips_on_bad_trace():
@@ -156,6 +158,15 @@ def test_boundary_violation_when_packet_reaches_edge():
     rho = coherent_state(grid, 0.0, 3.0, 0.7).to_density()
     with pytest.raises(BoundaryViolation):
         evolve(rho, free_potential(), 0.0, dt=0.01, n_steps=300, record_every=10)
+
+
+def test_boundary_violation_between_records():
+    # one lap of the periodic grid ends where it began: only a check on
+    # every step sees the packet cross the edge
+    grid = GridSpec(128, -8.0, 8.0, mass=4.0)
+    rho = coherent_state(grid, 0.0, 12.0, 0.7).to_density()
+    with pytest.raises(BoundaryViolation):
+        evolve(rho, free_potential(), 0.0, dt=0.01, n_steps=533, record_every=1000)
 
 
 def test_record_cadence_and_columns():
@@ -179,3 +190,24 @@ def test_stencil_derivative_exact_for_quartic():
     assert np.max(np.abs(pot.derivative_values(grid) - want)) < 1e-9
     dw = double_well_potential(0.5, 1.5)
     assert np.max(np.abs(dw.derivative_values(grid) - (2 * grid.x * (grid.x**2 - 2.25)))) < 1e-9
+
+
+@pytest.mark.parametrize("dt", [0.01, -0.03])
+@pytest.mark.parametrize("n", [1, 2, 7, 100])
+def test_split_step_matches_unfused_reference(n, dt):
+    grid = GridSpec(128, -10.0, 10.0, mass=1.5)
+    pot = double_well_potential(0.05, 3.0)
+    psi = coherent_state(grid, -1.0, 1.5, 0.8).amplitudes
+    fused = _SplitStep(grid, pot.values(grid), dt).run(psi, n)
+    ref = reference_strang(grid, pot.values(grid), dt, psi, n)
+    assert np.max(np.abs(fused - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n_points", [64, 96, 128])
+@pytest.mark.parametrize("dt", [0.002, 0.05, -0.05])
+def test_propagator_unitary_matches_column_build(n_points, dt):
+    grid = GridSpec(n_points, -10.0, 12.0, mass=1.7)
+    for pot in (free_potential(), harmonic_potential(1.7, 0.7), double_well_potential(0.5, 2.0)):
+        u = Propagator(grid, pot, 0.0, dt).u
+        assert u.flags.c_contiguous
+        assert np.array_equal(u, reference_unitary(grid, pot, dt))

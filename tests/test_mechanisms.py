@@ -25,8 +25,8 @@ from branchfall import (
     free_potential,
     grw_evolve,
     harmonic_potential,
-    unitary_step,
 )
+from branchfall.dynamics import Propagator
 from branchfall.mechanisms import sample_positions
 
 GRID = GridSpec(128, -10.0, 10.0, 1.0)
@@ -55,11 +55,12 @@ def test_zero_rate_matches_unitary_evolution():
     psi = coherent_state(GRID, 1.0, 0.5, 0.8)
     pot = harmonic_potential(1.0, 1.0)
     run = grw_evolve(psi, pot, GRWParams(0.0, 1.0), 0.5, rng_seed=3, dt_int=0.01)
-    wave = psi
+    prop = Propagator(GRID, pot, 0.0, 0.01)
+    wave = psi.amplitudes
     for _ in range(50):
-        wave = unitary_step(wave, pot, 0.01)
+        wave = prop.step_wave(wave)
     assert run.hits == []
-    assert np.max(np.abs(run.final.amplitudes - wave.amplitudes)) < 1e-12
+    assert np.max(np.abs(run.final.amplitudes - wave)) < 1e-12
 
 
 def test_grw_deterministic_given_seed():
@@ -186,8 +187,9 @@ def test_velocity_node_region():
 def free_run(grid, psi0, dt_snap, n_snap):
     snaps, ts = [psi0], [0.0]
     wave = psi0
+    prop = Propagator(grid, free_potential(), 0.0, dt_snap)
     for k in range(n_snap):
-        wave = unitary_step(wave, free_potential(), dt_snap)
+        wave = WaveFunction(grid, prop.step_wave(wave.amplitudes), validate=False)
         snaps.append(wave)
         ts.append((k + 1) * dt_snap)
     return snaps, ts
