@@ -68,8 +68,9 @@ class BranchNode:
     weight_sq: float
     state: DensityMatrix
     z: PhasePoint
-    parent: Optional["BranchNode"] = None
-    cond_prob: float = 1.0  # P(this cell | parent branch), kept for audits
+    # P(cell | history so far) at each collapse, root first, kept for audits;
+    # no reference to ancestor nodes, so their kernels can be freed
+    cond_probs: tuple[float, ...] = ()
 
 
 @dataclass
@@ -118,10 +119,12 @@ def _branch_weights(povm: POVMSet, elements: np.ndarray) -> tuple[np.ndarray, fl
 
 
 def _interval_propagator(
-    grid: GridSpec, potential: Potential, lambda_rate: float, dt: float, dt_int: float
+    grid: GridSpec, potential: Potential, lambda_rate: float, dt: float,
+    dt_int: float | None = None,
 ) -> tuple[Propagator, int]:
-    """Substep map for one interval dt cut into round(dt / dt_int) equal substeps."""
-    n_sub = max(1, int(round(dt / dt_int)))
+    """Substep map for one interval dt cut into round(dt / dt_int) equal
+    substeps; dt_int None cuts it into substeps of about 0.01."""
+    n_sub = max(1, int(round(dt / (0.01 if dt_int is None else dt_int))))
     return Propagator(grid, potential, lambda_rate, dt / n_sub), n_sub
 
 
@@ -158,17 +161,18 @@ def branch_step(
     tree: BranchTree,
     potential: Potential,
     lambda_rate: float,
-    dt_int: float,
+    dt_int: float | None,
     escape_tol: float = 0.05,
     leaf_cap: int = NODE_CAP,
 ) -> BranchTree:
     """Evolve every leaf for the branching interval, then split it.
 
     dt_int is the internal integrator step; the interval tree.dt is evolved
-    in round(tree.dt / dt_int) equal substeps.  Raises EscapeMass when any
-    leaf sends more than escape_tol of its conditional weight to the
-    remainder, and ExplosionGuard when the live-leaf count would exceed
-    leaf_cap (raise prune_epsilon or coarsen the partition instead).
+    in round(tree.dt / dt_int) equal substeps, of about 0.01 for None.
+    Raises EscapeMass when any leaf sends more than escape_tol of its
+    conditional weight to the remainder, and ExplosionGuard when the
+    live-leaf count would exceed leaf_cap (raise prune_epsilon or coarsen
+    the partition instead).
     """
     if not tree.leaves:
         raise EmptyTree("branch_step needs at least one live leaf")
@@ -204,8 +208,7 @@ def branch_step(
                     w_child,
                     child,
                     mean_phase_point(child),
-                    parent=leaf,
-                    cond_prob=cond,
+                    leaf.cond_probs + (cond,),
                 )
             )
         if len(new_leaves) > leaf_cap:
@@ -261,8 +264,6 @@ class BornSampler:
     ):
         if rho0.grid != povm.grid:
             raise ValueError("rho0 and povm must share one grid")
-        if dt_int is None:
-            dt_int = dt / max(1, round(dt / 0.01))
         self.grid = rho0.grid
         self.povm = povm
         self.dt = dt
@@ -537,14 +538,15 @@ def decoherence_functional(
 
     core = _explicit_core(model, potential, dt)
     grid = model.grid
-    cache: dict[tuple[int, ...], np.ndarray] = {(): model.state}
+    # history vectors as C-ordered (2^k, n_points) rows, the core's layout
+    cache: dict[tuple[int, ...], np.ndarray] = {(): np.ascontiguousarray(model.state.T)}
 
     def vector(prefix: tuple[int, ...]) -> np.ndarray:
         if prefix in cache:
             return cache[prefix]
         prev = vector(prefix[:-1])
-        cur = prev if len(prefix) == 1 else core.run(prev.T).T
-        out = projectors[prefix[-1]] @ cur
+        cur = prev if len(prefix) == 1 else core.run(prev)
+        out = cur @ projectors[prefix[-1]].T
         cache[prefix] = out
         return out
 

@@ -264,13 +264,6 @@ def _run_sieve(cfg, run_dir):
     return {"argmin_width": float(result.argmin_width)}, EXIT_OK
 
 
-def _default_dt_int(cfg):
-    dt_int = cfg["dt_int"]
-    if dt_int is None:
-        dt_int = cfg["dt"] / max(1, round(cfg["dt"] / 0.01))
-    return dt_int
-
-
 def _run_branch(cfg, run_dir):
     grid = make_grid(cfg)
     potential = make_potential(cfg)
@@ -280,7 +273,7 @@ def _run_branch(cfg, run_dir):
     )
     for _ in range(cfg["n_steps"]):
         tree = branch_step(
-            tree, potential, cfg["lambda"], _default_dt_int(cfg),
+            tree, potential, cfg["lambda"], cfg["dt_int"],
             cfg["escape_tol"], cfg["leaf_cap"],
         )
     leaves = tree.snapshot()

@@ -271,7 +271,4 @@ def make_povm(cfg: dict, grid: GridSpec) -> POVMSet:
         cfg["cells_x"],
         cfg["cells_p"],
     )
-    sigma = cfg["povm_sigma_x"]
-    if sigma is None:
-        sigma = cfg.get("sigma_x", 1.0)
-    return build_povm(grid, partition, sigma)
+    return build_povm(grid, partition, cfg["povm_sigma_x"])

@@ -230,7 +230,7 @@ def _moment_row(elements: np.ndarray, grid: GridSpec, dv_vals: np.ndarray):
     dens = np.real(np.diag(elements))
     mean_x = float(np.sum(grid.x * dens) * dx)
     mean_x2 = float(np.sum(grid.x**2 * dens) * dx)
-    mom = np.real(np.diag(np.fft.ifft(np.fft.fft(elements, axis=0), axis=1))) * dx
+    mom = DensityMatrix(grid, elements, validate=False).momentum_masses()
     mean_p = float(np.sum(grid.p * mom))
     mean_p2 = float(np.sum(grid.p**2 * mom))
     purity = float(np.sum(np.abs(elements) ** 2) * dx * dx)

@@ -20,7 +20,6 @@ __all__ = [
     "ResidualSeries",
     "HorizonResult",
     "marginal_widths",
-    "operator_widths",
     "ehrenfest_residual",
     "classicality_horizon",
     "dephasing_force_trace",
@@ -104,7 +103,6 @@ def marginal_widths(rho: DensityMatrix) -> Tuple[float, float]:
     """(delta_x, delta_p) from the marginal distributions themselves.
 
     Histogram moments of <x|rho|x> and of the FFT momentum-node masses.
-    Cross-checks the operator-moment path used while recording runs.
     """
     grid = rho.grid
     wx = rho.position_density() * grid.dx
@@ -114,27 +112,6 @@ def marginal_widths(rho: DensityMatrix) -> Tuple[float, float]:
     mp = float(np.sum(grid.p * wp))
     vp = float(np.sum((grid.p - mp) ** 2 * wp))
     return math.sqrt(max(vx, 0.0)), math.sqrt(max(vp, 0.0))
-
-
-def operator_widths(rho: DensityMatrix) -> Tuple[float, float]:
-    """Same widths via operator moments Tr(rho X^k), Tr(P^k rho).
-
-    P acts spectrally on the kernel's first index and the diagonal is traced
-    directly, so no momentum marginal is built along the way.
-    """
-    grid = rho.grid
-    diag = np.real(np.diag(rho.elements))
-    mx = float(np.sum(grid.x * diag) * grid.dx)
-    sx = float(np.sum(grid.x**2 * diag) * grid.dx)
-    ft = np.fft.fft(rho.elements, axis=0)
-    p1 = np.fft.ifft(grid.p[:, None] * ft, axis=0)
-    p2 = np.fft.ifft(grid.p[:, None] ** 2 * ft, axis=0)
-    mp = float(np.real(np.trace(p1)) * grid.dx)
-    sp = float(np.real(np.trace(p2)) * grid.dx)
-    return (
-        math.sqrt(max(sx - mx * mx, 0.0)),
-        math.sqrt(max(sp - mp * mp, 0.0)),
-    )
 
 
 def ehrenfest_residual(record: EvolutionRecord, potential: Potential) -> ResidualSeries:
@@ -193,7 +170,7 @@ def classicality_horizon(
 
 
 def dephasing_force_trace(rho: DensityMatrix) -> float:
-    """Tr(P [X, [X, rho]]), evaluated directly on the kernel.
+    """Tr(P [X, [X, rho]]), the P-moment of the double commutator's kernel.
 
     The double commutator is (x - x')^2 rho(x, x'), whose spectral
     x-derivative has an identically vanishing diagonal, so the dephasing
@@ -202,7 +179,5 @@ def dephasing_force_trace(rho: DensityMatrix) -> float:
     """
     grid = rho.grid
     sep = grid.x[:, None] - grid.x[None, :]
-    kern = sep**2 * rho.elements
-    ft = np.fft.fft(kern, axis=0)
-    p1 = np.fft.ifft(grid.p[:, None] * ft, axis=0)
-    return float(np.real(np.trace(p1)) * grid.dx)
+    kern = DensityMatrix(grid, sep**2 * rho.elements, validate=False)
+    return float(np.sum(grid.p * kern.momentum_masses()))

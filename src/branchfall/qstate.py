@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     BoundaryViolation,
@@ -192,10 +193,20 @@ class DensityMatrix:
         return np.real(np.diag(self.elements)).copy()
 
     def momentum_masses(self) -> np.ndarray:
-        """Probability mass on each FFT momentum node (sums to the trace)."""
-        # F rho F^dagger: fft along rows, inverse fft along columns.
-        mom = np.fft.ifft(np.fft.fft(self.elements, axis=0), axis=1)
-        return np.real(np.diag(mom)) * self.grid.dx
+        """Probability mass on each FFT momentum node (sums to the trace).
+
+        The diagonal of F rho F^dagger is the transform of the wrapped
+        autocorrelation c(d) = sum_x rho((x + d) mod n, x), so the masses
+        take one O(n^2) gather and one length-n FFT:
+        mass_k = (dx / n) Re FFT[c]_k.
+        """
+        n = self.grid.n_points
+        # read from column r on, row r of this block is row r of rho rolled
+        # left by r + 1, so its column sums are c(n - 1), ..., c(0)
+        block = np.concatenate((self.elements[:, 1:], self.elements), axis=1)
+        step = block.itemsize
+        rolled = as_strided(block, (n, n), (2 * n * step, step), writeable=False)
+        return np.fft.fft(rolled.sum(axis=0)[::-1]).real * (self.grid.dx / n)
 
     def copy(self) -> "DensityMatrix":
         return DensityMatrix(self.grid, self.elements.copy(), validate=False)

@@ -241,11 +241,7 @@ def test_branch_weights_telescope_and_follow_born_rule():
         tree = branch_step(tree, harmonic_potential(1.0, 1.0), 0.3, dt_int=0.01, leaf_cap=512)
     tele = 0.0
     for leaf in tree.leaves:
-        prod, node = 1.0, leaf
-        while node is not None:
-            prod *= node.cond_prob
-            node = node.parent
-        tele = max(tele, abs(prod - leaf.weight_sq))
+        tele = max(tele, abs(math.prod(leaf.cond_probs) - leaf.weight_sq))
     closure_gap = abs(tree.weight_closure() - 1.0)
 
     # symmetric two-branch state, one collapse, counts against a fair split

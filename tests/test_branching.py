@@ -1,7 +1,11 @@
 """Branch-tree bookkeeping, trajectory sampling, and the explicit-bath checks."""
 
+import gc
+import itertools
 import json
 import math
+import operator
+import weakref
 
 import numpy as np
 import pytest
@@ -99,14 +103,24 @@ def test_closure_chain_rule_and_pruning(povm_3x3):
     assert tree.weight_closure() == pytest.approx(1.0, abs=1e-10)
     assert tree.dropped_weight > 0.0
     for leaf in tree.leaves:
-        assert 0.0 <= leaf.cond_prob <= 1.0 + 1e-12
-        prod, node = 1.0, leaf
-        while node is not None:
-            prod *= node.cond_prob
-            node = node.parent
-        assert abs(prod - leaf.weight_sq) < 1e-10
+        assert len(leaf.cond_probs) == 2
+        assert all(0.0 <= c <= 1.0 + 1e-12 for c in leaf.cond_probs)
+        prefix = list(itertools.accumulate(leaf.cond_probs, operator.mul, initial=1.0))
+        assert abs(prefix[-1] - leaf.weight_sq) < 1e-10
         # weights never grow down a branch line
-        assert leaf.weight_sq <= leaf.parent.weight_sq + 1e-12
+        assert all(b <= a + 1e-12 for a, b in zip(prefix, prefix[1:]))
+
+
+def test_leaves_do_not_keep_ancestor_kernels(povm_2x1):
+    rho = cat_state(GRID, 4.0, 0.9)
+    root_state = weakref.ref(rho)
+    tree = BranchTree.from_state(rho, povm_2x1, dt=0.1, prune_epsilon=1e-4)
+    del rho
+    for _ in range(2):
+        tree = branch_step(tree, free_potential(), 0.5, dt_int=0.05)
+    gc.collect()
+    assert root_state() is None
+    assert all(len(leaf.cond_probs) == 2 for leaf in tree.leaves)
 
 
 def test_escape_mass_raises(povm_3x3):
@@ -501,6 +515,22 @@ def test_decoherence_functional_k8_decoheres():
     assert diag[0] > 0.1 and diag[3] > 0.1
     assert report.consistency_ratios[0, 0] == 1.0
     assert report.consistency_ratios[3, 3] == 1.0
+
+
+def test_decoherence_functional_hands_core_c_ordered_blocks(monkeypatch, povm_2x1):
+    contiguous = []
+    run = branching._SplitStep.run
+
+    def recording_run(self, states, n=1):
+        contiguous.append(states.flags.c_contiguous)
+        return run(self, states, n)
+
+    monkeypatch.setattr(branching._SplitStep, "run", recording_run)
+    model = ExplicitModel.from_wavefunction(coherent_state(GRID, 0.0, 0.0, 0.8), [0.5, 1.0])
+    projs = [povm_2x1.operators[0], povm_2x1.operators[1]]
+    decoherence_functional(model, projs, [(0, 0, 1), (1, 0, 1)], free_potential(), 0.3)
+    assert len(contiguous) == 4
+    assert all(contiguous)
 
 
 def test_decoherence_functional_validation():

@@ -19,9 +19,9 @@ from branchfall.ehrenfest import (
     dephasing_force_trace,
     ehrenfest_residual,
     marginal_widths,
-    operator_widths,
 )
 from branchfall.qstate import GridSpec, WaveFunction, coherent_state, variance
+from oracles import operator_widths
 
 GRID = GridSpec(128, -10.0, 10.0, 1.0)
 HARMONIC = harmonic_potential(mass=1.0, omega=1.0)

@@ -23,6 +23,8 @@ from branchfall import (
     purity_and_entropy,
     variance,
 )
+from branchfall.dynamics import evolve, harmonic_potential
+from oracles import reference_momentum_masses
 
 
 @pytest.fixture
@@ -211,3 +213,32 @@ def test_momentum_masses_sum_to_trace(grid):
     assert psi.momentum_masses().sum() == pytest.approx(1.0, abs=1e-12)
     rho = psi.to_density()
     assert rho.momentum_masses().sum() == pytest.approx(rho.trace(), abs=1e-12)
+
+
+def _oracle_kernels(grid):
+    mixture = DensityMatrix.from_mixture(
+        [0.4, 0.6],
+        [coherent_state(grid, -3.0, 1.0, 1.0), coherent_state(grid, 2.5, -0.5, 0.8)],
+    )
+    boosted = coherent_state(grid, 1.0, 2.0, 0.9).to_density()
+    cat = coherent_state(grid, -2.0, 1.0, 0.8).amplitudes + coherent_state(
+        grid, 2.0, 1.0, 0.8
+    ).amplitudes
+    cat = WaveFunction(grid, cat / math.sqrt(np.sum(np.abs(cat) ** 2) * grid.dx))
+    dephased = evolve(
+        cat.to_density(), harmonic_potential(1.0, 1.0), 0.5, dt=0.05, n_steps=4,
+        record_every=4,
+    ).final
+    return {"mixture": mixture, "boosted": boosted, "dephased": dephased}
+
+
+@pytest.mark.parametrize("n", [96, 97, 128, 256, 512])
+def test_momentum_masses_match_full_transform(n):
+    # odd n checks the wrap of the autocorrelation
+    grid = GridSpec(n, -10.0, 10.0, 1.0)
+    for name, rho in _oracle_kernels(grid).items():
+        got = rho.momentum_masses()
+        ref = reference_momentum_masses(rho)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref), name
+        for pw in (grid.p, grid.p**2):
+            assert np.sum(pw * got) == pytest.approx(np.sum(pw * ref), rel=1e-12), name
