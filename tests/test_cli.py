@@ -8,6 +8,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -257,6 +259,22 @@ def test_builders_construct_objects(tmp_path):
 
 
 # ---------------------------------------------------------------- run: evolve
+
+
+def test_run_evolve_on_fft_grid_needs_numpy_only(tmp_path):
+    # the package declares numpy as its only dependency; scipy is for tests
+    body = EVOLVE_BODY.replace("grid_n = 64", "grid_n = 256").format(out=tmp_path / "runs")
+    path = write_cfg(tmp_path, "e.cfg", body)
+    code = (
+        'import sys; sys.modules["scipy"] = None; from branchfall import cli; '
+        'sys.exit(cli.main(["run", sys.argv[1]]))'
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    done = subprocess.run(
+        [sys.executable, "-c", code, path], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert os.path.isfile(os.path.join(only_run_dir(tmp_path / "runs"), "evolve.csv"))
 
 
 def test_run_evolve_layout_and_header(tmp_path):

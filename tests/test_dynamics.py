@@ -7,6 +7,7 @@ cross-checked against the closed-form Gaussian moment flow.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,16 +69,18 @@ def test_harmonic_dephasing_matches_integrated_master_equation():
 
 
 def test_step_preserves_trace_hermiticity_positivity():
-    grid = GridSpec(64, -10.0, 10.0, mass=2.0)
-    rho = coherent_state(grid, 1.2, -0.5, 0.7).to_density()
-    prop = Propagator(grid, harmonic_potential(2.0, 1.3), 0.25, dt=0.01)
-    el = rho.elements
-    for _ in range(100):
-        el = prop.step_elements(el)
-    assert np.max(np.abs(el - el.conj().T)) == 0.0
-    assert np.real(np.trace(el)) * grid.dx == pytest.approx(1.0, abs=1e-12)
-    # dephasing is a Schur product with a Gaussian kernel: positivity survives
-    assert np.linalg.eigvalsh(el * grid.dx)[0] > -1e-12
+    # N = 256 steps on the FFT path, N = 64 with the dense unitary
+    for n_points in (64, 256):
+        grid = GridSpec(n_points, -10.0, 10.0, mass=2.0)
+        rho = coherent_state(grid, 1.2, -0.5, 0.7).to_density()
+        prop = Propagator(grid, harmonic_potential(2.0, 1.3), 0.25, dt=0.01)
+        el = rho.elements
+        for _ in range(100):
+            el = prop.step_elements(el)
+        assert np.max(np.abs(el - el.conj().T)) == 0.0
+        assert np.real(np.trace(el)) * grid.dx == pytest.approx(1.0, abs=1e-12)
+        # dephasing is a Schur product with a Gaussian kernel: positivity survives
+        assert np.linalg.eigvalsh(el * grid.dx)[0] > -1e-12
 
 
 def test_momentum_diffusion_rate_is_exact():
@@ -90,17 +93,19 @@ def test_momentum_diffusion_rate_is_exact():
 
 
 def test_leapfrog_moment_identities_per_step():
-    # K(dt/2) V(dt) K(dt/2) moves first moments exactly like velocity Verlet
-    grid = GridSpec(64, -10.0, 10.0, mass=2.0)
-    rho = coherent_state(grid, 1.2, -0.5, 0.7).to_density()
-    m, w, dt = 2.0, 1.3, 0.02
-    prop = Propagator(grid, harmonic_potential(m, w), 0.5, dt)
-    out = DensityMatrix(grid, prop.step_elements(rho.elements), validate=False)
-    x0, p0 = expectation(rho, "x"), expectation(rho, "p")
-    x1, p1 = expectation(out, "x"), expectation(out, "p")
-    x_mid = x0 + 0.5 * dt * p0 / m
-    assert p1 - p0 == pytest.approx(-dt * m * w * w * x_mid, abs=1e-12)
-    assert x1 - x0 == pytest.approx(0.5 * dt * (p0 + p1) / m, abs=1e-12)
+    # K(dt/2) V(dt) K(dt/2) moves first moments exactly like velocity Verlet,
+    # on the dense path (N = 64) and the FFT path (N = 256)
+    for n_points in (64, 256):
+        grid = GridSpec(n_points, -10.0, 10.0, mass=2.0)
+        rho = coherent_state(grid, 1.2, -0.5, 0.7).to_density()
+        m, w, dt = 2.0, 1.3, 0.02
+        prop = Propagator(grid, harmonic_potential(m, w), 0.5, dt)
+        out = DensityMatrix(grid, prop.step_elements(rho.elements), validate=False)
+        x0, p0 = expectation(rho, "x"), expectation(rho, "p")
+        x1, p1 = expectation(out, "x"), expectation(out, "p")
+        x_mid = x0 + 0.5 * dt * p0 / m
+        assert p1 - p0 == pytest.approx(-dt * m * w * w * x_mid, abs=1e-12)
+        assert x1 - x0 == pytest.approx(0.5 * dt * (p0 + p1) / m, abs=1e-12)
 
 
 def test_first_moments_independent_of_lambda():
@@ -129,6 +134,14 @@ def test_initial_entropy_rate_tracks_position_variance():
     rec = evolve(rho, free_potential(), lam, dt=h, n_steps=2, record_every=1)
     rate = (rec.s_lin[2] - rec.s_lin[0]) / (2 * h)
     assert rate == pytest.approx(4 * lam * rec.var_x[0], rel=1e-3)
+
+
+def test_propagator_rejects_non_finite_inputs():
+    grid = GridSpec(64, -10.0, 10.0)
+    nan, inf = float("nan"), float("inf")
+    for lam, dt in ((nan, 0.01), (0.0, nan), (inf, 0.01), (0.1, -inf)):
+        with pytest.raises(ValueError, match="finite"):
+            Propagator(grid, free_potential(), lam, dt)
 
 
 def test_unitary_step_round_trip():
@@ -211,3 +224,54 @@ def test_propagator_unitary_matches_column_build(n_points, dt):
         u = Propagator(grid, pot, 0.0, dt).u
         assert u.flags.c_contiguous
         assert np.array_equal(u, reference_unitary(grid, pot, dt))
+
+
+def test_dense_unitary_below_fft_crossover_only():
+    pot = harmonic_potential(1.0, 0.7)
+    below = Propagator(GridSpec(255, -10.0, 10.0), pot, 0.1, 0.01)
+    assert below.u.flags.c_contiguous
+    above = Propagator(GridSpec(256, -10.0, 10.0), pot, 0.1, 0.01)
+    assert above.u is None and above.u_dag is None
+
+
+@pytest.mark.parametrize("n_points", [256, 512])
+@pytest.mark.parametrize("lam,dt", [(0.0, 0.01), (0.2, 0.01), (0.0, -0.01)])
+@pytest.mark.parametrize(
+    "pot",
+    [free_potential(), harmonic_potential(1.5, 0.7), double_well_potential(0.05, 3.0)],
+    ids=lambda p: p.name,
+)
+def test_fft_step_matches_dense_reference(n_points, lam, dt, pot):
+    grid = GridSpec(n_points, -12.0, 12.0, mass=1.5)
+    cat = coherent_state(grid, -2.5, 1.0, 0.8).amplitudes
+    cat = cat + coherent_state(grid, 2.0, -0.5, 0.7).amplitudes
+    psi = WaveFunction(grid, cat / math.sqrt(np.vdot(cat, cat).real * grid.dx))
+    prop = Propagator(grid, pot, lam, dt)
+    assert prop.u is None
+    u = reference_unitary(grid, pot, dt)
+    diff = grid.x[:, None] - grid.x[None, :]
+    dephase = np.exp(-lam * diff * diff * (dt / 2.0))
+    el = ref = psi.to_density().elements
+    wave = ref_wave = psi.amplitudes
+    for _ in range(10):
+        el, wave = prop.step_elements(el), prop.step_wave(wave)
+        ref = dephase * (u @ (dephase * ref) @ u.conj().T)
+        ref = 0.5 * (ref + ref.conj().T)
+        ref_wave = u @ ref_wave
+    assert np.max(np.abs(el - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(wave - ref_wave)) <= 1e-13 * np.max(np.abs(ref_wave))
+
+
+def test_fft_propagator_holds_one_table_and_the_dephasing_kernel():
+    # the dense build held u, u_dag and the dephasing kernel: 10 MiB at N=512
+    grid = GridSpec(512, -12.0, 12.0, mass=1.5)
+    el = coherent_state(grid, 0.5, 1.0, 0.8).to_density().elements
+    tracemalloc.start()
+    try:
+        prop = Propagator(grid, harmonic_potential(1.5, 0.7), 0.2, 0.01)
+        prop.step_elements(el)
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert prop.u is None
+    assert live <= 6.5 * 2**20
