@@ -23,7 +23,7 @@ import numpy as np
 
 from .dynamics import Potential, Propagator, _check_density, _SplitStep
 from .errors import EmptyTree, EscapeMass, EscapeSampled, ExplosionGuard
-from .pointer import POVMSet
+from .pointer import POVMSet, _clip_weights
 from .qstate import DensityMatrix, GridSpec, PhasePoint, WaveFunction, mean_phase_point
 
 __all__ = [
@@ -111,11 +111,14 @@ class BranchTree:
 
 
 def _branch_weights(povm: POVMSet, elements: np.ndarray) -> tuple[np.ndarray, float]:
-    """(Tr(Pi_alpha^2 rho) per cell, Tr(Pi_rest^2 rho)); clipped at zero."""
+    """(Tr(Pi_alpha^2 rho) per cell, Tr(Pi_rest^2 rho)); clipped at zero.
+
+    Raises PositivityError below -1e-10, the floor of POVMSet.probabilities.
+    """
     dx = povm.grid.dx
     w = np.einsum("aij,ji->a", povm.squares, elements).real * dx
     esc = float(np.sum(povm._rest_square * elements.T).real * dx)
-    return np.clip(w, 0.0, None), max(esc, 0.0)
+    return _clip_weights(w, esc)
 
 
 def _interval_propagator(

@@ -304,11 +304,24 @@ def evolve(
     BoundaryViolation once more than boundary_tol of the mass sits in the
     outermost two grid cells on either side.
     """
+    return _evolve_on(
+        Propagator(rho.grid, potential, lambda_rate, dt), rho, n_steps, record_every, boundary_tol
+    )
+
+
+def _evolve_on(
+    prop: Propagator,
+    rho: DensityMatrix,
+    n_steps: int,
+    record_every: int = 1,
+    boundary_tol: float = 1e-8,
+) -> EvolutionRecord:
+    """evolve() with a prebuilt propagator, so callers that step several
+    states with one (grid, potential, lambda_rate, dt) build it once."""
     if n_steps < 1 or record_every < 1:
         raise ValueError("n_steps and record_every must be >= 1")
-    grid = rho.grid
-    prop = Propagator(grid, potential, lambda_rate, dt)
-    dv_vals = potential.derivative_values(grid)
+    grid, dt = rho.grid, prop.dt
+    dv_vals = prop.potential.derivative_values(grid)
 
     rows = []
     times = []
@@ -341,5 +354,5 @@ def evolve(
         mean_dvdx=mdv,
         final=DensityMatrix(grid, elements, validate=False),
         dt=dt,
-        lambda_rate=lambda_rate,
+        lambda_rate=prop.lambda_rate,
     )

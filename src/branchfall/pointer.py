@@ -2,7 +2,11 @@
 
 A partition tiles a rectangle of phase space with cells mu_alpha; each cell
 gets the positive operator Pi_alpha = (1/2pi) int_cell |Z><Z| dQ dP built by
-per-cell quadrature over coherent states of width sigma_x.  The remainder
+per-cell quadrature over coherent states of width sigma_x.  A coherent
+state's |Z(x)|^2 does not depend on P, so the quadrature sum is separable:
+Pi_alpha = G o T, the Schur product of a real Gram matrix G of the
+q-envelopes and a Hermitian matrix T of the p plane waves.  A cell then
+costs O((n_q + n_p) N^2), not O(n_q n_p N^2).  The remainder
 Pi_rest = I - sum Pi_alpha is kept as the exact subtraction so completeness
 is an identity; it is positive up to quadrature error only (the continuum
 remainder integral is an operator <= I).
@@ -17,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import Potential, evolve
+from .dynamics import Potential, Propagator, _evolve_on
 from .errors import PositivityError, WindowTooSmall
 from .qstate import DensityMatrix, GridSpec, PhasePoint, coherent_state
 
@@ -109,12 +113,17 @@ class PhasePartition:
         )
 
 
+def _envelopes(grid: GridSpec, q, sigma_x: float) -> np.ndarray:
+    """Unnormalized Gaussian envelopes exp(-(x - q_a)^2 / 4 sigma_x^2), row a."""
+    return np.exp(-((grid.x - np.asarray(q, dtype=float)[:, None]) ** 2) / (4.0 * sigma_x**2))
+
+
 def _packets(grid: GridSpec, q, p, sigma_x: float) -> np.ndarray:
     """Discretely normalized Gaussians at the nodes (q_a, p_b), row a * len(p) + b:
     the broadcast product of q-only envelopes and p-only plane waves.  No
     containment guard (quadrature nodes may sit near the window edge, where
     the escape element absorbs the loss)."""
-    env = np.exp(-((grid.x - np.asarray(q, dtype=float)[:, None]) ** 2) / (4.0 * sigma_x**2))
+    env = _envelopes(grid, q, sigma_x)
     wave = np.exp(1j * np.asarray(p, dtype=float)[:, None] * grid.x)
     block = (env[:, None, :] * wave[None, :, :]).reshape(-1, grid.n_points)
     nrm = np.sqrt(np.sum(np.abs(block) ** 2, axis=1) * grid.dx)
@@ -124,14 +133,18 @@ def _packets(grid: GridSpec, q, p, sigma_x: float) -> np.ndarray:
     return block
 
 
-def _axis_nodes(lo: float, hi: float, n: int, rule: str):
+def _cell_rule(n: int, rule: str):
+    """The n-point rule on one axis as a map (lo, hi) -> (nodes, weights);
+    Gauss-Legendre reference nodes are computed here once, then mapped
+    affinely onto every cell."""
     if rule == "midpoint":
-        w = (hi - lo) / n
-        return lo + (np.arange(n) + 0.5) * w, np.full(n, w)
+        frac = np.arange(n) + 0.5
+        return lambda lo, hi: (lo + frac * ((hi - lo) / n), np.full(n, (hi - lo) / n))
     if rule == "gauss":
-        nodes, weights = np.polynomial.legendre.leggauss(n)
-        half = 0.5 * (hi - lo)
-        return 0.5 * (hi + lo) + half * nodes, half * weights
+        ref, ref_w = np.polynomial.legendre.leggauss(n)
+        return lambda lo, hi: (
+            0.5 * (hi + lo) + 0.5 * (hi - lo) * ref, 0.5 * (hi - lo) * ref_w
+        )
     raise ValueError(f"unknown quadrature rule {rule!r}")
 
 
@@ -173,16 +186,24 @@ class POVMSet:
         probs = (
             np.einsum("aij,ji->a", self.operators, rho.elements).real * self.grid.dx
         )
-        escape = self.trace_product(self.rest, rho)
-        low = min(probs.min(), escape)
-        if low < -1e-10:
-            raise PositivityError(f"cell weight {low:.3e} below -1e-10")
-        return np.clip(probs, 0.0, None), max(escape, 0.0)
+        return _clip_weights(probs, self.trace_product(self.rest, rho))
 
     def project(self, elements: np.ndarray, alpha: int) -> np.ndarray:
         """Raw (unnormalized) update Pi_alpha rho Pi_alpha on kernel elements."""
         pi = self.operators[alpha]
         return (pi @ elements) @ pi
+
+
+def _clip_weights(weights: np.ndarray, escape: float) -> tuple[np.ndarray, float]:
+    """Cell and escape weights with roundoff negatives clipped to zero.
+
+    Raises PositivityError when any weight drops below -1e-10, which
+    signals a corrupted state or kernel rather than roundoff.
+    """
+    low = min(weights.min(), escape)
+    if low < -1e-10:
+        raise PositivityError(f"cell weight {low:.3e} below -1e-10")
+    return np.clip(weights, 0.0, None), max(escape, 0.0)
 
 
 def build_povm(
@@ -198,9 +219,12 @@ def build_povm(
     None (the default) scales the counts with the cell size in coherent
     units, which keeps Gauss-Legendre at analytic-integral accuracy from
     2-sigma cells up to one cell covering the whole window.  Midpoint is
-    supported as a cheaper, coarser alternative.  Raises WindowTooSmall
-    when the remainder acts at more than 0.1 (operator norm) on a probe
-    coherent state parked at the window center.
+    supported as a cheaper, coarser alternative.  A cell operator is the
+    Hermitian part of G o T, with G = E^T diag(w_q / ||env||^2) E one real
+    gemm per strip of cells sharing a q-interval and T = W^T diag(w_p) conj(W)
+    one complex gemm per cell.  Raises WindowTooSmall when the remainder
+    acts at more than 0.1 (operator norm) on a probe coherent state parked
+    at the window center.
     """
     if sigma_x <= 0:
         raise ValueError("sigma_x must be positive")
@@ -220,20 +244,39 @@ def build_povm(
     if max(abs(partition.p_window[0]), abs(partition.p_window[1])) > grid.p_max:
         raise ValueError("partition p_window exceeds the momentum grid")
 
+    q_rule, p_rule = _cell_rule(nq, rule), _cell_rule(npp, rule)
     n = grid.n_points
+    # dx / 2pi of the measure times the 1/2 of the Hermitian part
+    scale = 0.5 * grid.dx / (2.0 * math.pi)
     ops = np.empty((partition.n_cells, n, n), dtype=np.complex128)
-    for alpha in range(partition.n_cells):
-        q1, q2, p1, p2 = partition.cell_bounds(alpha)
-        qn, qw = _axis_nodes(q1, q2, nq, rule)
-        pn, pw = _axis_nodes(p1, p2, npp, rule)
-        # all of the cell's quadrature-node packets, contracted in one gemm
-        block = _packets(grid, qn, pn, sigma_x)
-        op = (block * np.outer(qw, pw).reshape(-1, 1)).T @ np.conjugate(block, out=block)
-        del block
-        op *= grid.dx / (2.0 * math.pi)
-        ops[alpha] = 0.5 * (op + op.conj().T)
+    for i in range(partition.n_x):
+        q1, q2, _, _ = partition.cell_bounds(partition.index(i, 0))
+        qn, qw = q_rule(q1, q2)
+        env = _envelopes(grid, qn, sigma_x)
+        norm_sq = np.sum(env * env, axis=1) * grid.dx
+        if np.any(norm_sq <= 0):
+            raise ValueError(f"a packet at q in {qn} has no support on the grid")
+        # |packet|^2 is free of p: one real Gram matrix G per strip of
+        # cells sharing this q-interval, with scale folded into its weights
+        gram = (env * (qw * scale / norm_sq)[:, None]).T @ env
+        del env
+        for j in range(partition.n_p):
+            alpha = partition.index(i, j)
+            _, _, p1, p2 = partition.cell_bounds(alpha)
+            pn, pw = p_rule(p1, p2)
+            wave = np.exp(1j * pn[:, None] * grid.x)
+            # Pi_alpha = G o T with the Hermitian T = W^T diag(w_p) conj(W)
+            op = (wave * pw[:, None]).T @ np.conjugate(wave, out=wave)
+            op *= gram
+            # op^H + op, bitwise Hermitian, written straight into the stack
+            np.conjugate(op.T, out=ops[alpha])
+            ops[alpha] += op
+            del op  # freed before the next cell's T is allocated
 
-    rest = np.eye(n) - ops.sum(axis=0)
+    # in place, with the bits of eye(n) - sum: 1 + (0 - s) is 1 - s
+    rest = ops.sum(axis=0)
+    np.subtract(0.0, rest, out=rest)
+    rest[np.diag_indices(n)] += 1.0
     povm = POVMSet(grid, partition, sigma_x, ops, rest, rule, (nq, npp))
     leak = _probe_leak(povm)
     if leak > 0.1:
@@ -359,11 +402,13 @@ def predictability_sieve(
     n_steps = max(1, int(round(horizon / dt)))
     cadence = record_every or max(1, n_steps // 200)
 
+    # every width shares (grid, potential, lambda_rate, dt): one propagator
+    prop = Propagator(grid, potential, lambda_rate, dt)
     curves = []
     times = None
     for sigma in widths:
         rho = coherent_state(grid, z0.q, z0.p, float(sigma)).to_density()
-        rec = evolve(rho, potential, lambda_rate, dt, n_steps, record_every=cadence)
+        rec = _evolve_on(prop, rho, n_steps, cadence)
         curves.append(rec.s_lin)
         times = rec.times
     curves = np.asarray(curves)

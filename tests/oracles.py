@@ -43,8 +43,9 @@ def closed_form_cell(x, dx, sigma, q1, q2, p1, p2):
     return (qfac * gfac * efac) * dx / (4 * np.pi)
 
 
-def reference_povm(grid, partition, sigma_x, quadrature):
-    """Gauss-Legendre cell operators built one quadrature node at a time.
+def reference_povm(grid, partition, sigma_x, quadrature, rule="gauss"):
+    """Cell operators built one quadrature node at a time, with the
+    Gauss-Legendre or the midpoint rule on each axis.
 
     Returns (operators, rest, squares, rest_square, leak): squares by
     einsum, and leak as the full-SVD operator norm of Pi_rest acting on
@@ -57,6 +58,9 @@ def reference_povm(grid, partition, sigma_x, quadrature):
         return psi / math.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx)
 
     def nodes(lo, hi, n):
+        if rule == "midpoint":
+            w = (hi - lo) / n
+            return lo + (np.arange(n) + 0.5) * w, np.full(n, w)
         t, w = np.polynomial.legendre.leggauss(n)
         return 0.5 * (hi + lo) + 0.5 * (hi - lo) * t, 0.5 * (hi - lo) * w
 

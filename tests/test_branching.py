@@ -22,6 +22,7 @@ from branchfall import (
     ExplosionGuard,
     GridSpec,
     PhasePartition,
+    PositivityError,
     WaveFunction,
     branch_step,
     build_povm,
@@ -140,6 +141,22 @@ def test_branch_step_stops_packet_at_grid_edge():
     tree = branch_step(tree, free_potential(), 0.1, dt_int=0.05, escape_tol=1.0)
     with pytest.raises(BoundaryViolation):
         branch_step(tree, free_potential(), 0.1, dt_int=0.05, escape_tol=1.0)
+
+
+def test_non_psd_kernel_raises_positivity_error(povm_2x1):
+    # unit trace, but weight -1 on the right cell: a corrupted kernel that
+    # clipping alone would renormalize into a confident left branch
+    left = coherent_state(GRID, -4.0, 0.0, 0.9).amplitudes
+    right = coherent_state(GRID, 4.0, 0.0, 0.9).amplitudes
+    bad = DensityMatrix(
+        GRID, 2.0 * np.outer(left, left.conj()) - np.outer(right, right.conj()), validate=False
+    )
+    tree = BranchTree.from_state(bad, povm_2x1, dt=0.05)
+    with pytest.raises(PositivityError, match="below -1e-10"):
+        branch_step(tree, free_potential(), 0.0, dt_int=0.05)
+    sampler = BornSampler(bad, free_potential(), 0.0, povm_2x1, 0.05, dt_int=0.05)
+    with pytest.raises(PositivityError, match="below -1e-10"):
+        sampler.trajectory(1, 0)
 
 
 def test_explosion_guard(povm_3x3):

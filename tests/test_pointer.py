@@ -1,6 +1,7 @@
 """Window POVMs: analytic cell integrals, approximate-PVM quality, sieve."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from branchfall import (
 )
 from branchfall import pointer
 from branchfall.branching import _branch_weights
-from branchfall.dynamics import harmonic_potential
+from branchfall.dynamics import evolve, harmonic_potential
 from branchfall.pointer import (
     PhasePartition,
     build_povm,
@@ -184,20 +185,71 @@ def test_project_consistent_with_squares(grid, three_sigma):
 
 
 @pytest.mark.parametrize(
-    "n, lo, hi, n_x, n_p",
-    [(128, -10.0, 10.0, 3, 3), (256, -12.0, 12.0, 1, 2)],
+    "n, lo, hi, mass, p_window, n_x, n_p, sigma_x, rule",
+    [
+        pytest.param(128, -10.0, 10.0, 1.0, (-6.0, 6.0), 3, 3, 0.7071, "gauss",
+                     id="128--10.0-10.0-3-3"),
+        pytest.param(256, -12.0, 12.0, 1.0, (-6.0, 6.0), 1, 2, 0.7071, "gauss",
+                     id="256--12.0-12.0-1-2"),
+        # the builds of the benchmark's wide_grid branch (32 x 18 nodes) and
+        # reduce (29 x 25) configs; the 128-point 3 x 3 case above is the
+        # sample and branch one (13 x 13)
+        pytest.param(512, -16.0, 16.0, 1.0, (-6.0, 6.0), 1, 2, 0.7071, "gauss",
+                     id="512--16.0-16.0-1-2"),
+        pytest.param(96, -10.0, 10.0, 4.0, (-12.0, 12.0), 1, 3, 0.8, "gauss",
+                     id="96--10.0-10.0-1-3"),
+        pytest.param(128, -10.0, 10.0, 1.0, (-6.0, 6.0), 3, 3, 0.7071, "midpoint",
+                     id="128--10.0-10.0-3-3-midpoint"),
+    ],
 )
-def test_blocked_build_matches_per_node_loop(n, lo, hi, n_x, n_p):
-    g = GridSpec(n, lo, hi, mass=1.0)
-    part = PhasePartition((-6.0, 6.0), (-6.0, 6.0), n_x, n_p)
-    povm = build_povm(g, part, 0.7071)
-    ops, rest, squares, rest_square, leak = reference_povm(g, part, 0.7071, povm.quadrature)
-    assert np.array_equal(povm.operators, ops)
-    assert np.array_equal(povm.rest, rest)
+def test_blocked_build_matches_per_node_loop(n, lo, hi, mass, p_window, n_x, n_p, sigma_x, rule):
+    g = GridSpec(n, lo, hi, mass=mass)
+    part = PhasePartition((-6.0, 6.0), p_window, n_x, n_p)
+    povm = build_povm(g, part, sigma_x, rule=rule)
+    ops, rest, squares, rest_square, leak = reference_povm(
+        g, part, sigma_x, povm.quadrature, rule
+    )
+    # the separable build sums in another order than the per-node loop:
+    # roundoff only (measured <= 5.3 ulps of the largest entry); a wrong
+    # node, weight, phase sign or norm moves entries by more than 1e-6
+    eps = np.finfo(float).eps
+    assert np.abs(povm.operators - ops).max() <= 16 * eps * np.abs(ops).max()
+    assert np.abs(povm.rest - rest).max() <= 16 * eps
+    for op in povm.operators:
+        assert np.array_equal(op, op.conj().T)
     # batched gemm against einsum: roundoff only, relative to the largest entry
     for got, want in ((povm.squares, squares), (povm._rest_square, rest_square)):
         assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
     assert pointer._probe_leak(povm) == pytest.approx(leak, rel=1e-12, abs=1e-15)
+
+
+def test_gauss_nodes_computed_once_per_count(grid, monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    part = PhasePartition((-4.5, 4.5), (-2.25, 2.25), 3, 3)
+    build_povm(grid, part, 1.0, quadrature=(6, 5))
+    assert sorted(calls) == [5, 6]
+
+
+def test_build_peak_memory_is_live_plus_two_temporaries():
+    # N = 512, 1 x 2 cells: 8 MiB of operators and 4 MiB of remainder live;
+    # the build may add at most two N x N complex temporaries on top
+    g = GridSpec(512, -16.0, 16.0, mass=1.0)
+    part = PhasePartition((-6.0, 6.0), (-6.0, 6.0), 1, 2)
+    tracemalloc.start()
+    try:
+        povm = build_povm(g, part, 0.7071)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert povm.operators.nbytes + povm.rest.nbytes == 12 * 2**20
+    assert peak <= 20 * 2**20
 
 
 def test_packet_without_support_raises(grid):
@@ -248,6 +300,29 @@ def sieve_run():
         horizon=4 * math.pi,
         dt=0.04,
     )
+
+
+def test_sieve_steps_every_width_with_one_propagator(monkeypatch):
+    grid = GridSpec(64, -8.0, 8.0, mass=1.0)
+    args = (grid, harmonic_potential(1.0, 1.0), 0.2)
+    widths = [0.5, 0.7071, 1.0]
+    builds = []
+    init = pointer.Propagator.__init__
+
+    def counting_init(self, *a, **k):
+        builds.append(a)
+        init(self, *a, **k)
+
+    monkeypatch.setattr(pointer.Propagator, "__init__", counting_init)
+    res = predictability_sieve(*args, widths, PhasePoint(1.0, 0.0), 0.05, dt=0.01)
+    assert len(builds) == 1
+    # the same bits as evolving each width on its own propagator
+    for sigma, curve in zip(widths, res.curves):
+        rho = coherent_state(grid, 1.0, 0.0, sigma).to_density()
+        alone = evolve(rho, *args[1:], 0.01, 5, record_every=1)
+        assert np.array_equal(curve, alone.s_lin)
+        assert np.array_equal(res.times, alone.times)
+    assert len(builds) == 1 + len(widths)
 
 
 def test_sieve_flat_without_dephasing():
