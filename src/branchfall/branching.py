@@ -31,7 +31,6 @@ __all__ = [
     "BranchTree",
     "BornSampler",
     "branch_step",
-    "sample_trajectory",
     "mixture_consistency",
     "suggested_branch_interval",
     "ExplicitModel",
@@ -45,12 +44,6 @@ __all__ = [
 # Default live-leaf cap of branch_step and the most history nodes one
 # BornSampler caches: both bound how many density kernels stay alive.
 NODE_CAP = 256
-
-# Most mass a branch substep may leave in the outer two grid cells on either
-# side.  Looser than evolve's 1e-8: windows reaching within a packet width of
-# the grid edge give Lueders children ~1e-5 there, strong dephasing ~1e-3; a
-# packet driven into the edge puts ~0.1 there.
-EDGE_TOL = 1e-2
 
 
 def suggested_branch_interval(lambda_rate: float, d_x: float) -> float:
@@ -136,13 +129,12 @@ def _evolve_and_weigh(
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Evolve a kernel over one interval and weigh the cells.
 
-    Every substep passes the density guard of evolve, with edge tolerance
-    EDGE_TOL.
+    Every substep passes the density guard of evolve.
     Returns (evolved kernel, cell weights, escape weight, total weight).
     """
     for i in range(1, n_sub + 1):
         elements = prop.step_elements(elements)
-        _check_density(elements, povm.grid.dx, f"substep {i} of {n_sub}", EDGE_TOL)
+        _check_density(elements, povm.grid.dx, f"substep {i} of {n_sub}")
     weights, esc = _branch_weights(povm, elements)
     return elements, weights, esc, weights.sum() + esc
 
@@ -279,9 +271,14 @@ class BornSampler:
     def trajectory(self, n_steps: int, rng_seed, stop=None):
         """One history: evolve dt, collapse to one sampled cell, repeat.
 
-        Same contract as sample_trajectory: returns (records, final_state),
-        raises EscapeSampled with .time and .records when the remainder
-        element is drawn, and ends early once stop(t, alpha, z) is true.
+        Returns (records, final_state) where records is a list of
+        (t, alpha, PhasePoint); the first entry is the t = 0 readout with
+        alpha = None.  Drawing the remainder element raises EscapeSampled
+        with .time and .records attached.  Deterministic for a fixed
+        rng_seed.
+
+        stop, when given, is called after each collapse with (t, alpha, z);
+        returning True ends the run early with the records so far.
         """
         rng = np.random.default_rng(rng_seed)
         history: tuple[int, ...] = ()
@@ -325,35 +322,6 @@ class BornSampler:
             if len(self._nodes) < NODE_CAP:
                 self._nodes[history] = node
         return node
-
-
-def sample_trajectory(
-    rho0: DensityMatrix,
-    potential: Potential,
-    lambda_rate: float,
-    povm: POVMSet,
-    dt: float,
-    n_steps: int,
-    rng_seed,
-    dt_int: float | None = None,
-    stop=None,
-):
-    """One Born-weighted history: evolve dt, collapse to one sampled cell, repeat.
-
-    Returns (records, final_state) where records is a list of
-    (t, alpha, PhasePoint); the first entry is the t = 0 readout with
-    alpha = None.  Drawing the remainder element raises EscapeSampled with
-    .time and .records attached.  Deterministic for a fixed rng_seed.
-
-    stop, when given, is called after each collapse with (t, alpha, z);
-    returning True ends the run early with the records so far.
-
-    A one-shot BornSampler: to draw many trajectories from one initial
-    state, call BornSampler.trajectory on one shared sampler instead, which
-    evolves every shared history prefix once and returns identical results.
-    """
-    sampler = BornSampler(rho0, potential, lambda_rate, povm, dt, dt_int)
-    return sampler.trajectory(n_steps, rng_seed, stop)
 
 
 def mixture_consistency(tree: BranchTree, reference: DensityMatrix) -> float:

@@ -447,10 +447,7 @@ _RUNNERS = {
 def cmd_run(config_path: str) -> int:
     try:
         cfg = load_config(config_path)
-    except OSError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as err:
+    except (OSError, ConfigError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     started = _utc_now()
@@ -464,9 +461,6 @@ def cmd_run(config_path: str) -> int:
     except BranchfallError as err:
         print(f"numerical abort: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
     except ValueError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -477,10 +471,7 @@ def cmd_run(config_path: str) -> int:
 def cmd_validate(config_path: str) -> int:
     try:
         cfg = load_config(config_path)
-    except OSError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as err:
+    except (OSError, ConfigError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     print(f"ok: kind={cfg['kind']} seed={cfg['seed']}")

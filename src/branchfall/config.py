@@ -40,15 +40,6 @@ class ConfigError(ValueError):
 REQUIRED = object()
 
 
-def _bool(s: str) -> bool:
-    low = s.lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
 def _pairs(s: str) -> tuple:
     """Semicolon-separated comma pairs: 'a,b; c,d' -> ((a, b), (c, d))."""
     out = []

@@ -18,8 +18,9 @@ grid points the Propagator materializes the Strang unitary as a dense
 matrix and steps kernels with two matrix products; from _FFT_MIN_N up it
 keeps no dense matrix and steps kernels with the core's 2-D transforms,
 O(N^2 log N) in place of O(N^3).  Every density step, here and in
-branching, passes one guard: finite unit trace and no mass in the outer two
-cells on either side, where it would wrap around the periodic grid.
+branching, passes one guard: finite unit trace and at most EDGE_TOL of the
+mass in the outer two cells on either side, where it would wrap around the
+periodic grid.
 """
 
 from __future__ import annotations
@@ -49,6 +50,11 @@ __all__ = [
 # at N = 192, 5.3 / 5.2 ms at 256 and 42 / 28 ms at 512; from 256 up the
 # build also skips the dense unitary (4.9 against 1.1 ms at N = 256).
 _FFT_MIN_N = 256
+
+# Most mass a density step may leave in the outer two grid cells on either
+# side: mass there wraps around the periodic grid and is booked to the
+# opposite side, corrupting positions and branch weights.
+EDGE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -224,12 +230,12 @@ class Propagator:
         return self.u @ amplitudes
 
 
-def _check_density(elements: np.ndarray, dx: float, where: str, boundary_tol: float) -> None:
+def _check_density(elements: np.ndarray, dx: float, where: str) -> None:
     """The invariants of every density step.
 
     Raises ExplosionGuard on a non-finite trace or trace drift beyond 1e-6,
-    and BoundaryViolation once more than boundary_tol of the mass sits in
-    the outermost two grid cells on either side.
+    and BoundaryViolation once more than EDGE_TOL of the mass sits in the
+    outermost two grid cells on either side.
     """
     dens = np.diagonal(elements).real
     trace = float(np.sum(dens) * dx)
@@ -238,7 +244,7 @@ def _check_density(elements: np.ndarray, dx: float, where: str, boundary_tol: fl
     if abs(trace - 1.0) > 1e-6:
         raise ExplosionGuard(f"trace drifted to {trace!r} at {where}")
     edge = float((dens[0] + dens[1] + dens[-2] + dens[-1]) * dx)
-    if edge > boundary_tol:
+    if edge > EDGE_TOL:
         raise BoundaryViolation(f"mass {edge:.3e} within two cells of the window edge at {where}")
 
 
@@ -295,18 +301,15 @@ def evolve(
     dt: float,
     n_steps: int,
     record_every: int = 1,
-    boundary_tol: float = 1e-8,
 ) -> EvolutionRecord:
     """Evolve rho for n_steps and record diagnostics every record_every steps.
 
     The t = 0 row and the final row are always recorded.  Every step is
     checked: ExplosionGuard on non-finite values or trace drift beyond 1e-6,
-    BoundaryViolation once more than boundary_tol of the mass sits in the
+    BoundaryViolation once more than EDGE_TOL of the mass sits in the
     outermost two grid cells on either side.
     """
-    return _evolve_on(
-        Propagator(rho.grid, potential, lambda_rate, dt), rho, n_steps, record_every, boundary_tol
-    )
+    return _evolve_on(Propagator(rho.grid, potential, lambda_rate, dt), rho, n_steps, record_every)
 
 
 def _evolve_on(
@@ -314,7 +317,6 @@ def _evolve_on(
     rho: DensityMatrix,
     n_steps: int,
     record_every: int = 1,
-    boundary_tol: float = 1e-8,
 ) -> EvolutionRecord:
     """evolve() with a prebuilt propagator, so callers that step several
     states with one (grid, potential, lambda_rate, dt) build it once."""
@@ -337,7 +339,7 @@ def _evolve_on(
     for k in range(n_steps + 1):
         if k:
             elements = prop.step_elements(elements)
-        _check_density(elements, grid.dx, f"t = {k * dt:.6g}", boundary_tol)
+        _check_density(elements, grid.dx, f"t = {k * dt:.6g}")
         if k % record_every == 0 or k == n_steps:
             record(k, elements)
 

@@ -63,12 +63,6 @@ class GRWRun:
     final: WaveFunction
     total_time: float
 
-    def hit_times(self) -> list[float]:
-        return [hit.time for hit in self.hits]
-
-    def hit_rows(self) -> list[tuple[float, float]]:
-        return [(hit.time, hit.center) for hit in self.hits]
-
 
 def _evolve_segment(amps, core, grid, v_vals, duration, dt_int):
     """int(duration / dt_int) fused steps of core (built for dt_int), then
@@ -146,6 +140,10 @@ def compatibility_score(post_hit: WaveFunction, tree: BranchTree) -> tuple[tuple
 
 State = Union[WaveFunction, ExplicitModel]
 
+# Guidance density below which the velocity (current / density) is not
+# trusted: bohm_velocity raises NodeRegion, bohm_evolve freezes the trajectory.
+DENSITY_FLOOR = 1e-12
+
 
 def _joint_columns(state: State) -> tuple[GridSpec, np.ndarray]:
     if isinstance(state, WaveFunction):
@@ -170,12 +168,12 @@ def _velocity_nodes(state: State) -> tuple[np.ndarray, np.ndarray]:
     return velocity / grid.mass, density
 
 
-def bohm_velocity(state: State, x: float, density_floor: float = 1e-12) -> float:
+def bohm_velocity(state: State, x: float) -> float:
     """Guidance velocity at one point, linearly interpolated between nodes."""
     grid, _ = _joint_columns(state)
     velocity, density = _velocity_nodes(state)
     dens = float(np.interp(x, grid.x, density))
-    if dens < density_floor:
+    if dens < DENSITY_FLOOR:
         raise NodeRegion(f"density {dens:.3e} below floor at x = {x:.6g}")
     return float(np.interp(x, grid.x, velocity))
 
@@ -242,18 +240,16 @@ def bohm_evolve(
     ode_dt: float,
     checkpoints: Optional[Sequence[float]] = None,
     branch_split: Optional[float] = None,
-    disjoint_time: float = 0.0,
-    density_floor: float = 1e-12,
 ) -> BohmRun:
     """Integrate the ensemble through a precomputed state evolution.
 
     The velocity field is sampled on the grid at every snapshot and
     interpolated linearly in time and position; each configuration advances
     by the explicit midpoint rule.  Trajectories that enter a density below
-    density_floor are flagged and frozen, and the run continues.  With
+    DENSITY_FLOOR are flagged and frozen, and the run continues.  With
     branch_split given, occupancy fractions left/right of the split are
     reported at each checkpoint along with the number of trajectories that
-    changed sides after disjoint_time.
+    changed sides during the run.
     """
     times = np.asarray(snapshot_times, dtype=float)
     if len(snapshots) != len(times) or len(times) < 2:
@@ -291,20 +287,19 @@ def bohm_evolve(
         t = t_grid[k]
         live = ~flags
         v1, d1 = field(t, q)
-        newly = live & (d1 < density_floor)
+        newly = live & (d1 < DENSITY_FLOOR)
         flags |= newly
         live = ~flags
         half = q + 0.5 * ode_dt * np.where(live, v1, 0.0)
         v2, d2 = field(t + 0.5 * ode_dt, half)
-        newly = live & (d2 < density_floor)
+        newly = live & (d2 < DENSITY_FLOOR)
         flags |= newly
         live = ~flags
         q = q + ode_dt * np.where(live, v2, 0.0)
         out[:, k + 1] = q
-        if branch_split is not None and t_grid[k + 1] >= disjoint_time:
+        if branch_split is not None:
             side = np.sign(q - branch_split)
-            if prev_side is not None and t_grid[k] >= disjoint_time:
-                crossings += int(np.sum((side != prev_side) & live))
+            crossings += int(np.sum((side != prev_side) & live))
             prev_side = side
 
     if checkpoints is None:

@@ -375,9 +375,6 @@ class SieveResult:
             "s_lin": self.curves.ravel(),
         }
 
-    def summary(self) -> dict:
-        return {"argmin_width": self.argmin_width}
-
 
 def predictability_sieve(
     grid: GridSpec,

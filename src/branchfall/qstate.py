@@ -132,9 +132,6 @@ class WaveFunction:
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2) * self.grid.dx)
 
-    def normalized(self) -> "WaveFunction":
-        return WaveFunction(self.grid, self.amplitudes / math.sqrt(self.norm_squared()))
-
     def overlap(self, other: "WaveFunction") -> complex:
         """Inner product <self|other> including the dx measure."""
         return complex(np.vdot(self.amplitudes, other.amplitudes) * self.grid.dx)

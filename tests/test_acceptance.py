@@ -272,7 +272,7 @@ def test_branch_weights_telescope_and_follow_born_rule():
 
 
 def test_branch_mixture_tracks_unconditioned_density():
-    grid = GridSpec(128, -10.0, 10.0, 1.0)
+    grid = GridSpec(192, -15.0, 15.0, 1.0)
     povm = build_povm(grid, PhasePartition((-9.0, 9.0), (-6.0, 6.0), 2, 1), sigma_x=0.9)
     rho = cat_state(grid, 4.0, 0.9)
     lam = 5.0

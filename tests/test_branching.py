@@ -28,11 +28,11 @@ from branchfall import (
     build_povm,
     coherent_state,
     decoherence_functional,
+    evolve,
     evolve_explicit,
     free_potential,
     harmonic_potential,
     mixture_consistency,
-    sample_trajectory,
     suggested_branch_interval,
     superorthogonality_overlap,
 )
@@ -42,6 +42,9 @@ from oracles import reference_strang, reference_trajectory
 
 
 GRID = GridSpec(128, -10.0, 10.0, 1.0)
+# GRID's spacing on a wider window: Lueders children of the +-9 windows and
+# Lambda = 5 cats keep under 1e-8 of their mass in the edge cells
+WIDE = GridSpec(192, -15.0, 15.0, 1.0)
 
 
 def cat_state(grid, q, sigma, p=0.0):
@@ -65,6 +68,18 @@ def povm_2x1():
     return build_povm(GRID, part, sigma_x=0.9)
 
 
+@pytest.fixture(scope="module")
+def wide_povm_3x3():
+    part = PhasePartition((-9.0, 9.0), (-6.0, 6.0), 3, 3)
+    return build_povm(WIDE, part, sigma_x=1.0)
+
+
+@pytest.fixture(scope="module")
+def wide_povm_2x1():
+    part = PhasePartition((-9.0, 9.0), (-6.0, 6.0), 2, 1)
+    return build_povm(WIDE, part, sigma_x=0.9)
+
+
 def test_single_packet_one_step_dominant_child(povm_3x3):
     rho = DensityMatrix.from_pure(coherent_state(GRID, 0.0, 0.0, 1.0))
     tree = BranchTree.from_state(rho, povm_3x3, dt=0.05, prune_epsilon=1e-6)
@@ -77,9 +92,9 @@ def test_single_packet_one_step_dominant_child(povm_3x3):
     assert out.weight_closure() == pytest.approx(1.0, abs=1e-10)
 
 
-def test_symmetric_cat_splits_evenly(povm_2x1):
-    rho = cat_state(GRID, 4.0, 0.9)
-    tree = BranchTree.from_state(rho, povm_2x1, dt=0.4, prune_epsilon=1e-4)
+def test_symmetric_cat_splits_evenly(wide_povm_2x1):
+    rho = cat_state(WIDE, 4.0, 0.9)
+    tree = BranchTree.from_state(rho, wide_povm_2x1, dt=0.4, prune_epsilon=1e-4)
     out = branch_step(tree, free_potential(), 5.0, dt_int=0.004)
     assert len(out.leaves) == 2
     by_hist = {leaf.history: leaf for leaf in out.leaves}
@@ -88,7 +103,7 @@ def test_symmetric_cat_splits_evenly(povm_2x1):
         assert leaf.weight_sq == pytest.approx(0.5, abs=0.02)
         assert leaf.z.q == pytest.approx(sign * 4.0, abs=0.3)
         # z stays inside the cell the history names
-        assert povm_2x1.partition.locate(leaf.z.q, leaf.z.p) == alpha
+        assert wide_povm_2x1.partition.locate(leaf.z.q, leaf.z.p) == alpha
     assert out.escape_weight < 0.01
     assert out.weight_closure() == pytest.approx(1.0, abs=1e-10)
 
@@ -133,14 +148,54 @@ def test_escape_mass_raises(povm_3x3):
 
 
 def test_branch_step_stops_packet_at_grid_edge():
-    # a packet running into the edge of the periodic grid: unchecked, its
-    # mass wraps around and is booked to the opposite cell
-    grid = GridSpec(64, -8.0, 8.0, 1.0)
+    # a packet running into the edge of the periodic grid: the first interval
+    # leaves under 1e-8 of its mass in the edge cells, the second about 1e-4,
+    # which unchecked would wrap around and be booked to the opposite cell
+    grid = GridSpec(88, -11.0, 11.0, 1.0)
     povm = build_povm(grid, PhasePartition((-7.0, 7.0), (-8.0, 8.0), 2, 1), sigma_x=0.8)
     tree = BranchTree.from_state(coherent_state(grid, 3.0, 4.0, 0.7).to_density(), povm, dt=0.5)
     tree = branch_step(tree, free_potential(), 0.1, dt_int=0.05, escape_tol=1.0)
     with pytest.raises(BoundaryViolation):
         branch_step(tree, free_potential(), 0.1, dt_int=0.05, escape_tol=1.0)
+
+
+def _gaussian_density(grid, q, sigma):
+    # built by hand: coherent_state refuses packets with this much edge tail
+    amps = np.exp(-((grid.x - q) ** 2) / (4.0 * sigma**2)).astype(complex)
+    amps /= math.sqrt(np.sum(np.abs(amps) ** 2) * grid.dx)
+    return DensityMatrix.from_pure(WaveFunction(grid, amps))
+
+
+@pytest.mark.parametrize(
+    "path, first_check",
+    [
+        (lambda rho, povm: evolve(rho, free_potential(), 0.0, 0.01, 5), "t = 0"),
+        (
+            lambda rho, povm: branch_step(
+                BranchTree.from_state(rho, povm, dt=0.05), free_potential(), 0.0,
+                dt_int=0.01, escape_tol=1.0,
+            ),
+            "substep 1 of 5",
+        ),
+        (
+            lambda rho, povm: BornSampler(
+                rho, free_potential(), 0.0, povm, 0.05, dt_int=0.01
+            ).trajectory(1, 0),
+            "substep 1 of 5",
+        ),
+    ],
+    ids=["evolve", "branch_step", "born_sampler"],
+)
+def test_every_density_path_guards_the_edge_at_1e_8(path, first_check):
+    grid = GridSpec(64, -8.0, 8.0, 1.0)
+    povm = build_povm(grid, PhasePartition((-6.0, 6.0), (-4.0, 4.0), 2, 1), sigma_x=0.7)
+    near = _gaussian_density(grid, 4.1, 0.7)
+    dens = near.position_density()
+    edge = (dens[0] + dens[1] + dens[-2] + dens[-1]) * grid.dx
+    assert 1e-7 < edge < 1e-5  # past 1e-8, far inside the old branch bound 1e-2
+    with pytest.raises(BoundaryViolation, match=f"at {first_check}$"):
+        path(near, povm)
+    path(_gaussian_density(grid, 0.0, 0.7), povm)
 
 
 def test_non_psd_kernel_raises_positivity_error(povm_2x1):
@@ -174,9 +229,9 @@ def test_empty_tree_raises(povm_3x3):
         mixture_consistency(tree, DensityMatrix.from_pure(coherent_state(GRID, 0, 0, 1)))
 
 
-def test_snapshot_is_json_ready(povm_2x1):
-    rho = cat_state(GRID, 4.0, 0.9)
-    tree = BranchTree.from_state(rho, povm_2x1, dt=0.4, prune_epsilon=1e-4)
+def test_snapshot_is_json_ready(wide_povm_2x1):
+    rho = cat_state(WIDE, 4.0, 0.9)
+    tree = BranchTree.from_state(rho, wide_povm_2x1, dt=0.4, prune_epsilon=1e-4)
     out = branch_step(tree, free_potential(), 5.0, dt_int=0.01)
     rows = json.loads(json.dumps(out.snapshot()))
     assert len(rows) == 2
@@ -201,17 +256,17 @@ def test_mixture_consistency_single_cell_is_identity():
     assert dev < 1e-10
 
 
-def test_mixture_consistency_decohered_state(povm_2x1):
-    rho = cat_state(GRID, 4.0, 0.9)
+def test_mixture_consistency_decohered_state(wide_povm_2x1):
+    rho = cat_state(WIDE, 4.0, 0.9)
     lam = 5.0
-    tree = BranchTree.from_state(rho, povm_2x1, dt=0.4, prune_epsilon=1e-6)
+    tree = BranchTree.from_state(rho, wide_povm_2x1, dt=0.4, prune_epsilon=1e-6)
     for _ in range(2):
         tree = branch_step(tree, free_potential(), lam, dt_int=0.008, leaf_cap=512)
     ref = rho.elements.copy()
-    prop = Propagator(GRID, free_potential(), lam, 0.008)
+    prop = Propagator(WIDE, free_potential(), lam, 0.008)
     for _ in range(100):
         ref = prop.step_elements(ref)
-    dev = mixture_consistency(tree, DensityMatrix(GRID, ref, validate=False))
+    dev = mixture_consistency(tree, DensityMatrix(WIDE, ref, validate=False))
     assert dev < 0.05
 
 
@@ -233,24 +288,24 @@ def test_mixture_consistency_interference_control():
     assert dev > 0.05
 
 
-def test_sample_trajectory_deterministic(povm_2x1):
-    rho = cat_state(GRID, 4.0, 0.9)
-    args = (rho, free_potential(), 5.0, povm_2x1, 0.4, 3)
-    recs_a, final_a = sample_trajectory(*args, rng_seed=7, dt_int=0.004)
-    recs_b, final_b = sample_trajectory(*args, rng_seed=7, dt_int=0.004)
+def test_sample_trajectory_deterministic(wide_povm_2x1):
+    rho = cat_state(WIDE, 4.0, 0.9)
+    args = (rho, free_potential(), 5.0, wide_povm_2x1, 0.4)
+    recs_a, final_a = BornSampler(*args, dt_int=0.004).trajectory(3, rng_seed=7)
+    recs_b, final_b = BornSampler(*args, dt_int=0.004).trajectory(3, rng_seed=7)
     assert recs_a == recs_b
     assert np.array_equal(final_a.elements, final_b.elements)
     assert recs_a[0][0] == 0.0 and recs_a[0][1] is None
     assert [t for t, _, _ in recs_a] == pytest.approx([0.0, 0.4, 0.8, 1.2])
-    zero_steps, _ = sample_trajectory(*args[:5], 0, rng_seed=7, dt_int=0.004)
+    zero_steps, _ = BornSampler(*args, dt_int=0.004).trajectory(0, rng_seed=7)
     assert len(zero_steps) == 1
 
 
-def test_sample_trajectory_born_fractions(povm_2x1):
-    rho = cat_state(GRID, 4.0, 0.9)
+def test_sample_trajectory_born_fractions(wide_povm_2x1):
+    rho = cat_state(WIDE, 4.0, 0.9)
     counts = {0: 0, 1: 0, "escape": 0}
     n = 200
-    sampler = BornSampler(rho, free_potential(), 5.0, povm_2x1, 0.4, dt_int=0.02)
+    sampler = BornSampler(rho, free_potential(), 5.0, wide_povm_2x1, 0.4, dt_int=0.02)
     for seed in range(n):
         try:
             recs, _ = sampler.trajectory(1, rng_seed=1000 + seed)
@@ -264,13 +319,11 @@ def test_sample_trajectory_born_fractions(povm_2x1):
 
 def test_escape_sampled_carries_context(povm_3x3):
     rho = DensityMatrix.from_pure(coherent_state(GRID, 0.0, 5.8, 1.0))
+    sampler = BornSampler(rho, free_potential(), 0.0, povm_3x3, 0.05, dt_int=0.05)
     hits = 0
     for seed in range(12):
         try:
-            sample_trajectory(
-                rho, free_potential(), 0.0, povm_3x3, 0.05, 1,
-                rng_seed=seed, dt_int=0.05,
-            )
+            sampler.trajectory(1, rng_seed=seed)
         except EscapeSampled as err:
             hits += 1
             assert err.time == pytest.approx(0.05)
@@ -304,10 +357,10 @@ def _sample_against_reference(args, dt_int, runs, stop=None):
     return outcomes
 
 
-def test_born_sampler_matches_reference_multi_step(povm_3x3):
+def test_born_sampler_matches_reference_multi_step(wide_povm_3x3):
     # packet near a cell corner: the collapses spread over several cells
-    rho = DensityMatrix.from_pure(coherent_state(GRID, 3.0, 2.0, 1.0))
-    args = (rho, harmonic_potential(1.0, 1.0), 0.3, povm_3x3, 0.3)
+    rho = DensityMatrix.from_pure(coherent_state(WIDE, 3.0, 2.0, 1.0))
+    args = (rho, harmonic_potential(1.0, 1.0), 0.3, wide_povm_3x3, 0.3)
     seeds = [np.random.SeedSequence(entropy=5, spawn_key=(i,)) for i in range(30)]
     # the shorter reruns end on nodes that the longer runs already evolved
     runs = [(3, seed) for seed in seeds] + [(2, seed) for seed in seeds[:10]]
@@ -324,9 +377,9 @@ def test_born_sampler_matches_reference_on_escape(povm_3x3):
     assert kinds == {"ok", "escape"}
 
 
-def test_born_sampler_matches_reference_with_stop_hook(povm_3x3):
-    rho = DensityMatrix.from_pure(coherent_state(GRID, 3.0, 2.0, 1.0))
-    args = (rho, harmonic_potential(1.0, 1.0), 0.3, povm_3x3, 0.3)
+def test_born_sampler_matches_reference_with_stop_hook(wide_povm_3x3):
+    rho = DensityMatrix.from_pure(coherent_state(WIDE, 3.0, 2.0, 1.0))
+    args = (rho, harmonic_potential(1.0, 1.0), 0.3, wide_povm_3x3, 0.3)
     seeds = [np.random.SeedSequence(entropy=9, spawn_key=(i,)) for i in range(20)]
     outcomes = _sample_against_reference(
         args, 0.03, [(3, seed) for seed in seeds], stop=lambda t, alpha, z: alpha == 4
@@ -335,7 +388,7 @@ def test_born_sampler_matches_reference_with_stop_hook(povm_3x3):
     assert 2 in lengths and len(lengths) > 1  # some stopped early, some ran on
 
 
-def test_born_sampler_evolves_shared_interval_once(povm_2x1, monkeypatch):
+def test_born_sampler_evolves_shared_interval_once(wide_povm_2x1, monkeypatch):
     builds, steps = [], []
     init, step = Propagator.__init__, Propagator.step_elements
 
@@ -349,8 +402,8 @@ def test_born_sampler_evolves_shared_interval_once(povm_2x1, monkeypatch):
 
     monkeypatch.setattr(Propagator, "__init__", counting_init)
     monkeypatch.setattr(Propagator, "step_elements", counting_step)
-    rho = cat_state(GRID, 4.0, 0.9)
-    sampler = BornSampler(rho, free_potential(), 5.0, povm_2x1, 0.4, dt_int=0.02)
+    rho = cat_state(WIDE, 4.0, 0.9)
+    sampler = BornSampler(rho, free_potential(), 5.0, wide_povm_2x1, 0.4, dt_int=0.02)
     alphas = set()
     for i in range(100):
         seed = np.random.SeedSequence(entropy=3, spawn_key=(i,))
@@ -363,9 +416,9 @@ def test_born_sampler_evolves_shared_interval_once(povm_2x1, monkeypatch):
     assert len(steps) == 20  # n_sub = 0.4 / 0.02, once for all 100 trajectories
 
 
-def test_born_sampler_cache_cap_keeps_results(povm_3x3, monkeypatch):
-    rho = DensityMatrix.from_pure(coherent_state(GRID, 3.0, 2.0, 1.0))
-    args = (rho, harmonic_potential(1.0, 1.0), 0.3, povm_3x3, 0.3)
+def test_born_sampler_cache_cap_keeps_results(wide_povm_3x3, monkeypatch):
+    rho = DensityMatrix.from_pure(coherent_state(WIDE, 3.0, 2.0, 1.0))
+    args = (rho, harmonic_potential(1.0, 1.0), 0.3, wide_povm_3x3, 0.3)
     seeds = [np.random.SeedSequence(entropy=5, spawn_key=(i,)) for i in range(12)]
 
     def run(sampler, sizes):

@@ -68,7 +68,7 @@ def test_grw_deterministic_given_seed():
     params = GRWParams(2.0, 0.3)
     a = grw_evolve(psi, free_potential(), params, 2.0, rng_seed=9, dt_int=0.05)
     b = grw_evolve(psi, free_potential(), params, 2.0, rng_seed=9, dt_int=0.05)
-    assert a.hit_rows() == b.hit_rows()
+    assert [(h.time, h.center) for h in a.hits] == [(h.time, h.center) for h in b.hits]
     assert np.array_equal(a.final.amplitudes, b.final.amplitudes)
 
 

@@ -351,4 +351,4 @@ def test_sieve_serialization(sieve_run):
     assert list(cols) == ["sigma", "t", "s_lin"]
     assert all(len(col) == sieve_run.curves.size for col in cols.values())
     assert cols["sigma"][0] == pytest.approx(0.45)
-    assert sieve_run.summary() == {"argmin_width": pytest.approx(1 / math.sqrt(2))}
+    assert sieve_run.argmin_width == pytest.approx(1 / math.sqrt(2))
