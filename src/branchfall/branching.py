@@ -148,8 +148,12 @@ def _collapse(povm: POVMSet, elements: np.ndarray, alpha: int) -> Optional[np.nd
     tr = float(np.sum(np.diag(proj)).real * povm.grid.dx)
     if tr <= 0:
         return None
-    child = proj / tr
-    return 0.5 * (child + child.conj().T)
+    # in place on the fresh projection: the same bits as 0.5 * (c + c^H)
+    # for c = proj / tr, without two N^2 temporaries
+    proj /= tr
+    proj += proj.conj().T
+    proj *= 0.5
+    return proj
 
 
 def branch_step(

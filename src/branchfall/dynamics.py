@@ -13,14 +13,17 @@ every Strang loop: the Propagator, GRW and the explicit qubit model.  It
 steps blocks of states along the last axis and fuses the kinetic half-steps
 of chained steps (K(dt/2) K(dt/2) = K(dt)): n steps cost 2n + 2 FFTs, not
 4n.  It also steps a density kernel in place of a block of states, with the
-congruence K rho K^dagger applied as one 2-D transform.  Below _FFT_MIN_N
-grid points the Propagator materializes the Strang unitary as a dense
-matrix and steps kernels with two matrix products; from _FFT_MIN_N up it
-keeps no dense matrix and steps kernels with the core's 2-D transforms,
-O(N^2 log N) in place of O(N^3).  Every density step, here and in
-branching, passes one guard: finite unit trace and at most EDGE_TOL of the
-mass in the outer two cells on either side, where it would wrap around the
-periodic grid.
+congruence K rho K^dagger applied as one real 2-D transform pair.  Below
+_FFT_MIN_N grid points the Propagator materializes the Strang unitary as a
+dense matrix and steps kernels with two matrix products; from _FFT_MIN_N up
+it keeps no dense matrix and steps kernels with the core's 2-D transforms,
+O(N^2 log N) in place of O(N^3).  There a Hermitian kernel A + iB moves as
+the one real array R = A + B, which rfft2/irfft2 transform at about half
+the cost of a complex fft2/ifft2; A and B are the symmetric and
+antisymmetric parts of R, so the kernel leaves the step exactly Hermitian.
+Every density step, here and in branching, passes one guard: finite unit
+trace and at most EDGE_TOL of the mass in the outer two cells on either
+side, where it would wrap around the periodic grid.
 """
 
 from __future__ import annotations
@@ -45,10 +48,11 @@ __all__ = [
     "evolve",
 ]
 
-# Grid size from which Propagator steps kernels with 2-D FFTs.  Median per
-# step on a 2-vCPU host with one BLAS thread, dense against FFT: 2.7 / 3.0 ms
-# at N = 192, 5.3 / 5.2 ms at 256 and 42 / 28 ms at 512; from 256 up the
-# build also skips the dense unitary (4.9 against 1.1 ms at N = 256).
+# Grid size from which Propagator steps kernels with real-packed 2-D FFTs.
+# Median per step on a 2-vCPU host with one BLAS thread, dense against FFT:
+# 2.8 / 2.9 ms at N = 192, 5.3 / 4.0 ms at 256 and 49 / 22 ms at 512; from
+# 256 up the build also skips the dense unitary (about 4.3 against 1.3 ms at
+# N = 256).  Lowering the bound would change the bytes of N = 192 payloads.
 _FFT_MIN_N = 256
 
 # Most mass a density step may leave in the outer two grid cells on either
@@ -112,7 +116,8 @@ class _SplitStep:
     is a diagonal phase of shape (n_points,) or (n_states, n_points), so a
     block of states can carry one potential per row.  Factors are built once
     per dt; run() chains steps with the inner half kicks fused, and
-    run_kernel() steps a density kernel from both sides (1-D diag only).
+    run_kernel() steps a packed real density kernel from both sides (1-D
+    diag only).
     """
 
     def __init__(self, grid: GridSpec, diag: np.ndarray, dt: float):
@@ -140,25 +145,77 @@ class _SplitStep:
         return np.fft.ifft(out)
 
     @cached_property
-    def kick_pair(self) -> np.ndarray:
-        """The half kick's outer product k conj(k)^T, built on first use.
+    def kick_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Real and imaginary parts of the half kick's outer product
+        k conj(k)^T on the rfft half-plane, columns 0 ... N//2; built on
+        first use."""
+        half = self.kick_half.size // 2 + 1
+        pair = np.multiply.outer(self.kick_half, self.kick_half[:half].conj())
+        return np.ascontiguousarray(pair.real), np.ascontiguousarray(pair.imag)
 
-        K rho K^dagger = ifft2(kick_pair * fft2(rho)) because p^2 is even
-        under p -> -p, so the kinetic congruence is one 2-D transform.
+    def _kinetic(self, packed: np.ndarray) -> np.ndarray:
+        """K rho K^dagger on a packed kernel R, with one rfft2 and one irfft2.
+
+        With S = fft2(R) and kappa = k conj(k)^T, the packed result is
+        ifft2(Re kappa * S + Im kappa * S^T), real because p^2 is even under
+        p -> -p.  On the half-plane, S^T is S[:h, :h]^T in rows below h and
+        conj(S[-l, N - k]) in rows k >= h (h = N//2 + 1, any N).
         """
-        return np.multiply.outer(self.kick_half, self.kick_half.conj())
+        n = packed.shape[0]
+        half = n // 2 + 1
+        spec = np.fft.rfft2(packed)
+        swap = np.empty_like(spec)
+        swap[:half] = spec[:half, :half].T
+        np.conjugate(spec[-np.arange(half) % n, n - half:0:-1].T, out=swap[half:])
+        kick_re, kick_im = self.kick_tables
+        spec *= kick_re
+        swap *= kick_im
+        spec += swap
+        # freed before the inverse transform allocates: fresh pages cost
+        # more than the arithmetic (about 22 against 26 ms a step at N = 512)
+        del swap
+        return np.fft.irfft2(spec, s=packed.shape)
 
-    def run_kernel(self, elements: np.ndarray) -> np.ndarray:
-        """One step rho -> U rho U^dagger, U = K(dt/2) D(dt) K(dt/2), on an
-        N x N kernel with four 2-D FFTs; the phase multiplies rows and columns."""
-        out = np.fft.fft2(elements)
-        np.multiply(self.kick_pair, out, out=out)
-        out = np.fft.ifft2(out)
-        out *= self.phase[:, None]
-        out *= self.phase.conj()
-        out = np.fft.fft2(out)
-        np.multiply(self.kick_pair, out, out=out)
-        return np.fft.ifft2(out)
+    def _potential(self, packed: np.ndarray) -> np.ndarray:
+        """phase R phase^dagger on a packed kernel: Re Z - (Im Z)^T for
+        Z = phase[:, None] R conj(phase); Z is freed on return."""
+        z = packed * self.phase[:, None]
+        z *= self.phase.conj()
+        return z.real - z.imag.T
+
+    def run_kernel(self, packed: np.ndarray) -> np.ndarray:
+        """One step rho -> U rho U^dagger, U = K(dt/2) D(dt) K(dt/2), on the
+        packed real N x N kernel R = Re rho + Im rho (see _pack_kernel).
+
+        Each kinetic congruence is one rfft2 and one irfft2; the phase
+        multiplies rows and columns.  Each stage drops the previous array,
+        so a temporary argument is freed after the first transform.
+        """
+        packed = self._kinetic(packed)
+        packed = self._potential(packed)
+        return self._kinetic(packed)
+
+
+def _pack_kernel(elements: np.ndarray) -> np.ndarray:
+    """The real array R = A + B of the Hermitian part A + iB of a kernel.
+
+    R = (P + Q^T) / 2 with P = Re + Im and Q = Re - Im, so a kernel with
+    roundoff asymmetry packs its Hermitian part, and an exactly Hermitian
+    one packs to the same bits as Re + Im.
+    """
+    packed = elements.real + elements.imag
+    packed += (elements.real - elements.imag).T
+    packed *= 0.5
+    return packed
+
+
+def _unpack_kernel(packed: np.ndarray) -> np.ndarray:
+    """The exactly Hermitian kernel (R + R^T)/2 + i (R - R^T)/2."""
+    out = np.empty(packed.shape, dtype=np.complex128)
+    np.add(packed, packed.T, out=out.real)
+    np.subtract(packed, packed.T, out=out.imag)
+    out *= 0.5
+    return out
 
 
 class Propagator:
@@ -169,8 +226,8 @@ class Propagator:
     elementwise dephasing factor.  Below _FFT_MIN_N grid points U is built
     once as a dense matrix (the split-step core applied to the identity), u,
     and a step is two matrix products.  From _FFT_MIN_N up no dense matrix
-    is built (u is None) and the split-step core steps the kernel with 2-D
-    FFTs.
+    is built (u is None) and the split-step core steps the kernel packed
+    as one real array, with real 2-D FFTs.
     """
 
     def __init__(
@@ -209,19 +266,28 @@ class Propagator:
             self.dephase_half = None
 
     def step_elements(self, elements: np.ndarray) -> np.ndarray:
-        """One full step on a raw density kernel; re-symmetrized on exit."""
+        """One full step on a raw density kernel; its Hermitian part is
+        stepped and the result is exactly Hermitian."""
+        if self.u is None:
+            # a temporary argument, so the core frees it after one transform
+            packed = self.core.run_kernel(self._dephase_packed(_pack_kernel(elements)))
+            return _unpack_kernel(self._dephase_packed(packed))
         if self.dephase_half is not None:
             elements = self.dephase_half * elements
-        if self.u is None:
-            elements = self.core.run_kernel(elements)
-        else:
-            elements = (self.u @ elements) @ self.u_dag
+        elements = (self.u @ elements) @ self.u_dag
         if self.dephase_half is not None:
             np.multiply(self.dephase_half, elements, out=elements)
         # in place on the step's own output: the same bits as 0.5 * (e + e^H)
         elements += elements.conj().T
         elements *= 0.5
         return elements
+
+    def _dephase_packed(self, packed: np.ndarray) -> np.ndarray:
+        """Half dephasing in place on a packed kernel: D is real and
+        symmetric, so D * (A + B) packs D * rho."""
+        if self.dephase_half is not None:
+            packed *= self.dephase_half
+        return packed
 
     def step_wave(self, amplitudes: np.ndarray) -> np.ndarray:
         """One unitary step on pure-state amplitudes (dephasing needs a kernel)."""

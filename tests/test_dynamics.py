@@ -234,7 +234,26 @@ def test_dense_unitary_below_fft_crossover_only():
     assert above.u is None and above.u_dag is None
 
 
-@pytest.mark.parametrize("n_points", [256, 512])
+def _cat(grid):
+    cat = coherent_state(grid, -2.5, 1.0, 0.8).amplitudes
+    cat = cat + coherent_state(grid, 2.0, -0.5, 0.7).amplitudes
+    return WaveFunction(grid, cat / math.sqrt(np.vdot(cat, cat).real * grid.dx))
+
+
+def _dense_step(grid, pot, lam, dt):
+    """The dense Strang oracle: one step of a kernel, re-symmetrized."""
+    u = reference_unitary(grid, pot, dt)
+    diff = grid.x[:, None] - grid.x[None, :]
+    dephase = np.exp(-lam * diff * diff * (dt / 2.0))
+
+    def step(el):
+        el = dephase * (u @ (dephase * el) @ u.conj().T)
+        return 0.5 * (el + el.conj().T)
+
+    return u, step
+
+
+@pytest.mark.parametrize("n_points", [256, 301, 512])
 @pytest.mark.parametrize("lam,dt", [(0.0, 0.01), (0.2, 0.01), (0.0, -0.01)])
 @pytest.mark.parametrize(
     "pot",
@@ -243,27 +262,45 @@ def test_dense_unitary_below_fft_crossover_only():
 )
 def test_fft_step_matches_dense_reference(n_points, lam, dt, pot):
     grid = GridSpec(n_points, -12.0, 12.0, mass=1.5)
-    cat = coherent_state(grid, -2.5, 1.0, 0.8).amplitudes
-    cat = cat + coherent_state(grid, 2.0, -0.5, 0.7).amplitudes
-    psi = WaveFunction(grid, cat / math.sqrt(np.vdot(cat, cat).real * grid.dx))
+    psi = _cat(grid)
     prop = Propagator(grid, pot, lam, dt)
     assert prop.u is None
-    u = reference_unitary(grid, pot, dt)
-    diff = grid.x[:, None] - grid.x[None, :]
-    dephase = np.exp(-lam * diff * diff * (dt / 2.0))
+    u, dense_step = _dense_step(grid, pot, lam, dt)
     el = ref = psi.to_density().elements
     wave = ref_wave = psi.amplitudes
     for _ in range(10):
         el, wave = prop.step_elements(el), prop.step_wave(wave)
-        ref = dephase * (u @ (dephase * ref) @ u.conj().T)
-        ref = 0.5 * (ref + ref.conj().T)
+        ref = dense_step(ref)
         ref_wave = u @ ref_wave
     assert np.max(np.abs(el - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.max(np.abs(wave - ref_wave)) <= 1e-13 * np.max(np.abs(ref_wave))
+    # the packed step leaves the kernel exactly Hermitian
+    assert np.array_equal(el, el.conj().T)
+
+
+@pytest.mark.parametrize("n_points", [256, 301])
+def test_fft_step_evolves_the_hermitian_part_of_a_noisy_kernel(n_points):
+    # a kernel inside DensityMatrix's 1e-10 asymmetry tolerance steps as its
+    # Hermitian part; the noise, 1e-11 in size, alone breaks the 1e-13 bound
+    grid = GridSpec(n_points, -12.0, 12.0, mass=1.5)
+    pot = double_well_potential(0.05, 3.0)
+    el = _cat(grid).to_density().elements
+    rng = np.random.default_rng(5)
+    noise = rng.normal(size=el.shape) + 1j * rng.normal(size=el.shape)
+    noise -= noise.conj().T
+    noise *= 1e-11 / np.max(np.abs(noise))
+    noisy = DensityMatrix(grid, el + noise).elements
+    _, dense_step = _dense_step(grid, pot, 0.2, 0.01)
+    out = Propagator(grid, pot, 0.2, 0.01).step_elements(noisy)
+    ref = dense_step(el)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(out, out.conj().T)
 
 
 def test_fft_propagator_holds_one_table_and_the_dephasing_kernel():
-    # the dense build held u, u_dag and the dephasing kernel: 10 MiB at N=512
+    # the dense build held u, u_dag and the dephasing kernel: 10 MiB at N=512;
+    # the packed step keeps one kick table, its real and imaginary halves on
+    # the rfft half-plane (2 x 512 x 257 reals), beside the 2 MiB dephasing kernel
     grid = GridSpec(512, -12.0, 12.0, mass=1.5)
     el = coherent_state(grid, 0.5, 1.0, 0.8).to_density().elements
     tracemalloc.start()
@@ -274,4 +311,4 @@ def test_fft_propagator_holds_one_table_and_the_dephasing_kernel():
     finally:
         tracemalloc.stop()
     assert prop.u is None
-    assert live <= 6.5 * 2**20
+    assert live <= 4.5 * 2**20
