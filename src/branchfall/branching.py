@@ -7,6 +7,12 @@ Pi rho Pi / Tr(Pi rho Pi).  Sampling one child per step instead of keeping
 all of them yields a stochastic trajectory whose history distribution is the
 Born weight of the corresponding branch.
 
+Both are read from one Hermitian factor rho ~ V diag(lam) V^H of the evolved
+kernel, found by a randomized range finder (_factor).  Decoherence leaves
+that kernel quasi-classical and of low numerical rank r, so the weights
+dx sum_k lam_k ||Pi_alpha v_k||^2 and the children (Pi V) diag(lam) (Pi V)^H
+cost O(N^2 r) per cell in place of the O(N^3) of Pi^2 and Pi rho Pi.
+
 The module also carries an explicit system (x) environment model — a qubit
 bath coupled to position — used to check that phase-space histories of the
 reduced dynamics really decohere, via the decoherence functional and
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -103,15 +110,48 @@ class BranchTree:
         ]
 
 
-def _branch_weights(povm: POVMSet, elements: np.ndarray) -> tuple[np.ndarray, float]:
-    """(Tr(Pi_alpha^2 rho) per cell, Tr(Pi_rest^2 rho)); clipped at zero.
+@lru_cache(maxsize=16)
+def _sketch(n: int, k: int) -> np.ndarray:
+    """Fixed-seed real Gaussian test matrix of shape (n, k), stored complex
+    for the products with the kernel.  Drawn from its own generator, so no
+    trajectory stream is touched; read-only, as it is shared."""
+    omega = np.random.default_rng(0x5EED).standard_normal((n, k)).astype(np.complex128)
+    omega.flags.writeable = False
+    return omega
 
-    Raises PositivityError below -1e-10, the floor of POVMSet.probabilities.
+
+def _factor(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, V) with elements ~ V diag(lam) V^H and orthonormal columns V.
+
+    A randomized range finder with one re-orthonormalized power step
+    (Halko, Martinsson & Tropp 2011, sec. 4): Q = qr(rho Omega), then
+    Q = qr(rho Q), then the Ritz pairs of the k x k matrix Q^H rho Q.  k
+    starts at 32 and doubles until the smallest Ritz value drops below
+    N eps |lam|_max, the kernel's own roundoff floor, so the rank follows
+    from the input; at k = N the full eigh is taken instead.  Ritz pairs
+    below eps |lam|_max carry roundoff only and are dropped.  lam keeps its
+    sign, so a kernel that is not positive yields negative weights.
     """
-    dx = povm.grid.dx
-    w = np.einsum("aij,ji->a", povm.squares, elements).real * dx
-    esc = float(np.sum(povm._rest_square * elements.T).real * dx)
-    return _clip_weights(w, esc)
+    n = elements.shape[0]
+    eps = np.finfo(float).eps
+    k = min(n, 32)
+    while k < n:
+        q = np.linalg.qr(elements @ _sketch(n, k))[0]
+        q = np.linalg.qr(elements @ q)[0]
+        lam, ritz = np.linalg.eigh(q.conj().T @ (elements @ q))
+        if np.abs(lam).min() <= n * eps * np.abs(lam).max():
+            vecs = q @ ritz
+            break
+        k *= 2
+    else:
+        lam, vecs = np.linalg.eigh(elements)
+    keep = np.abs(lam) > eps * np.abs(lam).max()
+    return lam[keep], vecs[:, keep]
+
+
+def _mass(lam: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """sum_k lam_k ||v_k||^2 over the columns v_k of vecs, per leading index."""
+    return np.sum(vecs.real**2 + vecs.imag**2, axis=-2) @ lam
 
 
 def _interval_propagator(
@@ -126,34 +166,37 @@ def _interval_propagator(
 
 def _evolve_and_weigh(
     prop: Propagator, n_sub: int, povm: POVMSet, elements: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Evolve a kernel over one interval and weigh the cells.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """Evolve a kernel over one interval, factor it and weigh the cells.
 
-    Every substep passes the density guard of evolve.
-    Returns (evolved kernel, cell weights, escape weight, total weight).
+    Every substep passes the density guard of evolve.  With the factor
+    rho = V diag(lam) V^H, the weight Tr(Pi_alpha^2 rho) of cell alpha is
+    dx sum_k lam_k ||Pi_alpha v_k||^2, and the escape weight is the same sum
+    over Pi_rest V = V - sum_alpha Pi_alpha V.  Raises PositivityError below
+    -1e-10.  Returns (lam, V, the stack of Pi_alpha V, cell weights, escape
+    weight); the evolved N x N kernel is dropped.
     """
     for i in range(1, n_sub + 1):
         elements = prop.step_elements(elements)
         _check_density(elements, povm.grid.dx, f"substep {i} of {n_sub}")
-    weights, esc = _branch_weights(povm, elements)
-    return elements, weights, esc, weights.sum() + esc
+    lam, vecs = _factor(elements)
+    projs = povm.project(vecs)
+    dx = povm.grid.dx
+    weights, esc = _clip_weights(
+        _mass(lam, projs) * dx, float(_mass(lam, vecs - projs.sum(axis=0))) * dx
+    )
+    return lam, vecs, projs, weights, esc
 
 
-def _collapse(povm: POVMSet, elements: np.ndarray, alpha: int) -> Optional[np.ndarray]:
-    """Lueders update onto cell alpha, normalized and re-symmetrized.
-
-    None when the projected kernel has no positive trace.
-    """
-    proj = povm.project(elements, alpha)
-    tr = float(np.sum(np.diag(proj)).real * povm.grid.dx)
-    if tr <= 0:
-        return None
-    # in place on the fresh projection: the same bits as 0.5 * (c + c^H)
-    # for c = proj / tr, without two N^2 temporaries
-    proj /= tr
-    proj += proj.conj().T
-    proj *= 0.5
-    return proj
+def _collapse(proj: np.ndarray, lam: np.ndarray, weight: float) -> np.ndarray:
+    """Lueders child Pi rho Pi / w of rho = V diag(lam) V^H, from proj = Pi V
+    and the cell weight w > 0, re-symmetrized in place."""
+    child = (proj * (lam / weight)) @ proj.conj().T
+    # in place on the fresh product: the same bits as 0.5 * (c + c^H)
+    # without two N^2 temporaries
+    child += child.conj().T
+    child *= 0.5
+    return child
 
 
 def branch_step(
@@ -182,7 +225,10 @@ def branch_step(
     dropped = tree.dropped_weight
     escaped = tree.escape_weight
     for leaf in tree.leaves:
-        el, weights, esc, total = _evolve_and_weigh(prop, n_sub, tree.povm, leaf.state.elements)
+        lam, _, projs, weights, esc = _evolve_and_weigh(
+            prop, n_sub, tree.povm, leaf.state.elements
+        )
+        total = weights.sum() + esc
         if total <= 0:
             raise EmptyTree(f"leaf {leaf.history} has no weight anywhere")
         if esc / total > escape_tol:
@@ -196,10 +242,7 @@ def branch_step(
             if w_child < tree.prune_epsilon:
                 dropped += w_child
                 continue
-            child_el = _collapse(tree.povm, el, int(alpha))
-            if child_el is None:
-                dropped += w_child
-                continue
+            child_el = _collapse(projs[alpha], lam, weights[alpha])
             child = DensityMatrix(grid, child_el, validate=False)
             new_leaves.append(
                 BranchNode(
@@ -228,13 +271,15 @@ def branch_step(
 @dataclass
 class _HistoryNode:
     """A BornSampler cache entry: the state after one collapse history and,
-    once evolved, the kernel and cumulative cell weights of the next interval.
-    Past the root, evolving a node releases its state (see trajectory)."""
+    once evolved, the factor (lam, V) and cell weights of the next interval.
+    Past the root, evolving a node releases its state (see trajectory), so
+    an evolved node holds N x r arrays only."""
 
     state: Optional[np.ndarray]
     z: PhasePoint
-    evolved: Optional[np.ndarray] = None
-    cum: Optional[np.ndarray] = None
+    lam: Optional[np.ndarray] = None
+    vecs: Optional[np.ndarray] = None
+    weights: Optional[np.ndarray] = None
     total: float = 0.0
 
 
@@ -244,12 +289,13 @@ class BornSampler:
     Trajectories that share a collapse-history prefix share its evolution.
     The history tree is expanded lazily, keyed by prefix: a node keeps its
     post-collapse state and phase point and, once a trajectory leaves it,
-    the evolved kernel and cumulative cell weights of the next interval.
-    Each trajectory draws from its own rng stream against those weights.
-    The float operations per history are those of evolving it alone, so
-    results are bit-identical to independent sampling.  At most NODE_CAP
-    nodes are cached, each holding one kernel (the root two); past the cap,
-    trajectories continue on uncached states.
+    the factor (lam, V) of the evolved kernel and the cell weights of the
+    next interval; a child state is rebuilt from Pi_alpha V.  Each
+    trajectory draws from its own rng stream against those weights.  The
+    float operations per history are those of evolving it alone, so results
+    are bit-identical to independent sampling.  At most NODE_CAP nodes are
+    cached, each holding one N x r factor (the root also its initial
+    kernel); past the cap, trajectories continue on uncached states.
     """
 
     def __init__(
@@ -289,17 +335,17 @@ class BornSampler:
         node = self._nodes[history]
         records = [(0.0, None, node.z)]
         for step in range(1, n_steps + 1):
-            if node.cum is None:
-                node.evolved, weights, _, node.total = _evolve_and_weigh(
+            if node.vecs is None:
+                node.lam, node.vecs, _, node.weights, esc = _evolve_and_weigh(
                     self._prop, self._n_sub, self.povm, node.state
                 )
-                node.cum = np.cumsum(weights)
+                node.total = node.weights.sum() + esc
                 if history:
                     node.state = None
             t = step * self.dt
             draw = rng.random() * node.total
-            alpha = int(np.searchsorted(node.cum, draw, side="right"))
-            if alpha >= len(node.cum):
+            alpha = int(np.searchsorted(np.cumsum(node.weights), draw, side="right"))
+            if alpha >= len(node.weights):
                 err = EscapeSampled(f"escape element drawn at t = {t:.6g}")
                 err.time = t
                 err.records = records
@@ -311,7 +357,7 @@ class BornSampler:
                 break
         if node.state is None:
             # a longer trajectory evolved this node: project the parent again
-            final = _collapse(self.povm, self._nodes[history[:-1]].evolved, history[-1])
+            final = self._project(self._nodes[history[:-1]], history[-1])
         else:
             final = node.state.copy()
         return records, DensityMatrix(self.grid, final, validate=False)
@@ -319,13 +365,17 @@ class BornSampler:
     def _child(self, history: tuple[int, ...], parent: _HistoryNode, alpha: int) -> _HistoryNode:
         node = self._nodes.get(history)
         if node is None:
-            state = _collapse(self.povm, parent.evolved, alpha)
-            if state is None:
-                raise ExplosionGuard(f"history {history}: projected trace is not positive")
+            state = self._project(parent, alpha)
             node = _HistoryNode(state, mean_phase_point(DensityMatrix(self.grid, state, validate=False)))
             if len(self._nodes) < NODE_CAP:
                 self._nodes[history] = node
         return node
+
+    def _project(self, parent: _HistoryNode, alpha: int) -> np.ndarray:
+        """The Lueders child of an evolved node in cell alpha; a drawn cell
+        always has positive weight."""
+        proj = self.povm.project(parent.vecs, alpha)
+        return _collapse(proj, parent.lam, parent.weights[alpha])
 
 
 def mixture_consistency(tree: BranchTree, reference: DensityMatrix) -> float:

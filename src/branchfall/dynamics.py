@@ -13,11 +13,12 @@ every Strang loop: the Propagator, GRW and the explicit qubit model.  It
 steps blocks of states along the last axis and fuses the kinetic half-steps
 of chained steps (K(dt/2) K(dt/2) = K(dt)): n steps cost 2n + 2 FFTs, not
 4n.  It also steps a density kernel in place of a block of states, with the
-congruence K rho K^dagger applied as one real 2-D transform pair.  Below
-_FFT_MIN_N grid points the Propagator materializes the Strang unitary as a
-dense matrix and steps kernels with two matrix products; from _FFT_MIN_N up
-it keeps no dense matrix and steps kernels with the core's 2-D transforms,
-O(N^2 log N) in place of O(N^3).  There a Hermitian kernel A + iB moves as
+congruence K rho K^dagger applied as one real 2-D transform pair.  On grids
+of _FFT_MIN_N points or more whose prime factors are at most _FFT_MAX_PRIME
+(_fft_path), the Propagator keeps no dense matrix and steps kernels with the
+core's 2-D transforms, O(N^2 log N) in place of O(N^3); on every other grid
+it materializes the Strang unitary as a dense matrix and steps kernels with
+two matrix products.  On the FFT path a Hermitian kernel A + iB moves as
 the one real array R = A + B, which rfft2/irfft2 transform at about half
 the cost of a complex fft2/ifft2; A and B are the symmetric and
 antisymmetric parts of R, so the kernel leaves the step exactly Hermitian.
@@ -54,6 +55,14 @@ __all__ = [
 # 256 up the build also skips the dense unitary (about 4.3 against 1.3 ms at
 # N = 256).  Lowering the bound would change the bytes of N = 192 payloads.
 _FFT_MIN_N = 256
+
+# Largest prime factor of N for which the packed FFT step still beats the
+# dense one: pocketfft's cost per point grows with the prime factors of N.
+# FFT against dense step time, one BLAS thread, two runs each: 0.79-0.82 at
+# N = 264 (factor 11), 0.67-0.76 at 273 (13), 0.76-0.86 at 272 (17) and
+# 0.61-0.86 at 266 (19), but 0.90-1.08 at 276 (23), 1.12-1.31 at 287 (41),
+# 0.90-1.07 at 301 (43) and 1.5-2.5 at the prime 257.
+_FFT_MAX_PRIME = 19
 
 # Most mass a density step may leave in the outer two grid cells on either
 # side: mass there wraps around the periodic grid and is booked to the
@@ -107,6 +116,17 @@ def double_well_potential(barrier: float, half_separation: float) -> Potential:
         dv=lambda x: 4 * a * x * (x * x - b * b),
         name="double_well",
     )
+
+
+def _fft_path(n: int) -> bool:
+    """True when a Propagator on n grid points steps kernels with the
+    packed FFT: n >= _FFT_MIN_N and no prime factor above _FFT_MAX_PRIME."""
+    if n < _FFT_MIN_N:
+        return False
+    for p in range(2, _FFT_MAX_PRIME + 1):
+        while n % p == 0:
+            n //= p
+    return n == 1
 
 
 class _SplitStep:
@@ -223,11 +243,11 @@ class Propagator:
 
     A step is D(dt/2) U D(dt/2) on a density kernel, with the Strang unitary
     U = K(dt/2) V(dt) K(dt/2) acting as rho -> U rho U^dagger and D the
-    elementwise dephasing factor.  Below _FFT_MIN_N grid points U is built
-    once as a dense matrix (the split-step core applied to the identity), u,
-    and a step is two matrix products.  From _FFT_MIN_N up no dense matrix
-    is built (u is None) and the split-step core steps the kernel packed
-    as one real array, with real 2-D FFTs.
+    elementwise dephasing factor.  On the FFT path (see _fft_path) no dense
+    matrix is built (u is None) and the split-step core steps the kernel
+    packed as one real array, with real 2-D FFTs.  On every other grid U is
+    built once as a dense matrix (the split-step core applied to the
+    identity), u, and a step is two matrix products.
     """
 
     def __init__(
@@ -250,7 +270,7 @@ class Propagator:
 
         self.core = _SplitStep(grid, potential.values(grid), dt)
         self.u = self.u_dag = None
-        if grid.n_points < _FFT_MIN_N:
+        if not _fft_path(grid.n_points):
             # row j of the core's output is U e_j; the C-ordered copy keeps
             # the BLAS products of step_elements on the same code path, and
             # the rows are freed before the dephasing kernel is built

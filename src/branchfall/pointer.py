@@ -9,14 +9,16 @@ q-envelopes and a Hermitian matrix T of the p plane waves.  A cell then
 costs O((n_q + n_p) N^2), not O(n_q n_p N^2).  The remainder
 Pi_rest = I - sum Pi_alpha is kept as the exact subtraction so completeness
 is an identity; it is positive up to quadrature error only (the continuum
-remainder integral is an operator <= I).
+remainder integral is an operator <= I).  A state being collapsed meets
+the operators only through POVMSet.project, as Pi_alpha V for a factor
+rho = V diag(lam) V^H of its kernel with r << N columns: branch weights and
+Lueders children cost O(N^2 r) per cell, and no Pi_alpha^2 is ever built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -164,16 +166,6 @@ class POVMSet:
     rule: str
     quadrature: tuple[int, int]
 
-    @cached_property
-    def squares(self) -> np.ndarray:
-        """Pi_alpha^2 for repeated-application weights; built on first use."""
-        return self.operators @ self.operators
-
-    @cached_property
-    def _rest_square(self) -> np.ndarray:
-        """Pi_rest^2 for the escape weight; built on first use."""
-        return self.rest @ self.rest
-
     def trace_product(self, op: np.ndarray, rho: DensityMatrix) -> float:
         return float(np.sum(op * rho.elements.T).real * self.grid.dx)
 
@@ -188,10 +180,15 @@ class POVMSet:
         )
         return _clip_weights(probs, self.trace_product(self.rest, rho))
 
-    def project(self, elements: np.ndarray, alpha: int) -> np.ndarray:
-        """Raw (unnormalized) update Pi_alpha rho Pi_alpha on kernel elements."""
-        pi = self.operators[alpha]
-        return (pi @ elements) @ pi
+    def project(self, vecs: np.ndarray, alpha: int | None = None) -> np.ndarray:
+        """Pi_alpha V for the columns V of a factor rho = V diag(lam) V^H;
+        with alpha None, the stack of Pi_alpha V over every cell.
+
+        The one place where a cell operator meets a state being collapsed:
+        the weight Tr(Pi_alpha^2 rho) and the Lueders update Pi_alpha rho
+        Pi_alpha both follow from Pi_alpha V, in O(N^2 r) for r columns.
+        """
+        return (self.operators if alpha is None else self.operators[alpha]) @ vecs
 
 
 def _clip_weights(weights: np.ndarray, escape: float) -> tuple[np.ndarray, float]:

@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .branching import BornSampler
-from .dynamics import Potential, evolve
+from .dynamics import Potential, Propagator, _evolve_on
 from .ehrenfest import WidthSeries, classicality_horizon
 from .errors import EscapeSampled, WindowTooSmall
 from .pointer import POVMSet
@@ -237,7 +237,7 @@ def _measured_horizon(spec: ReductionSpec, z0: PhasePoint, total_time: float) ->
     what the collapse trajectories ever occupy.  Scans chunk by chunk at a
     fifth of the collapse interval (widths move on dynamical timescales, so
     dt_int-fine stepping would buy nothing) and stops at the first bound
-    crossing.
+    crossing.  One propagator steps every chunk.
     """
     grid = spec.povm.grid
     factor = max(1, min(3, 512 // grid.n_points))
@@ -250,12 +250,10 @@ def _measured_horizon(spec: ReductionSpec, z0: PhasePoint, total_time: float) ->
     state = coherent_state(wide, z0.q, z0.p, spec.sigma_x).to_density()
     n_sub = 5
     n_chunks = max(1, int(round(total_time / spec.dt)))
+    prop = Propagator(wide, spec.potential, spec.lambda_rate, spec.dt / n_sub)
     offset = 0.0
     for _ in range(n_chunks):
-        rec = evolve(
-            state, spec.potential, spec.lambda_rate,
-            dt=spec.dt / n_sub, n_steps=n_sub, record_every=1,
-        )
+        rec = _evolve_on(prop, state, n_sub)
         w = WidthSeries.from_record(rec)
         hz = classicality_horizon(
             WidthSeries(w.times + offset, w.delta_x, w.delta_p),

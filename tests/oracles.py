@@ -4,10 +4,12 @@ These deliberately avoid the package's own code paths: the cell operator
 below comes from doing the coherent-state window integrals in closed form
 (erf factor in position, boxcar Fourier factor in momentum), the reference
 window POVM is the plain per-node packet loop that the blocked build must
-reproduce bit for bit, and the reference sampler is the plain
-per-trajectory loop that the shared-history sampler must reproduce bit for
-bit.  The reference CSV writer and defect scan are the per-cell loops that
-the columnar writer and the prefiltered scan must match byte for byte and
+reproduce to roundoff, and the reference sampler is the plain dense
+per-trajectory loop whose histories the shared-history sampler, which
+collapses from a low-rank factor, must reproduce exactly and whose states
+it must match to the roundoff floor eps / w of a child of weight w.  The
+reference CSV writer and defect scan are the per-cell loops that the
+columnar writer and the prefiltered scan must match byte for byte and
 verdict for verdict.  The reference Strang loop is the unfused four-FFT
 step on axis 0 that the fused split-step core must match to roundoff, and
 whose one-step image of the identity is the dense unitary bit for bit.
@@ -47,9 +49,9 @@ def reference_povm(grid, partition, sigma_x, quadrature, rule="gauss"):
     """Cell operators built one quadrature node at a time, with the
     Gauss-Legendre or the midpoint rule on each axis.
 
-    Returns (operators, rest, squares, rest_square, leak): squares by
-    einsum, and leak as the full-SVD operator norm of Pi_rest acting on
-    the normalized probe packet parked at the window center.
+    Returns (operators, rest, leak), with leak the full-SVD operator norm
+    of Pi_rest acting on the normalized probe packet parked at the window
+    center.
     """
     nq, npp = quadrature
 
@@ -82,33 +84,35 @@ def reference_povm(grid, partition, sigma_x, quadrature, rule="gauss"):
         op *= grid.dx / (2.0 * math.pi)
         ops[alpha] = 0.5 * (op + op.conj().T)
     rest = np.eye(n) - ops.sum(axis=0)
-    squares = np.einsum("aij,ajk->aik", ops, ops)
-    rest_square = np.einsum("ij,jk->ik", rest, rest)
     probe = packet(0.5 * sum(partition.x_window), 0.5 * sum(partition.p_window))
     leak = float(np.linalg.norm(rest @ np.outer(probe, probe.conj()) * grid.dx, 2))
-    return ops, rest, squares, rest_square, leak
+    return ops, rest, leak
 
 
 def reference_trajectory(rho0, potential, lambda_rate, povm, dt, n_steps, rng_seed, dt_int, stop=None):
-    """One Born-sampled history evolved on its own from rho0.
+    """One Born-sampled history evolved on its own from rho0, all dense.
 
-    Fresh propagator, then per interval: evolve, weigh with
-    Tr(Pi_alpha^2 rho), draw, Lueders-project and renormalize.  Returns
-    (records, final kernel); drawing the remainder raises EscapeSampled
-    with .time and .records, and stop(t, alpha, z) ends the run early.
+    Fresh propagator, then per interval: evolve, weigh with the dense
+    Tr(Pi_alpha^2 rho), draw, Lueders-project Pi rho Pi with two N x N
+    products and renormalize.  Returns (records, final kernel, born), born[k]
+    the product of the first k drawn cell weights (born[0] = 1); drawing the
+    remainder raises EscapeSampled with .time, .records and .born, and
+    stop(t, alpha, z) ends the run early.
     """
     grid = rho0.grid
     dx = grid.dx
     n_sub = max(1, int(round(dt / dt_int)))
     prop = Propagator(grid, potential, lambda_rate, dt / n_sub)
     rng = np.random.default_rng(rng_seed)
+    squares = povm.operators @ povm.operators
     rest_sq = povm.rest @ povm.rest
     el = rho0.elements.copy()
     records = [(0.0, None, mean_phase_point(rho0))]
+    born = [1.0]
     for step in range(1, n_steps + 1):
         for _ in range(n_sub):
             el = prop.step_elements(el)
-        weights = np.clip(np.einsum("aij,ji->a", povm.squares, el).real * dx, 0.0, None)
+        weights = np.clip(np.einsum("aij,ji->a", squares, el).real * dx, 0.0, None)
         esc = max(float(np.sum(rest_sq * el.T).real * dx), 0.0)
         t = step * dt
         draw = rng.random() * (weights.sum() + esc)
@@ -117,7 +121,9 @@ def reference_trajectory(rho0, potential, lambda_rate, povm, dt, n_steps, rng_se
             err = EscapeSampled(f"escape element drawn at t = {t:.6g}")
             err.time = t
             err.records = records
+            err.born = born
             raise err
+        born.append(born[-1] * weights[alpha])
         pi = povm.operators[alpha]
         proj = (pi @ el) @ pi
         el = proj / float(np.sum(np.diag(proj)).real * dx)
@@ -126,7 +132,7 @@ def reference_trajectory(rho0, potential, lambda_rate, povm, dt, n_steps, rng_se
         records.append((t, alpha, z))
         if stop is not None and stop(t, alpha, z):
             break
-    return records, el
+    return records, el, born
 
 
 def _reference_cell(value) -> str:

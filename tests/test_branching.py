@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import operator
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -332,27 +333,47 @@ def test_escape_sampled_carries_context(povm_3x3):
 
 
 def _outcome(run):
-    """("ok", records, final kernel) or ("escape", time, records)."""
+    """("ok", records, final kernel, born) or ("escape", time, records, born);
+    born holds the reference's products of drawn cell weights, None for the
+    sampler."""
     try:
-        recs, final = run()
+        recs, final, *born = run()
     except EscapeSampled as err:
-        return "escape", err.time, err.records
-    return "ok", recs, getattr(final, "elements", final)
+        return "escape", err.time, err.records, getattr(err, "born", None)
+    return "ok", recs, getattr(final, "elements", final), born[0] if born else None
+
+
+# Largest deviation of the factored collapse from the dense reference, in
+# units of the roundoff floor eps / W of a state reached through drawn cell
+# weights of product W: on each phase-point coordinate, and on the final
+# kernel relative to its largest entry.  Measured: at most 6.6 and 2.1.
+_FLOOR_UNITS = 64.0
 
 
 def _sample_against_reference(args, dt_int, runs, stop=None):
     """Draw every (n_steps, seed) run from one shared BornSampler and from
-    the reference loop; assert bit-identical outcomes, return the sampler's."""
+    the dense reference loop.  Histories, collapse times and escapes agree
+    exactly; every phase point and the final kernel agree to within
+    _FLOOR_UNITS * eps / W.  Returns the sampler's outcomes."""
+    eps = np.finfo(float).eps
     sampler = BornSampler(*args, dt_int=dt_int)
     outcomes = []
     for n_steps, seed in runs:
         got = _outcome(lambda: sampler.trajectory(n_steps, seed, stop=stop))
         want = _outcome(lambda: reference_trajectory(*args, n_steps, seed, dt_int, stop=stop))
-        assert got[:2] == want[:2]
+        assert got[0] == want[0]
         if got[0] == "ok":
-            assert np.array_equal(got[2], want[2])
+            recs, ref_recs = got[1], want[1]
         else:
-            assert got[2] == want[2]
+            assert got[1] == want[1]
+            recs, ref_recs = got[2], want[2]
+        assert [r[:2] for r in recs] == [r[:2] for r in ref_recs]
+        born = want[3]
+        for (_, _, z), (_, _, z_ref), w in zip(recs, ref_recs, born):
+            assert max(abs(z.q - z_ref.q), abs(z.p - z_ref.p)) <= _FLOOR_UNITS * eps / w
+        if got[0] == "ok":
+            dev = np.abs(got[2] - want[2]).max() / np.abs(want[2]).max()
+            assert dev <= _FLOOR_UNITS * eps / born[len(recs) - 1]
         outcomes.append(got)
     return outcomes
 
@@ -365,7 +386,7 @@ def test_born_sampler_matches_reference_multi_step(wide_povm_3x3):
     # the shorter reruns end on nodes that the longer runs already evolved
     runs = [(3, seed) for seed in seeds] + [(2, seed) for seed in seeds[:10]]
     outcomes = _sample_against_reference(args, 0.03, runs)
-    histories = {tuple(r[1] for r in recs[1:]) for kind, recs, _ in outcomes[:30] if kind == "ok"}
+    histories = {tuple(r[1] for r in recs[1:]) for kind, recs, *_ in outcomes[:30] if kind == "ok"}
     assert len(histories) >= 3 and all(len(h) == 3 for h in histories)
 
 
@@ -373,7 +394,7 @@ def test_born_sampler_matches_reference_on_escape(povm_3x3):
     rho = DensityMatrix.from_pure(coherent_state(GRID, 0.0, 5.8, 1.0))
     args = (rho, free_potential(), 0.0, povm_3x3, 0.05)
     outcomes = _sample_against_reference(args, 0.005, [(2, seed) for seed in range(12)])
-    kinds = {kind for kind, _, _ in outcomes}
+    kinds = {kind for kind, *_ in outcomes}
     assert kinds == {"ok", "escape"}
 
 
@@ -384,7 +405,7 @@ def test_born_sampler_matches_reference_with_stop_hook(wide_povm_3x3):
     outcomes = _sample_against_reference(
         args, 0.03, [(3, seed) for seed in seeds], stop=lambda t, alpha, z: alpha == 4
     )
-    lengths = {len(recs) for kind, recs, _ in outcomes if kind == "ok"}
+    lengths = {len(recs) for kind, recs, *_ in outcomes if kind == "ok"}
     assert 2 in lengths and len(lengths) > 1  # some stopped early, some ran on
 
 
@@ -438,6 +459,143 @@ def test_born_sampler_cache_cap_keeps_results(wide_povm_3x3, monkeypatch):
     for (recs_a, final_a), (recs_b, final_b) in zip(uncapped, capped):
         assert recs_a == recs_b
         assert np.array_equal(final_a, final_b)
+
+
+# The POVM shapes of the benchmark's sample runs (N = 128, 3 x 3 cells, 4
+# intervals), its wide-grid branch runs (N = 512, 1 x 2, one interval) and
+# its reduce runs (N = 96, 1 x 3, mass 4, sigma_x = 0.8, one interval), each
+# with its dynamics and packet.
+_BENCH_SHAPES = {
+    "128-3x3": dict(
+        grid=GridSpec(128, -10.0, 10.0, 1.0), cells=((-6.0, 6.0), (-6.0, 6.0), 3, 3),
+        sigma_x=0.7071, potential=harmonic_potential(1.0, 1.0), lam=0.5, dt=0.3,
+        dt_int=0.03, q0=2.0, intervals=4,
+    ),
+    "512-1x2": dict(
+        grid=GridSpec(512, -16.0, 16.0, 1.0), cells=((-6.0, 6.0), (-6.0, 6.0), 1, 2),
+        sigma_x=0.7071, potential=harmonic_potential(1.0, 1.0), lam=0.5, dt=0.3,
+        dt_int=0.1, q0=2.0, intervals=1,
+    ),
+    "96-1x3": dict(
+        grid=GridSpec(96, -10.0, 10.0, 4.0), cells=((-6.0, 6.0), (-12.0, 12.0), 1, 3),
+        sigma_x=0.8, potential=harmonic_potential(4.0, 0.25), lam=0.25, dt=1.5,
+        dt_int=0.1, q0=1.0, intervals=1,
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=list(_BENCH_SHAPES))
+def bench_shape(request):
+    """(shape, POVM, initial packet) of one benchmark shape."""
+    shape = _BENCH_SHAPES[request.param]
+    povm = build_povm(shape["grid"], PhasePartition(*shape["cells"]), shape["sigma_x"])
+    rho = coherent_state(shape["grid"], shape["q0"], 0.0, shape["sigma_x"]).to_density()
+    return shape, povm, rho
+
+
+def _check_against_dense_collapse(povm, el):
+    """Weigh and collapse the kernel el from its factor and check every
+    weight against the dense Tr(Pi^2 rho), and every child of weight
+    w > 1e-12 against the dense Lueders child, to _FLOOR_UNITS * eps / w of
+    its largest entry.  Returns the factor's lam."""
+    eps = np.finfo(float).eps
+    dx = povm.grid.dx
+    # no substeps: the kernel is factored and weighed as given
+    lam, _, projs, weights, esc = branching._evolve_and_weigh(None, 0, povm, el)
+    dense_w = np.einsum("aij,ji->a", povm.operators @ povm.operators, el).real * dx
+    dense_esc = float(np.sum((povm.rest @ povm.rest) * el.T).real * dx)
+    # 1e-14 relative from w = 0.1 up, below that the 1e-15 floor of the
+    # dense trace sum (measured: 2.7e-15 relative for w >= 1e-2, and at
+    # most 2.5e-16 absolute below)
+    for got, want in zip([*weights, esc], [*dense_w, dense_esc]):
+        assert abs(got - want) <= 1e-14 * max(want, 0.1)
+    for alpha in np.flatnonzero(weights > 1e-12):
+        pi = povm.operators[alpha]
+        dense = (pi @ el) @ pi
+        dense /= np.trace(dense).real * dx
+        child = branching._collapse(projs[alpha], lam, weights[alpha])
+        assert np.array_equal(child, child.conj().T)
+        dev = np.abs(child - dense).max() / np.abs(dense).max()
+        assert dev <= _FLOOR_UNITS * eps / weights[alpha]
+    return lam
+
+
+def test_factored_collapse_matches_dense_lueders(bench_shape):
+    shape, povm, rho = bench_shape
+    prop, n_sub = branching._interval_propagator(
+        shape["grid"], shape["potential"], shape["lam"], shape["dt"], shape["dt_int"]
+    )
+    el = rho.elements
+    for _ in range(n_sub):
+        el = prop.step_elements(el)
+    lam = _check_against_dense_collapse(povm, el)
+    assert len(lam) < shape["grid"].n_points / 2
+
+
+def test_full_rank_mixed_kernel_takes_the_full_eigh(monkeypatch):
+    # a random mixture under a Gaussian envelope: more than 32 eigenvalues
+    # above N eps |lam|_max, so the sketch doubles to k = N = 64
+    grid = GridSpec(64, -8.0, 8.0, 1.0)
+    povm = build_povm(grid, PhasePartition((-6.0, 6.0), (-4.0, 4.0), 2, 1), sigma_x=0.7)
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    env = np.exp(-grid.x**2 / (2 * 1.5**2))
+    el = env[:, None] * (m @ m.conj().T) * env[None, :]
+    el = 0.5 * (el + el.conj().T) / (np.trace(el).real * grid.dx)
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a):
+        sizes.append(a.shape[0])
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    lam = _check_against_dense_collapse(povm, el)
+    assert sizes == [32, 64]
+    assert len(lam) > 32
+
+
+def test_born_sampler_nodes_hold_factors_not_kernels(bench_shape):
+    shape, povm, rho = bench_shape
+    n = shape["grid"].n_points
+    sampler = BornSampler(
+        rho, shape["potential"], shape["lam"], povm, shape["dt"], shape["dt_int"]
+    )
+    for i in range(6):
+        try:
+            sampler.trajectory(shape["intervals"], np.random.SeedSequence(entropy=1, spawn_key=(i,)))
+        except EscapeSampled:
+            pass
+    evolved = {h: node for h, node in sampler._nodes.items() if node.vecs is not None}
+    assert () in evolved and len(evolved) >= min(shape["intervals"], 2)
+    for history, node in evolved.items():
+        square = [a for a in vars(node).values() if isinstance(a, np.ndarray) and a.ndim == 2
+                  and a.shape[1] == n]
+        # past the root, an evolved node keeps no N x N array; the root
+        # keeps its initial kernel
+        assert len(square) == (0 if history else 1)
+        assert node.vecs.shape[0] == n and node.vecs.shape[1] < n / 2
+
+
+def test_wide_branch_step_builds_no_operator_squares():
+    # one N = 512 branch interval on a fresh 1 x 2 POVM: Pi^2 and Pi_rest^2
+    # alone would hold 12 MiB.  Measured: a peak of 21.4 MiB and 8.9 MiB
+    # live (the two 4 MiB children); squares kept the parent at 36.1 and
+    # 20.0 MiB
+    shape = _BENCH_SHAPES["512-1x2"]
+    grid = shape["grid"]
+    povm = build_povm(grid, PhasePartition(*shape["cells"]), shape["sigma_x"])
+    rho = coherent_state(grid, shape["q0"], 0.0, shape["sigma_x"]).to_density()
+    tree = BranchTree.from_state(rho, povm, shape["dt"], 1e-4)
+    tracemalloc.start()
+    try:
+        out = branch_step(tree, shape["potential"], shape["lam"], shape["dt_int"])
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out.leaves) == 2
+    assert live <= 9.5 * 2**20
+    assert peak <= 24 * 2**20
 
 
 def test_suggested_branch_interval():

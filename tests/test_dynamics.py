@@ -29,6 +29,7 @@ from branchfall.dynamics import (
     free_potential,
     harmonic_potential,
 )
+from branchfall import dynamics
 from branchfall.dynamics import _SplitStep
 from oracles import reference_strang, reference_unitary
 
@@ -234,6 +235,19 @@ def test_dense_unitary_below_fft_crossover_only():
     assert above.u is None and above.u_dag is None
 
 
+def test_fft_path_needs_small_prime_factors():
+    pot = harmonic_potential(1.0, 0.7)
+    # 301 = 7 43 and the prime 257 step slower on the FFT path than dense
+    for n in (257, 301):
+        assert Propagator(GridSpec(n, -10.0, 10.0), pot, 0.1, 0.01).u.flags.c_contiguous
+    for n in (264, 266, 315):
+        assert Propagator(GridSpec(n, -10.0, 10.0), pot, 0.1, 0.01).u is None
+    # every benchmark grid keeps its path: dense below 256, FFT from 256 up
+    assert [dynamics._fft_path(n) for n in (96, 128, 192, 256, 288, 512)] == [
+        False, False, False, True, True, True,
+    ]
+
+
 def _cat(grid):
     cat = coherent_state(grid, -2.5, 1.0, 0.8).amplitudes
     cat = cat + coherent_state(grid, 2.0, -0.5, 0.7).amplitudes
@@ -253,7 +267,9 @@ def _dense_step(grid, pot, lam, dt):
     return u, step
 
 
-@pytest.mark.parametrize("n_points", [256, 301, 512])
+# 315 = 3^2 5 7 is the odd grid on the FFT path; 301 = 7 43 steps on the
+# dense path (see _fft_path), which must meet the same bounds
+@pytest.mark.parametrize("n_points", [256, 301, 315, 512])
 @pytest.mark.parametrize("lam,dt", [(0.0, 0.01), (0.2, 0.01), (0.0, -0.01)])
 @pytest.mark.parametrize(
     "pot",
@@ -264,7 +280,7 @@ def test_fft_step_matches_dense_reference(n_points, lam, dt, pot):
     grid = GridSpec(n_points, -12.0, 12.0, mass=1.5)
     psi = _cat(grid)
     prop = Propagator(grid, pot, lam, dt)
-    assert prop.u is None
+    assert (prop.u is None) == (n_points != 301)
     u, dense_step = _dense_step(grid, pot, lam, dt)
     el = ref = psi.to_density().elements
     wave = ref_wave = psi.amplitudes
@@ -274,11 +290,11 @@ def test_fft_step_matches_dense_reference(n_points, lam, dt, pot):
         ref_wave = u @ ref_wave
     assert np.max(np.abs(el - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.max(np.abs(wave - ref_wave)) <= 1e-13 * np.max(np.abs(ref_wave))
-    # the packed step leaves the kernel exactly Hermitian
+    # either step leaves the kernel exactly Hermitian
     assert np.array_equal(el, el.conj().T)
 
 
-@pytest.mark.parametrize("n_points", [256, 301])
+@pytest.mark.parametrize("n_points", [256, 301, 315])
 def test_fft_step_evolves_the_hermitian_part_of_a_noisy_kernel(n_points):
     # a kernel inside DensityMatrix's 1e-10 asymmetry tolerance steps as its
     # Hermitian part; the noise, 1e-11 in size, alone breaks the 1e-13 bound

@@ -1,5 +1,6 @@
 """Window POVMs: analytic cell integrals, approximate-PVM quality, sieve."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,15 +8,16 @@ import numpy as np
 import pytest
 
 from branchfall import (
+    BranchTree,
     DensityMatrix,
     GridSpec,
     PhasePoint,
     WindowTooSmall,
+    branch_step,
     coherent_state,
 )
 from branchfall import pointer
-from branchfall.branching import _branch_weights
-from branchfall.dynamics import evolve, harmonic_potential
+from branchfall.dynamics import evolve, free_potential, harmonic_potential
 from branchfall.pointer import (
     PhasePartition,
     build_povm,
@@ -175,13 +177,22 @@ def test_sum_rule_and_weight_positivity(grid, three_sigma):
     assert probs.sum() + escape == pytest.approx(1.0, abs=1e-10)
 
 
-def test_project_consistent_with_squares(grid, three_sigma):
-    rho = coherent_state(grid, 0.5, 0.3, 1.0).to_density()
+def test_project_gives_dense_weight_and_lueders_update(grid, three_sigma):
+    # a two-packet mixture as V diag(lam) V^H: Pi V must carry the dense
+    # weight Tr(Pi^2 rho) and the dense update Pi rho Pi
+    rho = DensityMatrix.from_mixture(
+        [0.7, 0.3],
+        [coherent_state(grid, 0.5, 0.3, 1.0), coherent_state(grid, -2.0, -0.4, 1.0)],
+    )
+    lam, vecs = np.linalg.eigh(rho.elements)
+    lam, vecs = lam[-2:], vecs[:, -2:]
     alpha = three_sigma.partition.locate(0.5, 0.3)
-    updated = three_sigma.project(rho.elements, alpha)
-    direct = np.sum(np.diag(updated)).real * grid.dx
-    via_square = three_sigma.trace_product(three_sigma.squares[alpha], rho)
-    assert direct == pytest.approx(via_square, abs=1e-12)
+    pi = three_sigma.operators[alpha]
+    proj = three_sigma.project(vecs, alpha)
+    via_factor = float(np.sum(np.abs(proj) ** 2, axis=0) @ lam) * grid.dx
+    assert via_factor == pytest.approx(three_sigma.trace_product(pi @ pi, rho), abs=1e-12)
+    dense = (pi @ rho.elements) @ pi
+    assert np.abs((proj * lam) @ proj.conj().T - dense).max() <= 1e-13 * np.abs(dense).max()
 
 
 @pytest.mark.parametrize(
@@ -206,7 +217,7 @@ def test_blocked_build_matches_per_node_loop(n, lo, hi, mass, p_window, n_x, n_p
     g = GridSpec(n, lo, hi, mass=mass)
     part = PhasePartition((-6.0, 6.0), p_window, n_x, n_p)
     povm = build_povm(g, part, sigma_x, rule=rule)
-    ops, rest, squares, rest_square, leak = reference_povm(
+    ops, rest, leak = reference_povm(
         g, part, sigma_x, povm.quadrature, rule
     )
     # the separable build sums in another order than the per-node loop:
@@ -217,9 +228,6 @@ def test_blocked_build_matches_per_node_loop(n, lo, hi, mass, p_window, n_x, n_p
     assert np.abs(povm.rest - rest).max() <= 16 * eps
     for op in povm.operators:
         assert np.array_equal(op, op.conj().T)
-    # batched gemm against einsum: roundoff only, relative to the largest entry
-    for got, want in ((povm.squares, squares), (povm._rest_square, rest_square)):
-        assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
     assert pointer._probe_leak(povm) == pytest.approx(leak, rel=1e-12, abs=1e-15)
 
 
@@ -258,13 +266,14 @@ def test_packet_without_support_raises(grid):
         pointer._packets(grid, np.array([0.0, 1e3]), np.array([0.0]), 1.0)
 
 
-def test_rest_square_built_once(grid, three_sigma):
+def test_collapse_builds_no_operator_squares(grid, three_sigma):
+    # weighing and collapsing read Pi_alpha V only: the POVM keeps exactly
+    # its construction fields, and no Pi_alpha^2 or Pi_rest^2 is cached
     rho = coherent_state(grid, 0.5, 0.3, 1.0).to_density()
-    _branch_weights(three_sigma, rho.elements)
-    first = three_sigma.__dict__["_rest_square"]
-    _branch_weights(three_sigma, rho.elements)
-    assert three_sigma._rest_square is first
-    assert np.array_equal(first, three_sigma.rest @ three_sigma.rest)
+    tree = BranchTree.from_state(rho, three_sigma, dt=0.05)
+    branch_step(tree, free_potential(), 0.5, dt_int=0.05, escape_tol=1.0)
+    assert set(vars(three_sigma)) == {f.name for f in dataclasses.fields(three_sigma)}
+    assert not hasattr(three_sigma, "squares")
 
 
 def test_window_too_small(grid):

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from branchfall.dynamics import Potential, free_potential, harmonic_potential
+from branchfall import dynamics, reduction
+from branchfall.dynamics import Potential, evolve, free_potential, harmonic_potential
 from branchfall.errors import WindowTooSmall
 from branchfall.pointer import PhasePartition, build_povm
 from branchfall.qstate import (
@@ -220,3 +221,33 @@ def test_escape_draw_counts_as_violation():
     assert len(r.violations) >= r.n_escaped
     assert r.pass_fraction == 1.0 - len(r.violations) / 100.0
     assert all(t in (0.5, 1.0, 1.5) for t in r.violations)
+
+
+def test_measured_horizon_steps_one_propagator_per_z0(povm, monkeypatch):
+    spec = _spec(povm, (1.2, 3.5))
+    z0 = spec.d_c[0]
+    builds, chunks = [], []
+    init, evolve_on = dynamics.Propagator.__init__, reduction._evolve_on
+
+    def counting_init(self, *a, **k):
+        builds.append(a[0].n_points)
+        init(self, *a, **k)
+
+    def recording_evolve_on(*a, **k):
+        rec = evolve_on(*a, **k)
+        chunks.append(rec)
+        return rec
+
+    monkeypatch.setattr(dynamics.Propagator, "__init__", counting_init)
+    monkeypatch.setattr(reduction, "_evolve_on", recording_evolve_on)
+    assert math.isinf(reduction._measured_horizon(spec, z0, 1.5))
+    assert builds == [288] and len(chunks) == 3
+    # the same bits as a fresh evolve() per chunk on the widened grid
+    wide = chunks[0].final.grid
+    state = coherent_state(wide, z0.q, z0.p, spec.sigma_x).to_density()
+    for rec in chunks:
+        alone = evolve(state, spec.potential, spec.lambda_rate, spec.dt / 5, 5)
+        for name in ("times", "var_x", "var_p"):
+            assert np.array_equal(getattr(rec, name), getattr(alone, name))
+        assert np.array_equal(rec.final.elements, alone.final.elements)
+        state = alone.final
