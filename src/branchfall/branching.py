@@ -167,18 +167,28 @@ def _interval_propagator(
 def _evolve_and_weigh(
     prop: Propagator, n_sub: int, povm: POVMSet, elements: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Evolve a kernel over one interval, factor it and weigh the cells.
-
-    Every substep passes the density guard of evolve.  With the factor
-    rho = V diag(lam) V^H, the weight Tr(Pi_alpha^2 rho) of cell alpha is
-    dx sum_k lam_k ||Pi_alpha v_k||^2, and the escape weight is the same sum
-    over Pi_rest V = V - sum_alpha Pi_alpha V.  Raises PositivityError below
-    -1e-10.  Returns (lam, V, the stack of Pi_alpha V, cell weights, escape
-    weight); the evolved N x N kernel is dropped.
-    """
+    """Evolve a kernel over one interval, then factor it and weigh the cells
+    (_weigh).  The kernel is packed once (Propagator.pack), every substep
+    passes the density guard of evolve on that form, and it is unpacked
+    once for the factor."""
+    kernel = prop.pack(elements)
     for i in range(1, n_sub + 1):
-        elements = prop.step_elements(elements)
-        _check_density(elements, povm.grid.dx, f"substep {i} of {n_sub}")
+        kernel = prop.step_elements(kernel)
+        _check_density(kernel, povm.grid.dx, f"substep {i} of {n_sub}")
+    return _weigh(povm, prop.unpack(kernel))
+
+
+def _weigh(
+    povm: POVMSet, elements: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """Factor a kernel and weigh the cells.
+
+    With the factor rho = V diag(lam) V^H, the weight Tr(Pi_alpha^2 rho) of
+    cell alpha is dx sum_k lam_k ||Pi_alpha v_k||^2, and the escape weight
+    is the same sum over Pi_rest V = V - sum_alpha Pi_alpha V.  Raises
+    PositivityError below -1e-10.  Returns (lam, V, the stack of Pi_alpha V,
+    cell weights, escape weight); the N x N kernel is not kept.
+    """
     lam, vecs = _factor(elements)
     projs = povm.project(vecs)
     dx = povm.grid.dx

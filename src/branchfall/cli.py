@@ -331,7 +331,7 @@ def _run_explicit(cfg, run_dir):
     model, report = evolve_explicit(
         model, make_potential(cfg), cfg["dt"], cfg["n_steps"], cfg["bins"]
     )
-    reduced = model.reduced_density()
+    reduced = report.reduced_rho
     _write_csv(
         os.path.join(run_dir, "explicit.csv"),
         {"x": grid.x, "density": reduced.position_density()},
@@ -343,7 +343,8 @@ def _run_explicit(cfg, run_dir):
         "bin_centroids": report.bin_centroids,
         "env_overlaps": report.env_overlaps,
         "consistency_ratios": report.consistency_ratios,
-        "purity": float(np.real(np.trace(reduced.elements @ reduced.elements)) * grid.dx**2),
+        # Tr rho^2 of the Hermitian kernel, in O(N^2)
+        "purity": float(np.sum(np.abs(reduced.elements) ** 2) * grid.dx**2),
     }
     _write_json(os.path.join(run_dir, "explicit.json"), payload)
     return {"k": model.k}, EXIT_OK

@@ -21,10 +21,13 @@ it materializes the Strang unitary as a dense matrix and steps kernels with
 two matrix products.  On the FFT path a Hermitian kernel A + iB moves as
 the one real array R = A + B, which rfft2/irfft2 transform at about half
 the cost of a complex fft2/ifft2; A and B are the symmetric and
-antisymmetric parts of R, so the kernel leaves the step exactly Hermitian.
-Every density step, here and in branching, passes one guard: finite unit
-trace and at most EDGE_TOL of the mass in the outer two cells on either
-side, where it would wrap around the periodic grid.
+antisymmetric parts of R, so the unpacked kernel is exactly Hermitian.
+A chain of steps (_evolve_on here, _evolve_and_weigh in branching) packs
+the kernel once, keeps R through every step, guard and moment row, and
+unpacks it once at the end.  Every density step, here and in branching,
+passes one guard: finite unit trace and at most EDGE_TOL of the mass in
+the outer two cells on either side, where it would wrap around the
+periodic grid.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BoundaryViolation, ExplosionGuard
-from .qstate import DensityMatrix, GridSpec
+from .qstate import DensityMatrix, GridSpec, _momentum_masses
 
 __all__ = [
     "Potential",
@@ -245,9 +248,12 @@ class Propagator:
     U = K(dt/2) V(dt) K(dt/2) acting as rho -> U rho U^dagger and D the
     elementwise dephasing factor.  On the FFT path (see _fft_path) no dense
     matrix is built (u is None) and the split-step core steps the kernel
-    packed as one real array, with real 2-D FFTs.  On every other grid U is
-    built once as a dense matrix (the split-step core applied to the
-    identity), u, and a step is two matrix products.
+    packed as one real array R, with real 2-D FFTs: pack() makes R once,
+    step_elements() takes and returns R, and unpack() gives the complex
+    kernel back once the chain ends.  On every other grid U is built once
+    as a dense matrix (the split-step core applied to the identity), u, a
+    step is two matrix products, and pack() and unpack() return the kernel
+    as it is.
     """
 
     def __init__(
@@ -285,13 +291,29 @@ class Propagator:
         else:
             self.dephase_half = None
 
+    def pack(self, elements: np.ndarray) -> np.ndarray:
+        """The form step_elements steps: the packed real R of the Hermitian
+        part on the FFT path, else the complex kernel itself."""
+        return _pack_kernel(elements) if self.u is None else elements
+
+    def unpack(self, kernel: np.ndarray) -> np.ndarray:
+        """The exactly Hermitian complex kernel of a form pack returned."""
+        return _unpack_kernel(kernel) if self.u is None else kernel
+
     def step_elements(self, elements: np.ndarray) -> np.ndarray:
-        """One full step on a raw density kernel; its Hermitian part is
-        stepped and the result is exactly Hermitian."""
+        """One full step on the form pack returned, into a fresh array of
+        that form.  A dense step takes a raw kernel, steps its Hermitian
+        part and returns it exactly Hermitian."""
         if self.u is None:
-            # a temporary argument, so the core frees it after one transform
-            packed = self.core.run_kernel(self._dephase_packed(_pack_kernel(elements)))
-            return _unpack_kernel(self._dephase_packed(packed))
+            if elements.dtype != np.float64:
+                raise TypeError("the FFT path steps the packed real kernel of pack()")
+            if self.dephase_half is None:
+                return self.core.run_kernel(elements)
+            # D is real and symmetric, so D * (A + B) packs D * rho; the
+            # first product is a temporary the core frees after one transform
+            packed = self.core.run_kernel(self.dephase_half * elements)
+            packed *= self.dephase_half
+            return packed
         if self.dephase_half is not None:
             elements = self.dephase_half * elements
         elements = (self.u @ elements) @ self.u_dag
@@ -302,13 +324,6 @@ class Propagator:
         elements *= 0.5
         return elements
 
-    def _dephase_packed(self, packed: np.ndarray) -> np.ndarray:
-        """Half dephasing in place on a packed kernel: D is real and
-        symmetric, so D * (A + B) packs D * rho."""
-        if self.dephase_half is not None:
-            packed *= self.dephase_half
-        return packed
-
     def step_wave(self, amplitudes: np.ndarray) -> np.ndarray:
         """One unitary step on pure-state amplitudes (dephasing needs a kernel)."""
         if self.u is None:
@@ -317,7 +332,8 @@ class Propagator:
 
 
 def _check_density(elements: np.ndarray, dx: float, where: str) -> None:
-    """The invariants of every density step.
+    """The invariants of every density step, on either form of
+    Propagator.pack (diag R = diag Re rho).
 
     Raises ExplosionGuard on a non-finite trace or trace drift beyond 1e-6,
     and BoundaryViolation once more than EDGE_TOL of the mass sits in the
@@ -367,15 +383,22 @@ class EvolutionRecord:
         }
 
 
-def _moment_row(elements: np.ndarray, grid: GridSpec, dv_vals: np.ndarray):
+def _moment_row(kernel: np.ndarray, grid: GridSpec, dv_vals: np.ndarray):
+    """Moments of either form of Propagator.pack.  On the packed R the
+    purity is sum R^2 dx^2: the cross term between R's symmetric and
+    antisymmetric parts sums to zero."""
     dx = grid.dx
-    dens = np.real(np.diag(elements))
+    dens = np.real(np.diag(kernel))
     mean_x = float(np.sum(grid.x * dens) * dx)
     mean_x2 = float(np.sum(grid.x**2 * dens) * dx)
-    mom = DensityMatrix(grid, elements, validate=False).momentum_masses()
+    mom = _momentum_masses(kernel, dx)
     mean_p = float(np.sum(grid.p * mom))
     mean_p2 = float(np.sum(grid.p**2 * mom))
-    purity = float(np.sum(np.abs(elements) ** 2) * dx * dx)
+    if np.iscomplexobj(kernel):
+        squares = np.sum(np.abs(kernel) ** 2)
+    else:
+        squares = np.vdot(kernel, kernel)
+    purity = float(squares * dx * dx)
     mean_dv = float(np.sum(dv_vals * dens) * dx)
     return mean_x, mean_p, mean_x2, mean_p2, purity, mean_dv
 
@@ -405,7 +428,12 @@ def _evolve_on(
     record_every: int = 1,
 ) -> EvolutionRecord:
     """evolve() with a prebuilt propagator, so callers that step several
-    states with one (grid, potential, lambda_rate, dt) build it once."""
+    states with one (grid, potential, lambda_rate, dt) build it once.
+
+    The kernel is packed once (Propagator.pack), every step, guard and
+    moment row reads that form, and it is unpacked once for the final
+    state.
+    """
     if n_steps < 1 or record_every < 1:
         raise ValueError("n_steps and record_every must be >= 1")
     grid, dt = rho.grid, prop.dt
@@ -414,20 +442,21 @@ def _evolve_on(
     rows = []
     times = []
 
-    def record(k: int, elements: np.ndarray):
-        mx, mp, mx2, mp2, pur, mdv = _moment_row(elements, grid, dv_vals)
+    def record(k: int, kernel: np.ndarray):
+        mx, mp, mx2, mp2, pur, mdv = _moment_row(kernel, grid, dv_vals)
         if not (math.isfinite(mx2) and math.isfinite(mp2)):
             raise ExplosionGuard(f"non-finite moments at t = {k * dt:.6g}")
         times.append(k * dt)
         rows.append((mx, mp, mx2, mp2, pur, mdv))
 
-    elements = rho.elements.copy()
+    # every step returns a fresh array, so rho's kernel is never written
+    kernel = prop.pack(rho.elements)
     for k in range(n_steps + 1):
         if k:
-            elements = prop.step_elements(elements)
-        _check_density(elements, grid.dx, f"t = {k * dt:.6g}")
+            kernel = prop.step_elements(kernel)
+        _check_density(kernel, grid.dx, f"t = {k * dt:.6g}")
         if k % record_every == 0 or k == n_steps:
-            record(k, elements)
+            record(k, kernel)
 
     t = np.asarray(times)
     mx, mp, mx2, mp2, pur, mdv = (np.asarray(col) for col in zip(*rows))
@@ -440,7 +469,7 @@ def _evolve_on(
         s_lin=1.0 - pur,
         purity=pur,
         mean_dvdx=mdv,
-        final=DensityMatrix(grid, elements, validate=False),
+        final=DensityMatrix(grid, prop.unpack(kernel), validate=False),
         dt=dt,
         lambda_rate=prop.lambda_rate,
     )

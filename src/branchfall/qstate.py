@@ -190,23 +190,32 @@ class DensityMatrix:
         return np.real(np.diag(self.elements)).copy()
 
     def momentum_masses(self) -> np.ndarray:
-        """Probability mass on each FFT momentum node (sums to the trace).
-
-        The diagonal of F rho F^dagger is the transform of the wrapped
-        autocorrelation c(d) = sum_x rho((x + d) mod n, x), so the masses
-        take one O(n^2) gather and one length-n FFT:
-        mass_k = (dx / n) Re FFT[c]_k.
-        """
-        n = self.grid.n_points
-        # read from column r on, row r of this block is row r of rho rolled
-        # left by r + 1, so its column sums are c(n - 1), ..., c(0)
-        block = np.concatenate((self.elements[:, 1:], self.elements), axis=1)
-        step = block.itemsize
-        rolled = as_strided(block, (n, n), (2 * n * step, step), writeable=False)
-        return np.fft.fft(rolled.sum(axis=0)[::-1]).real * (self.grid.dx / n)
+        """Probability mass on each FFT momentum node (sums to the trace)."""
+        return _momentum_masses(self.elements, self.grid.dx)
 
     def copy(self) -> "DensityMatrix":
         return DensityMatrix(self.grid, self.elements.copy(), validate=False)
+
+
+def _momentum_masses(kernel: np.ndarray, dx: float) -> np.ndarray:
+    """Momentum masses of a complex density kernel rho, or of its packed
+    real form R = Re rho + Im rho.
+
+    The diagonal of F rho F^dagger is the transform of the wrapped
+    autocorrelation c(d) = sum_x rho((x + d) mod n, x), so the masses
+    take one O(n^2) gather and one length-n FFT:
+    mass_k = (dx / n) Re FFT[c]_k.  On R the gather gives s = Re c + Im c,
+    with Re c even and Im c odd in d, so Re FFT[c] = Re FFT[s] - Im FFT[s].
+    """
+    n = kernel.shape[0]
+    # read from column r on, row r of this block is row r of the kernel
+    # rolled left by r + 1, so its column sums are c(n - 1), ..., c(0)
+    block = np.concatenate((kernel[:, 1:], kernel), axis=1)
+    step = block.itemsize
+    rolled = as_strided(block, (n, n), (2 * n * step, step), writeable=False)
+    ft = np.fft.fft(rolled.sum(axis=0)[::-1])
+    masses = ft.real if np.iscomplexobj(kernel) else ft.real - ft.imag
+    return masses * (dx / n)
 
 
 State = Union[WaveFunction, DensityMatrix]

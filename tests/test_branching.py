@@ -151,13 +151,16 @@ def test_escape_mass_raises(povm_3x3):
 def test_branch_step_stops_packet_at_grid_edge():
     # a packet running into the edge of the periodic grid: the first interval
     # leaves under 1e-8 of its mass in the edge cells, the second about 1e-4,
-    # which unchecked would wrap around and be booked to the opposite cell
-    grid = GridSpec(88, -11.0, 11.0, 1.0)
-    povm = build_povm(grid, PhasePartition((-7.0, 7.0), (-8.0, 8.0), 2, 1), sigma_x=0.8)
-    tree = BranchTree.from_state(coherent_state(grid, 3.0, 4.0, 0.7).to_density(), povm, dt=0.5)
-    tree = branch_step(tree, free_potential(), 0.1, dt_int=0.05, escape_tol=1.0)
-    with pytest.raises(BoundaryViolation):
-        branch_step(tree, free_potential(), 0.1, dt_int=0.05, escape_tol=1.0)
+    # which unchecked would wrap around and be booked to the opposite cell;
+    # N = 256 guards the packed kernel of the FFT path
+    for n_points in (88, 256):
+        grid = GridSpec(n_points, -11.0, 11.0, 1.0)
+        povm = build_povm(grid, PhasePartition((-7.0, 7.0), (-8.0, 8.0), 2, 1), sigma_x=0.8)
+        rho = coherent_state(grid, 3.0, 4.0, 0.7).to_density()
+        tree = BranchTree.from_state(rho, povm, dt=0.5)
+        tree = branch_step(tree, free_potential(), 0.1, dt_int=0.05, escape_tol=1.0)
+        with pytest.raises(BoundaryViolation):
+            branch_step(tree, free_potential(), 0.1, dt_int=0.05, escape_tol=1.0)
 
 
 def _gaussian_density(grid, q, sigma):
@@ -500,8 +503,7 @@ def _check_against_dense_collapse(povm, el):
     its largest entry.  Returns the factor's lam."""
     eps = np.finfo(float).eps
     dx = povm.grid.dx
-    # no substeps: the kernel is factored and weighed as given
-    lam, _, projs, weights, esc = branching._evolve_and_weigh(None, 0, povm, el)
+    lam, _, projs, weights, esc = branching._weigh(povm, el)
     dense_w = np.einsum("aij,ji->a", povm.operators @ povm.operators, el).real * dx
     dense_esc = float(np.sum((povm.rest @ povm.rest) * el.T).real * dx)
     # 1e-14 relative from w = 0.1 up, below that the 1e-15 floor of the
@@ -525,10 +527,10 @@ def test_factored_collapse_matches_dense_lueders(bench_shape):
     prop, n_sub = branching._interval_propagator(
         shape["grid"], shape["potential"], shape["lam"], shape["dt"], shape["dt_int"]
     )
-    el = rho.elements
+    el = prop.pack(rho.elements)
     for _ in range(n_sub):
         el = prop.step_elements(el)
-    lam = _check_against_dense_collapse(povm, el)
+    lam = _check_against_dense_collapse(povm, prop.unpack(el))
     assert len(lam) < shape["grid"].n_points / 2
 
 

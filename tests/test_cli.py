@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import reference_finite_scan, reference_write_csv
 
-from branchfall import cli
+from branchfall import ExplicitModel, cli, coherent_state, evolve_explicit
 from branchfall.cli import main
 from branchfall.config import (
     ConfigError,
@@ -338,6 +338,39 @@ def test_rerun_payloads_byte_identical(tmp_path):
         blob_a = Path(os.path.join(dir_a, name)).read_bytes()
         blob_b = Path(os.path.join(dir_b, name)).read_bytes()
         assert blob_a == blob_b, f"{name} differs between identical runs"
+
+
+EXPLICIT_BODY = """\
+kind = explicit
+grid_n = 64
+x_min = -8
+x_max = 8
+q0 = 1.0
+sigma_x = 0.7071
+couplings = 0.3, 0.6
+dt = 0.01
+n_steps = 30
+out = {out}
+"""
+
+
+def test_explicit_purity_is_the_trace_of_rho_squared(tmp_path):
+    # explicit.json reads the purity as sum |rho|^2 dx^2: Tr rho^2 of the
+    # reduced kernel, without the N^3 product
+    out = tmp_path / "runs"
+    path = write_cfg(tmp_path, "x.cfg", EXPLICIT_BODY.format(out=out))
+    cfg = load_config(path)
+    assert main(["run", path]) == 0
+    got = json.loads(Path(only_run_dir(out), "explicit.json").read_text())["purity"]
+    grid = make_grid(cfg)
+    model = ExplicitModel.from_wavefunction(
+        coherent_state(grid, cfg["q0"], cfg["p0"], cfg["sigma_x"]), cfg["couplings"], None
+    )
+    model, _ = evolve_explicit(model, make_potential(cfg), cfg["dt"], cfg["n_steps"], None)
+    rho = model.reduced_density().elements
+    want = float(np.real(np.trace(rho @ rho))) * grid.dx**2
+    assert want < 0.99  # the qubits have decohered the packet
+    assert abs(got - want) <= 1e-14
 
 
 def test_sample_initial_rows_use_sentinel_alpha(tmp_path):

@@ -14,10 +14,14 @@ import pytest
 
 from branchfall import (
     BoundaryViolation,
+    BranchTree,
     DensityMatrix,
     ExplosionGuard,
     GridSpec,
+    PhasePartition,
     WaveFunction,
+    branch_step,
+    build_povm,
     coherent_state,
     expectation,
 )
@@ -31,6 +35,7 @@ from branchfall.dynamics import (
 )
 from branchfall import dynamics
 from branchfall.dynamics import _SplitStep
+from branchfall.qstate import _momentum_masses
 from oracles import reference_strang, reference_unitary
 
 
@@ -75,9 +80,10 @@ def test_step_preserves_trace_hermiticity_positivity():
         grid = GridSpec(n_points, -10.0, 10.0, mass=2.0)
         rho = coherent_state(grid, 1.2, -0.5, 0.7).to_density()
         prop = Propagator(grid, harmonic_potential(2.0, 1.3), 0.25, dt=0.01)
-        el = rho.elements
+        el = prop.pack(rho.elements)
         for _ in range(100):
             el = prop.step_elements(el)
+        el = prop.unpack(el)
         assert np.max(np.abs(el - el.conj().T)) == 0.0
         assert np.real(np.trace(el)) * grid.dx == pytest.approx(1.0, abs=1e-12)
         # dephasing is a Schur product with a Gaussian kernel: positivity survives
@@ -101,7 +107,8 @@ def test_leapfrog_moment_identities_per_step():
         rho = coherent_state(grid, 1.2, -0.5, 0.7).to_density()
         m, w, dt = 2.0, 1.3, 0.02
         prop = Propagator(grid, harmonic_potential(m, w), 0.5, dt)
-        out = DensityMatrix(grid, prop.step_elements(rho.elements), validate=False)
+        out = prop.unpack(prop.step_elements(prop.pack(rho.elements)))
+        out = DensityMatrix(grid, out, validate=False)
         x0, p0 = expectation(rho, "x"), expectation(rho, "p")
         x1, p1 = expectation(out, "x"), expectation(out, "p")
         x_mid = x0 + 0.5 * dt * p0 / m
@@ -160,11 +167,13 @@ def test_unitary_step_round_trip():
 
 
 def test_explosion_guard_trips_on_bad_trace():
-    grid = GridSpec(64, -10.0, 10.0)
-    psi = coherent_state(grid, 0.0, 0.0, 0.7)
-    rho = DensityMatrix(grid, 2.0 * np.outer(psi.amplitudes, psi.amplitudes.conj()), validate=False)
-    with pytest.raises(ExplosionGuard):
-        evolve(rho, free_potential(), 0.0, dt=1e-3, n_steps=1)
+    # N = 256 guards the packed kernel of the FFT path
+    for n_points in (64, 256):
+        grid = GridSpec(n_points, -10.0, 10.0)
+        psi = coherent_state(grid, 0.0, 0.0, 0.7)
+        rho = DensityMatrix(grid, 2.0 * np.outer(psi.amplitudes, psi.amplitudes.conj()), validate=False)
+        with pytest.raises(ExplosionGuard):
+            evolve(rho, free_potential(), 0.0, dt=1e-3, n_steps=1)
 
 
 def test_boundary_violation_when_packet_reaches_edge():
@@ -176,11 +185,13 @@ def test_boundary_violation_when_packet_reaches_edge():
 
 def test_boundary_violation_between_records():
     # one lap of the periodic grid ends where it began: only a check on
-    # every step sees the packet cross the edge
-    grid = GridSpec(128, -8.0, 8.0, mass=4.0)
-    rho = coherent_state(grid, 0.0, 12.0, 0.7).to_density()
-    with pytest.raises(BoundaryViolation):
-        evolve(rho, free_potential(), 0.0, dt=0.01, n_steps=533, record_every=1000)
+    # every step sees the packet cross the edge, on the dense path (N = 128)
+    # and on the packed kernel of the FFT path (N = 256)
+    for n_points in (128, 256):
+        grid = GridSpec(n_points, -8.0, 8.0, mass=4.0)
+        rho = coherent_state(grid, 0.0, 12.0, 0.7).to_density()
+        with pytest.raises(BoundaryViolation):
+            evolve(rho, free_potential(), 0.0, dt=0.01, n_steps=533, record_every=1000)
 
 
 def test_record_cadence_and_columns():
@@ -254,6 +265,17 @@ def _cat(grid):
     return WaveFunction(grid, cat / math.sqrt(np.vdot(cat, cat).real * grid.dx))
 
 
+def _noisy_cat(grid):
+    """The cat's kernel plus anti-Hermitian noise 1e-11 in size, inside
+    DensityMatrix's 1e-10 asymmetry tolerance."""
+    el = _cat(grid).to_density().elements
+    rng = np.random.default_rng(5)
+    noise = rng.normal(size=el.shape) + 1j * rng.normal(size=el.shape)
+    noise -= noise.conj().T
+    noise *= 1e-11 / np.max(np.abs(noise))
+    return DensityMatrix(grid, el + noise).elements
+
+
 def _dense_step(grid, pot, lam, dt):
     """The dense Strang oracle: one step of a kernel, re-symmetrized."""
     u = reference_unitary(grid, pot, dt)
@@ -282,12 +304,14 @@ def test_fft_step_matches_dense_reference(n_points, lam, dt, pot):
     prop = Propagator(grid, pot, lam, dt)
     assert (prop.u is None) == (n_points != 301)
     u, dense_step = _dense_step(grid, pot, lam, dt)
-    el = ref = psi.to_density().elements
+    ref = psi.to_density().elements
+    el = prop.pack(ref)
     wave = ref_wave = psi.amplitudes
     for _ in range(10):
         el, wave = prop.step_elements(el), prop.step_wave(wave)
         ref = dense_step(ref)
         ref_wave = u @ ref_wave
+    el = prop.unpack(el)
     assert np.max(np.abs(el - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.max(np.abs(wave - ref_wave)) <= 1e-13 * np.max(np.abs(ref_wave))
     # either step leaves the kernel exactly Hermitian
@@ -301,16 +325,73 @@ def test_fft_step_evolves_the_hermitian_part_of_a_noisy_kernel(n_points):
     grid = GridSpec(n_points, -12.0, 12.0, mass=1.5)
     pot = double_well_potential(0.05, 3.0)
     el = _cat(grid).to_density().elements
-    rng = np.random.default_rng(5)
-    noise = rng.normal(size=el.shape) + 1j * rng.normal(size=el.shape)
-    noise -= noise.conj().T
-    noise *= 1e-11 / np.max(np.abs(noise))
-    noisy = DensityMatrix(grid, el + noise).elements
+    noisy = _noisy_cat(grid)
     _, dense_step = _dense_step(grid, pot, 0.2, 0.01)
-    out = Propagator(grid, pot, 0.2, 0.01).step_elements(noisy)
+    prop = Propagator(grid, pot, 0.2, 0.01)
+    out = prop.unpack(prop.step_elements(prop.pack(noisy)))
     ref = dense_step(el)
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.array_equal(out, out.conj().T)
+
+
+@pytest.mark.parametrize("n_points", [256, 315, 512])
+def test_moment_row_reads_the_packed_kernel(n_points):
+    # the row read from R = Re rho + Im rho is the complex kernel's row: a
+    # stepped kernel against its unpacked form, and the noisy kernel
+    # against its Hermitian part
+    grid = GridSpec(n_points, -12.0, 12.0, mass=1.5)
+    pot = double_well_potential(0.05, 3.0)
+    prop = Propagator(grid, pot, 0.2, 0.01)
+    dv = pot.derivative_values(grid)
+    packed = prop.pack(_cat(grid).to_density().elements)
+    for _ in range(5):
+        packed = prop.step_elements(packed)
+    noisy = _noisy_cat(grid)
+    pairs = [(packed, prop.unpack(packed)), (prop.pack(noisy), 0.5 * (noisy + noisy.conj().T))]
+    for kernel, ref in pairs:
+        assert kernel.dtype == np.float64 and ref.dtype == np.complex128
+        mass = _momentum_masses(ref, grid.dx)
+        floor = 4 * np.finfo(float).eps * mass.max()
+        assert np.max(np.abs(_momentum_masses(kernel, grid.dx) - mass)) <= floor
+        mx, mp, mx2, mp2, pur, mdv = dynamics._moment_row(kernel, grid, dv)
+        wx, wp, wx2, wp2, wpur, wdv = dynamics._moment_row(ref, grid, dv)
+        for got, want in ((mx, wx), (mx2, wx2), (pur, wpur), (mdv, wdv)):
+            assert abs(got - want) <= 1e-13 * abs(want)
+        # <P> and <P^2> weigh each mass's roundoff with |p| and p^2, up to
+        # (pi/dx)^2 = 4.5e3 at N = 512 (measured 1.4e-12 relative there)
+        assert abs(mp - wp) <= floor * np.sum(np.abs(grid.p))
+        assert abs(mp2 - wp2) <= floor * np.sum(grid.p**2)
+
+
+@pytest.mark.parametrize("n_points", [128, 256])
+def test_density_chains_pack_once_and_unpack_once(n_points, monkeypatch):
+    # evolve and one branch_step leaf each pack and unpack the kernel once
+    # on the FFT path (N = 256); the dense path (N = 128) does neither
+    calls = {"pack": 0, "unpack": 0}
+
+    def counting(name):
+        real = getattr(dynamics, f"_{name}_kernel")
+
+        def count(kernel):
+            calls[name] += 1
+            return real(kernel)
+
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(dynamics, f"_{name}_kernel", counting(name))
+    grid = GridSpec(n_points, -10.0, 10.0, mass=1.0)
+    rho = coherent_state(grid, 0.5, 1.0, 0.8).to_density()
+    once = int(n_points == 256)
+    evolve(rho, harmonic_potential(1.0, 1.0), 0.2, dt=0.01, n_steps=7, record_every=2)
+    assert calls == {"pack": once, "unpack": once}
+    povm = build_povm(grid, PhasePartition((-7.0, 7.0), (-6.0, 6.0), 2, 1), sigma_x=0.8)
+    tree = BranchTree.from_state(rho, povm, dt=0.03)
+    assert len(branch_step(tree, free_potential(), 0.2, dt_int=0.01).leaves) == 2
+    assert calls == {"pack": 2 * once, "unpack": 2 * once}
+    if once:
+        with pytest.raises(TypeError, match="packed real kernel"):
+            Propagator(grid, free_potential(), 0.2, 0.01).step_elements(rho.elements)
 
 
 def test_fft_propagator_holds_one_table_and_the_dephasing_kernel():
@@ -322,7 +403,7 @@ def test_fft_propagator_holds_one_table_and_the_dephasing_kernel():
     tracemalloc.start()
     try:
         prop = Propagator(grid, harmonic_potential(1.5, 0.7), 0.2, 0.01)
-        prop.step_elements(el)
+        prop.step_elements(prop.pack(el))
         live, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
