@@ -60,7 +60,9 @@ def _write_csv(path: str, columns) -> None:
     column goes cell by cell through _cell.  Every check runs before the
     file is opened, so a rejected payload leaves no file behind.  Rows are
     formatted and written _BLOCK_ROWS at a time, so memory does not grow
-    with the row count.
+    with the row count.  Within a block, a typed column whose values repeat
+    is formatted once per distinct value (_block_column); each row is then
+    one call of the block's row template.
     """
     cols = [np.asarray(c) for c in columns.values()]
     n_rows = len(cols[0]) if cols else 0
@@ -78,12 +80,32 @@ def _write_csv(path: str, columns) -> None:
         else:
             cols[i] = np.array([_cell(v) for v in col.tolist()], dtype=object)
             fmts.append("%s")
-    template = ",".join(fmts) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for start in range(0, n_rows, _BLOCK_ROWS):
-            rows = zip(*(c[start:start + _BLOCK_ROWS].tolist() for c in cols))
-            fh.write("".join([template % row for row in rows]))
+            parts = [_block_column(c[start:start + _BLOCK_ROWS], f) for c, f in zip(cols, fmts)]
+            template = ",".join(f for f, _ in parts) + "\n"
+            fh.write("".join(map(template.__mod__, zip(*(v for _, v in parts)))))
+
+
+def _block_column(block: np.ndarray, fmt: str) -> tuple[str, list]:
+    """Row-template format and row-order values of one block of a column.
+
+    A typed column is deduplicated on its bit pattern, read through an
+    unsigned view of the same width, so -0.0 and 0.0 stay apart.  When the
+    block holds at most half as many distinct values as rows, each value is
+    formatted once and the strings are gathered back into row order under
+    "%s"; otherwise the values go to the row template as they are, which
+    formats a row of distinct numbers faster than joining preformatted
+    cells.
+    """
+    if fmt == "%s":
+        return fmt, block.tolist()
+    bits, inverse = np.unique(block.view(f"u{block.itemsize}"), return_inverse=True)
+    if 2 * len(bits) > len(block):
+        return fmt, block.tolist()
+    cells = np.array(list(map(fmt.__mod__, bits.view(block.dtype).tolist())), dtype=object)
+    return "%s", cells[inverse].tolist()
 
 
 def _jsonable(value):
@@ -121,7 +143,9 @@ def _reject_constant(token):
     raise ExplosionGuard(f"non-finite number {token} in JSON output")
 
 
-_LONG_EXPONENT = re.compile(r"[eE][+-]?[0-9_]{3}")
+# One pattern per exponent letter: a literal first character lets re skip
+# ahead to each candidate, where a leading [eE] class tries every position.
+_LONG_EXPONENTS = (re.compile(r"e[+-]?[0-9_]{3}"), re.compile(r"E[+-]?[0-9_]{3}"))
 _LONG_LINE = 200
 _SCAN_CHARS = 1 << 18
 
@@ -137,19 +161,28 @@ def _scan_lines(name: str, lines) -> None:
                 raise ExplosionGuard(f"non-finite value in {name}: {cell}")
 
 
+def _longest_line(chunk: str) -> int:
+    """Length of the longest line of an ASCII chunk split at its newlines,
+    read off the offsets of its newline bytes."""
+    ends = np.flatnonzero(np.frombuffer(chunk.encode("ascii"), dtype=np.uint8) == 10)
+    return int(np.diff(ends, prepend=-1, append=len(chunk)).max()) - 1
+
+
 def _clean(chunk: str) -> bool:
     """True when no cell of the chunk can parse to a non-finite float.
 
     That holds when the chunk is ASCII (float() also reads other Unicode
     digits), has no letter of nan/inf, no exponent of three or more digits
     (underscores count, as float() skips them) and no line of _LONG_LINE
-    characters (a 309-digit integer parses to inf).
+    characters (a 309-digit integer parses to inf).  The conditions run in
+    that order, so the exponent search and _longest_line only see ASCII
+    chunks; neither runs a regex that tries every character.
     """
     return (
         chunk.isascii()
         and not any(letter in chunk for letter in "nNiI")
-        and _LONG_EXPONENT.search(chunk) is None
-        and max(map(len, chunk.split("\n"))) < _LONG_LINE
+        and not any(p.search(chunk) for p in _LONG_EXPONENTS)
+        and _longest_line(chunk) < _LONG_LINE
     )
 
 

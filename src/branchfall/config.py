@@ -228,6 +228,8 @@ def validate_config(raw: dict) -> dict:
             raise ConfigError(f"missing required key '{key}' for kind '{kind}'")
         else:
             cfg[key] = default
+    if kind == "bohm" and cfg["n_traj"] < 1:
+        raise ConfigError("bad value for key 'n_traj': bohm needs at least one trajectory")
     if "povm_sigma_x" in cfg and cfg["povm_sigma_x"] is None:
         cfg["povm_sigma_x"] = cfg.get("sigma_x", 1.0)
     return cfg

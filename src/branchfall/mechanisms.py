@@ -246,10 +246,12 @@ def bohm_evolve(
     The velocity field is sampled on the grid at every snapshot and
     interpolated linearly in time and position; each configuration advances
     by the explicit midpoint rule.  Trajectories that enter a density below
-    DENSITY_FLOOR are flagged and frozen, and the run continues.  With
-    branch_split given, occupancy fractions left/right of the split are
-    reported at each checkpoint along with the number of trajectories that
-    changed sides during the run.
+    DENSITY_FLOOR are flagged and frozen, and the run continues; a
+    checkpoint that finds every trajectory flagged raises NodeRegion, as it
+    has no sample to compare with the density.  With branch_split given,
+    occupancy fractions left/right of the split are reported at each
+    checkpoint along with the number of trajectories that changed sides
+    during the run.
     """
     times = np.asarray(snapshot_times, dtype=float)
     if len(snapshots) != len(times) or len(times) < 2:
@@ -258,6 +260,7 @@ def bohm_evolve(
     if not np.allclose(np.diff(times), dt_snap, rtol=0, atol=1e-9 * max(dt_snap, 1.0)):
         raise ValueError("snapshot times must be uniformly spaced")
     grid, _ = _joint_columns(snapshots[0])
+    x_nodes = grid.x  # GridSpec.x builds a fresh array per access
 
     v_table = np.empty((len(times), grid.n_points))
     d_table = np.empty((len(times), grid.n_points))
@@ -270,7 +273,7 @@ def bohm_evolve(
         w = s - k
         v_nodes = (1.0 - w) * v_table[k] + w * v_table[k + 1]
         d_nodes = (1.0 - w) * d_table[k] + w * d_table[k + 1]
-        return np.interp(q, grid.x, v_nodes), np.interp(q, grid.x, d_nodes)
+        return np.interp(q, x_nodes, v_nodes), np.interp(q, x_nodes, d_nodes)
 
     n_steps = int(round((times[-1] - times[0]) / ode_dt))
     t_grid = times[0] + ode_dt * np.arange(n_steps + 1)
@@ -313,6 +316,8 @@ def bohm_evolve(
         k_snap = int(round((t_ck - times[0]) / dt_snap))
         k_snap = min(max(k_snap, 0), len(times) - 1)
         samples = out[~flags, k_ode]
+        if samples.size == 0:
+            raise NodeRegion(f"no unflagged trajectory at checkpoint t = {t_ck:.6g}")
         ks[float(t_ck)] = _ks_distance(samples, grid, d_table[k_snap])
         if occupancy is not None:
             right = float(np.mean(samples > branch_split))

@@ -172,6 +172,18 @@ def test_nan_scalar_key_exits_2_before_any_work(tmp_path, capsys):
     assert validate_config(parse_config(body.format(l_v="inf")))["l_v"] == math.inf
 
 
+@pytest.mark.parametrize("n_traj", [0, -3])
+def test_bohm_without_trajectories_exits_2_before_any_work(tmp_path, capsys, n_traj):
+    out = tmp_path / "runs"
+    body = (
+        "kind = bohm\ngrid_n = 128\nq0 = 1.0\nsigma_x = 0.7071\n"
+        f"total_time = 0.5\nn_traj = {n_traj}\nout = {out}\n"
+    )
+    assert main(["run", write_cfg(tmp_path, "b.cfg", body)]) == 2
+    assert "bad value for key 'n_traj'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nan_in_float_list_key_rejected():
     with pytest.raises(ConfigError, match="bad value for key 'sigma_list'.*NaN"):
         validate_config({"kind": "sieve", "lambda": "0.2", "sigma_list": "0.5, NaN"})
@@ -459,6 +471,22 @@ def test_non_finite_output_exits_3(tmp_path, capsys, monkeypatch, runner):
 _FLOATS = [-0.0, 0.0, 5e-324, 1e300, -1e300, 3.0, -42.0, 0.1, 1.7976931348623157e308, 2.5e-17]
 
 
+def _repeated_cells(n_rows):
+    """Columns whose cells repeat within and across blocks: the bohm.csv
+    layout (trajectory ids repeated, times tiled), signed zeros side by side,
+    and repeated float32 and bool cells."""
+    n_times = 161
+    n_traj = -(-n_rows // n_times)
+    times = np.arange(n_times) * 0.0125
+    return {
+        "traj_id": np.repeat(np.arange(n_traj), n_times)[:n_rows],
+        "t": np.tile(times, n_traj)[:n_rows],
+        "z": np.resize([0.0, -0.0, 0.0, -0.0, 1e-300], n_rows),
+        "w": np.resize(np.array([0.1, -0.0, 0.0, 3.5], dtype=np.float32), n_rows),
+        "flag": np.resize([True, True, False], n_rows),
+    }
+
+
 @pytest.mark.parametrize(
     "columns",
     [
@@ -475,8 +503,9 @@ _FLOATS = [-0.0, 0.0, 5e-324, 1e300, -1e300, 3.0, -42.0, 0.1, 1.7976931348623157
             "i": np.arange(2 * cli._BLOCK_ROWS + 3),
             "x": np.random.default_rng(5).normal(size=2 * cli._BLOCK_ROWS + 3) * 1e3,
         },
+        _repeated_cells(2 * cli._BLOCK_ROWS + 3),
     ],
-    ids=["typed-arrays", "python-lists", "header-only", "several-blocks"],
+    ids=["typed-arrays", "python-lists", "header-only", "several-blocks", "repeated-cells"],
 )
 def test_columnar_writer_matches_per_cell_writer(tmp_path, columns):
     cli._write_csv(str(tmp_path / "new.csv"), columns)
@@ -522,6 +551,10 @@ def _scan_outcome(scan):
 @given(data=_csv_files(), chunk=st.integers(1, 64))
 # a NaN decoded well before a byte that is not UTF-8, at the real chunk size
 @example(data=b"a,b\n0,nan\n" + b"1,2\n" * 4000 + b"\xff\n", chunk=cli._SCAN_CHARS)
+# an upper-case long exponent in a body with no lower-case e
+@example(data=b"a,b\n1,2\n1E+309,3\n", chunk=64)
+# an underscored long exponent closing a body with no trailing newline
+@example(data=b"a,b\n1,2\n3,1e_309", chunk=64)
 def test_defect_scan_agrees_with_per_cell_loop(data, chunk):
     # small chunks so that bodies span several, cut at arbitrary line ends
     with tempfile.TemporaryDirectory() as run_dir:
@@ -531,6 +564,21 @@ def test_defect_scan_agrees_with_per_cell_loop(data, chunk):
         with mock.patch.object(cli, "_SCAN_CHARS", chunk):
             new = _scan_outcome(lambda: cli._assert_finite_outputs(run_dir, ["data.csv"]))
         assert new == _scan_outcome(lambda: reference_finite_scan(path, "data.csv"))
+
+
+@pytest.mark.parametrize(
+    "chunk",
+    [
+        "", "a", "ab\n", "\n\n", "1,2\n3,4\n5,6",
+        "x" * (cli._LONG_LINE - 1) + "\n",
+        "1\n" + "x" * cli._LONG_LINE + "\n2",
+        "y\n" + "x" * (cli._LONG_LINE + 1),
+    ],
+    ids=["empty", "one-char", "trailing-newline", "newlines-only", "no-trailing-newline",
+         "long-line-minus-one", "long-line", "long-line-plus-one"],
+)
+def test_longest_line_matches_split(chunk):
+    assert cli._longest_line(chunk) == max(map(len, chunk.split("\n")))
 
 
 def test_reduce_fail_exits_4_with_report(tmp_path):

@@ -265,3 +265,13 @@ def test_bohm_evolve_validation():
         bohm_evolve(ens, [psi], [0.0], 0.01)
     with pytest.raises(ValueError):
         bohm_evolve(ens, [psi, psi, psi], [0.0, 0.1, 0.3], 0.01)
+
+
+def test_checkpoint_without_unflagged_trajectory_raises_node_region():
+    # both positions sit where the packet's density is below DENSITY_FLOOR,
+    # so every checkpoint finds no sample to compare with the density
+    psi0 = coherent_state(GRID, 1.0, 0.0, 0.7071)
+    snaps, ts = free_run(GRID, psi0, 0.05, 4)
+    ens = BohmEnsemble(np.array([-9.0, -9.0]), 0)
+    with pytest.raises(NodeRegion, match="no unflagged trajectory"):
+        bohm_evolve(ens, snaps, ts, ode_dt=0.0125)
