@@ -7,161 +7,21 @@ coherent-state window POVM, extracts Born-weighted collapse trajectories
 and checks how long those trajectories shadow the classical flow.
 """
 
-from .errors import (
-    BoundaryViolation,
-    BranchfallError,
-    EmptyTree,
-    EscapeMass,
-    EscapeSampled,
-    ExplosionGuard,
-    NodeRegion,
-    NonHermitianState,
-    PositivityError,
-    PositivityWarning,
-    WindowTooSmall,
-)
-from .qstate import (
-    DensityMatrix,
-    GridSpec,
-    PhasePoint,
-    WaveFunction,
-    check_positivity,
-    coherent_state,
-    expectation,
-    mean_phase_point,
-    purity_and_entropy,
-    variance,
-)
-from .dynamics import (
-    EvolutionRecord,
-    Potential,
-    Propagator,
-    double_well_potential,
-    evolve,
-    free_potential,
-    harmonic_potential,
-)
-from .pointer import (
-    PhasePartition,
-    POVMSet,
-    SieveResult,
-    build_povm,
-    predictability_sieve,
-    pvm_quality,
-)
-from .branching import (
-    BornSampler,
-    BranchNode,
-    BranchTree,
-    DecoherenceReport,
-    ExplicitModel,
-    branch_step,
-    decoherence_functional,
-    evolve_explicit,
-    mixture_consistency,
-    suggested_branch_interval,
-    superorthogonality_overlap,
-)
-from .mechanisms import (
-    BohmEnsemble,
-    BohmRun,
-    GRWHit,
-    GRWParams,
-    GRWRun,
-    bohm_evolve,
-    bohm_velocity,
-    compatibility_score,
-    grw_evolve,
-)
-from .ehrenfest import (
-    HorizonResult,
-    ResidualSeries,
-    WidthSeries,
-    classicality_horizon,
-    dephasing_force_trace,
-    ehrenfest_residual,
-    marginal_widths,
-)
-from .reduction import (
-    ClassicalTrajectory,
-    PointResult,
-    ReductionReport,
-    ReductionSpec,
-    classical_evolve,
-    verify_reduction,
-    within_margin,
-)
+from . import branching, dynamics, ehrenfest, errors, mechanisms, pointer, qstate, reduction
+from .errors import *  # noqa: F401,F403
+from .qstate import *  # noqa: F401,F403
+from .dynamics import *  # noqa: F401,F403
+from .pointer import *  # noqa: F401,F403
+from .branching import *  # noqa: F401,F403
+from .mechanisms import *  # noqa: F401,F403
+from .ehrenfest import *  # noqa: F401,F403
+from .reduction import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "BranchfallError",
-    "BoundaryViolation",
-    "NonHermitianState",
-    "PositivityError",
-    "PositivityWarning",
-    "WindowTooSmall",
-    "EscapeMass",
-    "EscapeSampled",
-    "ExplosionGuard",
-    "EmptyTree",
-    "NodeRegion",
-    "GridSpec",
-    "PhasePoint",
-    "WaveFunction",
-    "DensityMatrix",
-    "coherent_state",
-    "expectation",
-    "variance",
-    "mean_phase_point",
-    "purity_and_entropy",
-    "check_positivity",
-    "Potential",
-    "Propagator",
-    "EvolutionRecord",
-    "free_potential",
-    "harmonic_potential",
-    "double_well_potential",
-    "evolve",
-    "PhasePartition",
-    "POVMSet",
-    "SieveResult",
-    "build_povm",
-    "pvm_quality",
-    "predictability_sieve",
-    "BornSampler",
-    "BranchNode",
-    "BranchTree",
-    "DecoherenceReport",
-    "ExplicitModel",
-    "branch_step",
-    "mixture_consistency",
-    "suggested_branch_interval",
-    "evolve_explicit",
-    "decoherence_functional",
-    "superorthogonality_overlap",
-    "GRWParams",
-    "GRWHit",
-    "GRWRun",
-    "grw_evolve",
-    "compatibility_score",
-    "BohmEnsemble",
-    "BohmRun",
-    "bohm_velocity",
-    "bohm_evolve",
-    "WidthSeries",
-    "ResidualSeries",
-    "HorizonResult",
-    "marginal_widths",
-    "ehrenfest_residual",
-    "classicality_horizon",
-    "dephasing_force_trace",
-    "ClassicalTrajectory",
-    "ReductionSpec",
-    "PointResult",
-    "ReductionReport",
-    "classical_evolve",
-    "within_margin",
-    "verify_reduction",
+# each module's __all__ is its public list, re-exported here as it stands
+__all__ = ["__version__"] + [
+    name
+    for module in (errors, qstate, dynamics, pointer, branching, mechanisms, ehrenfest, reduction)
+    for name in module.__all__
 ]

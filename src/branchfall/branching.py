@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import Potential, Propagator, _check_density, _SplitStep
+from .dynamics import Potential, Propagator, _evolve_kernel, _SplitStep
 from .errors import EmptyTree, EscapeMass, EscapeSampled, ExplosionGuard
 from .pointer import POVMSet, _clip_weights
 from .qstate import DensityMatrix, GridSpec, PhasePoint, WaveFunction, mean_phase_point
@@ -164,20 +164,6 @@ def _interval_propagator(
     return Propagator(grid, potential, lambda_rate, dt / n_sub), n_sub
 
 
-def _evolve_and_weigh(
-    prop: Propagator, n_sub: int, povm: POVMSet, elements: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Evolve a kernel over one interval, then factor it and weigh the cells
-    (_weigh).  The kernel is packed once (Propagator.pack), every substep
-    passes the density guard of evolve on that form, and it is unpacked
-    once for the factor."""
-    kernel = prop.pack(elements)
-    for i in range(1, n_sub + 1):
-        kernel = prop.step_elements(kernel)
-        _check_density(kernel, povm.grid.dx, f"substep {i} of {n_sub}")
-    return _weigh(povm, prop.unpack(kernel))
-
-
 def _weigh(
     povm: POVMSet, elements: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
@@ -235,8 +221,8 @@ def branch_step(
     dropped = tree.dropped_weight
     escaped = tree.escape_weight
     for leaf in tree.leaves:
-        lam, _, projs, weights, esc = _evolve_and_weigh(
-            prop, n_sub, tree.povm, leaf.state.elements
+        lam, _, projs, weights, esc = _weigh(
+            tree.povm, _evolve_kernel(prop, leaf.state.elements, n_sub)
         )
         total = weights.sum() + esc
         if total <= 0:
@@ -346,8 +332,8 @@ class BornSampler:
         records = [(0.0, None, node.z)]
         for step in range(1, n_steps + 1):
             if node.vecs is None:
-                node.lam, node.vecs, _, node.weights, esc = _evolve_and_weigh(
-                    self._prop, self._n_sub, self.povm, node.state
+                node.lam, node.vecs, _, node.weights, esc = _weigh(
+                    self.povm, _evolve_kernel(self._prop, node.state, self._n_sub)
                 )
                 node.total = node.weights.sum() + esc
                 if history:

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .branching import BornSampler, BranchTree, ExplicitModel, branch_step, evolve_explicit
 from .config import ConfigError, load_config, make_grid, make_potential, make_povm
-from .dynamics import Propagator, evolve
+from .dynamics import _SplitStep, evolve
 from .ehrenfest import WidthSeries, classicality_horizon, ehrenfest_residual
 from .errors import BranchfallError, EscapeSampled, ExplosionGuard
 from .mechanisms import BohmEnsemble, GRWParams, bohm_evolve, grw_evolve
@@ -404,10 +404,10 @@ def _run_bohm(cfg, run_dir):
     potential = make_potential(cfg)
     n_snap = max(1, int(round(cfg["total_time"] / cfg["dt"])))
     psi = _packet(cfg, grid)
-    prop = Propagator(grid, potential, 0.0, cfg["dt"])
+    core = _SplitStep(grid, potential.values(grid), cfg["dt"])
     snapshots = [psi]
     for _ in range(n_snap):
-        psi = WaveFunction(grid, prop.step_wave(psi.amplitudes), validate=False)
+        psi = WaveFunction(grid, core.run(psi.amplitudes), validate=False)
         snapshots.append(psi)
     times = np.arange(n_snap + 1) * cfg["dt"]
     ensemble = BohmEnsemble.from_state(snapshots[0], cfg["n_traj"], cfg["seed"])

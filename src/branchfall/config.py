@@ -9,7 +9,6 @@ back to defaults.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
 
 from .dynamics import (
     Potential,
@@ -18,7 +17,7 @@ from .dynamics import (
     harmonic_potential,
 )
 from .pointer import PhasePartition, POVMSet, build_povm
-from .qstate import GridSpec, PhasePoint
+from .qstate import GridSpec
 
 __all__ = [
     "ConfigError",
@@ -53,6 +52,22 @@ def _pairs(s: str) -> tuple:
 
 def _floats(s: str) -> tuple:
     return tuple(float(p.strip()) for p in s.split(",") if p.strip())
+
+
+def _positive(s: str) -> float:
+    """A step size or time span: a finite float above zero."""
+    value = float(s)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"expected a positive finite number, got {s.strip()!r}")
+    return value
+
+
+def _count(s: str) -> int:
+    """A number of steps or trajectories: an integer of at least one."""
+    value = int(s)
+    if value < 1:
+        raise ValueError(f"expected a count of at least 1, got {value}")
+    return value
 
 
 def _has_nan(value) -> bool:
@@ -102,9 +117,9 @@ SCHEMAS = {
     "evolve": {
         **_BASE, **_GRID, **_POTENTIAL, **_PACKET,
         "lambda": (float, 0.0),
-        "dt": (float, 0.01),
-        "n_steps": (int, 100),
-        "record_every": (int, 1),
+        "dt": (_positive, 0.01),
+        "n_steps": (_count, 100),
+        "record_every": (_count, 1),
     },
     "sieve": {
         **_BASE, **_GRID, **_POTENTIAL,
@@ -112,15 +127,15 @@ SCHEMAS = {
         "sigma_list": (_floats, REQUIRED),
         "q0": (float, 0.0),
         "p0": (float, 0.0),
-        "horizon": (float, 1.0),
-        "dt": (float, 0.01),
+        "horizon": (_positive, 1.0),
+        "dt": (_positive, 0.01),
     },
     "branch": {
         **_BASE, **_GRID, **_POTENTIAL, **_PACKET, **_WINDOW,
         "lambda": (float, REQUIRED),
-        "dt": (float, REQUIRED),
-        "n_steps": (int, REQUIRED),
-        "dt_int": (float, None),
+        "dt": (_positive, REQUIRED),
+        "n_steps": (_count, REQUIRED),
+        "dt_int": (_positive, None),
         "prune_epsilon": (float, 1e-4),
         "escape_tol": (float, 0.05),
         "leaf_cap": (int, 256),
@@ -128,40 +143,40 @@ SCHEMAS = {
     "sample": {
         **_BASE, **_GRID, **_POTENTIAL, **_PACKET, **_WINDOW,
         "lambda": (float, REQUIRED),
-        "dt": (float, REQUIRED),
-        "n_steps": (int, REQUIRED),
-        "dt_int": (float, None),
-        "n_traj": (int, 100),
+        "dt": (_positive, REQUIRED),
+        "n_steps": (_count, REQUIRED),
+        "dt_int": (_positive, None),
+        "n_traj": (_count, 100),
     },
     "explicit": {
         **_BASE, **_GRID, **_POTENTIAL, **_PACKET,
         "couplings": (_floats, REQUIRED),
         "env_energies": (_floats, None),
-        "dt": (float, REQUIRED),
-        "n_steps": (int, REQUIRED),
+        "dt": (_positive, REQUIRED),
+        "n_steps": (_count, REQUIRED),
         "bins": (_pairs, None),
     },
     "grw": {
         **_BASE, **_GRID, **_POTENTIAL, **_PACKET,
         "hit_rate": (float, REQUIRED),
         "r_c": (float, REQUIRED),
-        "total_time": (float, REQUIRED),
-        "dt_int": (float, 0.01),
+        "total_time": (_positive, REQUIRED),
+        "dt_int": (_positive, 0.01),
     },
     "bohm": {
         **_BASE, **_GRID, **_POTENTIAL, **_PACKET,
-        "total_time": (float, REQUIRED),
-        "dt": (float, 0.05),
-        "ode_dt": (float, 0.0125),
-        "n_traj": (int, 1000),
+        "total_time": (_positive, REQUIRED),
+        "dt": (_positive, 0.05),
+        "ode_dt": (_positive, 0.0125),
+        "n_traj": (_count, 1000),
         "checkpoints": (_floats, None),
     },
     "ehrenfest": {
         **_BASE, **_GRID, **_POTENTIAL, **_PACKET,
         "lambda": (float, 0.0),
-        "dt": (float, 0.01),
-        "n_steps": (int, 100),
-        "record_every": (int, 1),
+        "dt": (_positive, 0.01),
+        "n_steps": (_count, 100),
+        "record_every": (_count, 1),
         "delta_x": (float, REQUIRED),
         "delta_p": (float, REQUIRED),
         "l_v": (float, math.inf),
@@ -172,11 +187,11 @@ SCHEMAS = {
         "lambda": (float, REQUIRED),
         "delta_x": (float, REQUIRED),
         "delta_p": (float, REQUIRED),
-        "tau_c": (float, REQUIRED),
+        "tau_c": (_positive, REQUIRED),
         "epsilon": (float, 0.05),
-        "n_traj": (int, 100),
-        "dt": (float, REQUIRED),
-        "dt_int": (float, REQUIRED),
+        "n_traj": (_count, 100),
+        "dt": (_positive, REQUIRED),
+        "dt_int": (_positive, REQUIRED),
         "d_c": (_pairs, REQUIRED),
         "l_v": (float, math.inf),
     },
@@ -228,8 +243,6 @@ def validate_config(raw: dict) -> dict:
             raise ConfigError(f"missing required key '{key}' for kind '{kind}'")
         else:
             cfg[key] = default
-    if kind == "bohm" and cfg["n_traj"] < 1:
-        raise ConfigError("bad value for key 'n_traj': bohm needs at least one trajectory")
     if "povm_sigma_x" in cfg and cfg["povm_sigma_x"] is None:
         cfg["povm_sigma_x"] = cfg.get("sigma_x", 1.0)
     return cfg

@@ -9,11 +9,13 @@ a positive kernel, so positivity is preserved exactly; the unitary piece is
 a congruence, so the whole step is completely positive up to roundoff.
 
 One split-step core, _SplitStep, holds the spectral kinetic factor and runs
-every Strang loop: the Propagator, GRW and the explicit qubit model.  It
-steps blocks of states along the last axis and fuses the kinetic half-steps
-of chained steps (K(dt/2) K(dt/2) = K(dt)): n steps cost 2n + 2 FFTs, not
-4n.  It also steps a density kernel in place of a block of states, with the
-congruence K rho K^dagger applied as one real 2-D transform pair.  On grids
+every Strang loop, so every step of a wave function is one of its run()
+calls: the dense Propagator build, GRW, the Bohm snapshots, the explicit
+qubit model and the decoherence functional.  It steps blocks of states
+along the last axis and fuses the kinetic half-steps of chained steps
+(K(dt/2) K(dt/2) = K(dt)): n steps cost 2n + 2 FFTs, not 4n.  It also
+steps a density kernel in place of a block of states, with the congruence
+K rho K^dagger applied as one real 2-D transform pair.  On grids
 of _FFT_MIN_N points or more whose prime factors are at most _FFT_MAX_PRIME
 (_fft_path), the Propagator keeps no dense matrix and steps kernels with the
 core's 2-D transforms, O(N^2 log N) in place of O(N^3); on every other grid
@@ -22,18 +24,19 @@ two matrix products.  On the FFT path a Hermitian kernel A + iB moves as
 the one real array R = A + B, which rfft2/irfft2 transform at about half
 the cost of a complex fft2/ifft2; A and B are the symmetric and
 antisymmetric parts of R, so the unpacked kernel is exactly Hermitian.
-A chain of steps (_evolve_on here, _evolve_and_weigh in branching) packs
-the kernel once, keeps R through every step, guard and moment row, and
-unpacks it once at the end.  Every density step, here and in branching,
-passes one guard: finite unit trace and at most EDGE_TOL of the mass in
-the outer two cells on either side, where it would wrap around the
-periodic grid.
+This module is the only one that steps a state.  Its two density chains,
+_evolve_on (evolve, the sieve, the measured horizon) and _evolve_kernel
+(the collapse interval of branch_step and BornSampler), pack the kernel
+once, keep R through every step, guard and moment row, and unpack it once
+at the end.  Every density step passes one guard: finite unit trace and
+at most EDGE_TOL of the mass in the outer two cells on either side, where
+it would wrap around the periodic grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -242,7 +245,9 @@ def _unpack_kernel(packed: np.ndarray) -> np.ndarray:
 
 
 class Propagator:
-    """Precomputed one-step map for a fixed (grid, potential, lambda_rate, dt).
+    """Precomputed one-step map on density kernels for a fixed (grid,
+    potential, lambda_rate, dt); it steps kernels only, and a wave function
+    is stepped by its split-step core.
 
     A step is D(dt/2) U D(dt/2) on a density kernel, with the Strang unitary
     U = K(dt/2) V(dt) K(dt/2) acting as rho -> U rho U^dagger and D the
@@ -324,12 +329,6 @@ class Propagator:
         elements *= 0.5
         return elements
 
-    def step_wave(self, amplitudes: np.ndarray) -> np.ndarray:
-        """One unitary step on pure-state amplitudes (dephasing needs a kernel)."""
-        if self.u is None:
-            return self.core.run(amplitudes)
-        return self.u @ amplitudes
-
 
 def _check_density(elements: np.ndarray, dx: float, where: str) -> None:
     """The invariants of every density step, on either form of
@@ -348,6 +347,18 @@ def _check_density(elements: np.ndarray, dx: float, where: str) -> None:
     edge = float((dens[0] + dens[1] + dens[-2] + dens[-1]) * dx)
     if edge > EDGE_TOL:
         raise BoundaryViolation(f"mass {edge:.3e} within two cells of the window edge at {where}")
+
+
+def _evolve_kernel(prop: Propagator, elements: np.ndarray, n_steps: int) -> np.ndarray:
+    """n_steps guarded steps of a complex kernel, returned as a fresh,
+    exactly Hermitian complex kernel.  The kernel is packed once, every
+    step passes the density guard on that form (labelled "substep i of
+    n"), and it is unpacked once."""
+    kernel = prop.pack(elements)
+    for i in range(1, n_steps + 1):
+        kernel = prop.step_elements(kernel)
+        _check_density(kernel, prop.grid.dx, f"substep {i} of {n_steps}")
+    return prop.unpack(kernel)
 
 
 @dataclass

@@ -1,5 +1,19 @@
 """Exception and warning types shared across the package."""
 
+__all__ = [
+    "BranchfallError",
+    "BoundaryViolation",
+    "NonHermitianState",
+    "PositivityError",
+    "PositivityWarning",
+    "WindowTooSmall",
+    "EscapeMass",
+    "EscapeSampled",
+    "ExplosionGuard",
+    "EmptyTree",
+    "NodeRegion",
+]
+
 
 class BranchfallError(Exception):
     """Base class for all package-specific errors."""

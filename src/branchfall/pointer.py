@@ -292,13 +292,19 @@ def _probe_leak(povm: POVMSet) -> float:
     return float(np.linalg.norm(povm.rest @ v) * np.linalg.norm(v) * povm.grid.dx)
 
 
-def _opnorm_power(m: np.ndarray, iters: int = 60, tol: float = 1e-12) -> float:
+# Power-iteration budget of _opnorm_power: at most this many iterations,
+# stopping once the estimate moves by less than the relative tolerance.
+_POWER_ITERS = 60
+_POWER_TOL = 1e-12
+
+
+def _opnorm_power(m: np.ndarray) -> float:
     """Largest singular value by power iteration on m^H m; deterministic start."""
     n = m.shape[0]
     v = np.ones(n, dtype=np.complex128) + 1e-3 * np.cos(np.arange(n))
     v /= np.linalg.norm(v)
     last = 0.0
-    for _ in range(iters):
+    for _ in range(_POWER_ITERS):
         w = m @ v
         v = m.conj().T @ w
         nv = np.linalg.norm(v)
@@ -306,7 +312,7 @@ def _opnorm_power(m: np.ndarray, iters: int = 60, tol: float = 1e-12) -> float:
             return 0.0
         v /= nv
         s = math.sqrt(nv)
-        if abs(s - last) <= tol * max(s, 1.0):
+        if abs(s - last) <= _POWER_TOL * max(s, 1.0):
             return s
         last = s
     return last

@@ -355,21 +355,24 @@ def purity_and_entropy(rho: DensityMatrix) -> tuple[float, float, float]:
     return purity, 1.0 - purity, s_vn
 
 
-def check_positivity(
-    rho: DensityMatrix,
-    warn_floor: float = -1e-6,
-    error_floor: float = -1e-3,
-) -> float:
+# Eigenvalue floors of check_positivity: below the first it warns, below
+# the second it raises.
+POSITIVITY_WARN_FLOOR = -1e-6
+POSITIVITY_ERROR_FLOOR = -1e-3
+
+
+def check_positivity(rho: DensityMatrix) -> float:
     """Smallest eigenvalue of rho (as a probability, kernel * dx).
 
-    Emits PositivityWarning below warn_floor and raises PositivityError
-    below error_floor.  Returns the minimum eigenvalue either way.
+    Emits PositivityWarning below POSITIVITY_WARN_FLOOR and raises
+    PositivityError below POSITIVITY_ERROR_FLOOR.  Returns the minimum
+    eigenvalue either way.
     """
     lam_min = float(np.linalg.eigvalsh(rho.elements * rho.grid.dx)[0])
-    if lam_min < error_floor:
-        raise PositivityError(f"eigenvalue {lam_min:.3e} below {error_floor:.1e}")
-    if lam_min < warn_floor:
+    if lam_min < POSITIVITY_ERROR_FLOOR:
+        raise PositivityError(f"eigenvalue {lam_min:.3e} below {POSITIVITY_ERROR_FLOOR:.1e}")
+    if lam_min < POSITIVITY_WARN_FLOOR:
         warnings.warn(
-            f"eigenvalue {lam_min:.3e} below {warn_floor:.1e}", PositivityWarning
+            f"eigenvalue {lam_min:.3e} below {POSITIVITY_WARN_FLOOR:.1e}", PositivityWarning
         )
     return lam_min

@@ -52,12 +52,6 @@ class ClassicalTrajectory:
     q: np.ndarray
     p: np.ndarray
 
-    def at(self, t: float) -> PhasePoint:
-        return PhasePoint(
-            float(np.interp(t, self.times, self.q)),
-            float(np.interp(t, self.times, self.p)),
-        )
-
 
 def classical_evolve(
     z0: PhasePoint,
@@ -234,10 +228,10 @@ def _measured_horizon(spec: ReductionSpec, z0: PhasePoint, total_time: float) ->
 
     Runs on an x-widened copy of the grid (same spacing, so the momentum
     range is preserved) because the unmonitored state spreads far beyond
-    what the collapse trajectories ever occupy.  Scans chunk by chunk at a
-    fifth of the collapse interval (widths move on dynamical timescales, so
-    dt_int-fine stepping would buy nothing) and stops at the first bound
-    crossing.  One propagator steps every chunk.
+    what the collapse trajectories ever occupy.  One propagator steps the
+    whole horizon as one chain at a fifth of the collapse interval (widths
+    move on dynamical timescales, so dt_int-fine stepping would buy
+    nothing), and the horizon is the first bound crossing of its widths.
     """
     grid = spec.povm.grid
     factor = max(1, min(3, 512 // grid.n_points))
@@ -249,21 +243,10 @@ def _measured_horizon(spec: ReductionSpec, z0: PhasePoint, total_time: float) ->
         wide = grid
     state = coherent_state(wide, z0.q, z0.p, spec.sigma_x).to_density()
     n_sub = 5
-    n_chunks = max(1, int(round(total_time / spec.dt)))
+    n_intervals = max(1, int(round(total_time / spec.dt)))
     prop = Propagator(wide, spec.potential, spec.lambda_rate, spec.dt / n_sub)
-    offset = 0.0
-    for _ in range(n_chunks):
-        rec = _evolve_on(prop, state, n_sub)
-        w = WidthSeries.from_record(rec)
-        hz = classicality_horizon(
-            WidthSeries(w.times + offset, w.delta_x, w.delta_p),
-            spec.delta_z, spec.l_v,
-        )
-        if math.isfinite(hz.time):
-            return hz.time
-        offset += spec.dt
-        state = rec.final
-    return math.inf
+    rec = _evolve_on(prop, state, n_sub * n_intervals)
+    return classicality_horizon(WidthSeries.from_record(rec), spec.delta_z, spec.l_v).time
 
 
 class _PathJudge:

@@ -72,7 +72,7 @@ def free_run(grid, psi0, dt_snap, n_snap):
     wave = psi0
     prop = Propagator(grid, free_potential(), 0.0, dt_snap)
     for k in range(n_snap):
-        wave = WaveFunction(grid, prop.step_wave(wave.amplitudes), validate=False)
+        wave = WaveFunction(grid, prop.core.run(wave.amplitudes), validate=False)
         snaps.append(wave)
         ts.append((k + 1) * dt_snap)
     return snaps, ts

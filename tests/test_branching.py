@@ -619,7 +619,7 @@ def test_explicit_k0_matches_unitary_step():
     prop = Propagator(GRID, pot, 0.0, 0.02)
     wave = psi.amplitudes
     for _ in range(25):
-        wave = prop.step_wave(wave)
+        wave = prop.core.run(wave)
     assert np.max(np.abs(out.state[:, 0] - wave)) < 1e-12
     assert report.env_overlaps == pytest.approx(np.ones((2, 2)))
 

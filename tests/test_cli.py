@@ -19,9 +19,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import reference_finite_scan, reference_write_csv
+from oracles import reference_finite_scan, reference_unitary, reference_write_csv
 
-from branchfall import ExplicitModel, cli, coherent_state, evolve_explicit
+from branchfall import (
+    BohmEnsemble,
+    ExplicitModel,
+    WaveFunction,
+    bohm_evolve,
+    cli,
+    coherent_state,
+    evolve_explicit,
+)
 from branchfall.cli import main
 from branchfall.config import (
     ConfigError,
@@ -172,15 +180,40 @@ def test_nan_scalar_key_exits_2_before_any_work(tmp_path, capsys):
     assert validate_config(parse_config(body.format(l_v="inf")))["l_v"] == math.inf
 
 
-@pytest.mark.parametrize("n_traj", [0, -3])
-def test_bohm_without_trajectories_exits_2_before_any_work(tmp_path, capsys, n_traj):
+# valid bodies, each spoiled by one non-positive step size or count below
+_SPOILED_BODIES = {
+    "bohm": "kind = bohm\ngrid_n = 128\nq0 = 1.0\nsigma_x = 0.7071\ntotal_time = 0.5\n",
+    "grw": "kind = grw\ngrid_n = 64\nx_min = -8\nx_max = 8\nhit_rate = 1.0\nr_c = 0.5\n",
+    "explicit": "kind = explicit\ngrid_n = 64\nx_min = -8\nx_max = 8\ncouplings = 0.2\ndt = 0.01\n",
+    "sample": (
+        "kind = sample\ngrid_n = 64\nx_min = -8\nx_max = 8\nwindow_x_lo = -4\n"
+        "window_x_hi = 4\nwindow_p_lo = -6\nwindow_p_hi = 6\ncells_x = 2\ncells_p = 2\n"
+        "lambda = 0.5\ndt = 0.3\nn_steps = 2\n"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, spoil",
+    [
+        pytest.param("bohm", "n_traj = 0", id="0"),
+        pytest.param("bohm", "n_traj = -3", id="-3"),
+        pytest.param("bohm", "ode_dt = 0", id="bohm-ode_dt-0"),
+        pytest.param("bohm", "dt = inf", id="bohm-dt-inf"),
+        pytest.param("grw", "total_time = 1\ndt_int = 0", id="grw-dt_int-0"),
+        pytest.param("grw", "total_time = 1\ndt_int = -0.01", id="grw-dt_int-negative"),
+        pytest.param("grw", "total_time = -1", id="grw-total_time-negative"),
+        pytest.param("explicit", "n_steps = -5", id="explicit-n_steps-negative"),
+        pytest.param("sample", "n_traj = -2", id="sample-n_traj-negative"),
+    ],
+)
+def test_bohm_without_trajectories_exits_2_before_any_work(tmp_path, capsys, kind, spoil):
+    # and every other non-positive (or infinite) step size, time span or count
     out = tmp_path / "runs"
-    body = (
-        "kind = bohm\ngrid_n = 128\nq0 = 1.0\nsigma_x = 0.7071\n"
-        f"total_time = 0.5\nn_traj = {n_traj}\nout = {out}\n"
-    )
+    body = _SPOILED_BODIES[kind] + f"{spoil}\nout = {out}\n"
+    key = spoil.splitlines()[-1].split(" = ")[0]
     assert main(["run", write_cfg(tmp_path, "b.cfg", body)]) == 2
-    assert "bad value for key 'n_traj'" in capsys.readouterr().err
+    assert f"bad value for key '{key}'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -383,6 +416,37 @@ def test_explicit_purity_is_the_trace_of_rho_squared(tmp_path):
     want = float(np.real(np.trace(rho @ rho))) * grid.dx**2
     assert want < 0.99  # the qubits have decohered the packet
     assert abs(got - want) <= 1e-14
+
+
+def test_bohm_run_matches_snapshots_of_the_reference_unitary(tmp_path):
+    # the wave_output bohm shape (N = 192, below the FFT path of kernels)
+    # with 50 trajectories: the run steps its snapshots with the split-step
+    # core, the reference with the dense unfused Strang unitary
+    out = tmp_path / "runs"
+    body = (
+        "kind = bohm\nseed = 5\ngrid_n = 192\nx_min = -12\nx_max = 12\nq0 = 1.0\n"
+        "sigma_x = 0.7071\ntotal_time = 2.0\ndt = 0.05\node_dt = 0.0125\nn_traj = 50\n"
+        f"out = {out}\n"
+    )
+    path = write_cfg(tmp_path, "b.cfg", body)
+    cfg = load_config(path)
+    assert main(["run", path]) == 0
+    got = np.loadtxt(Path(only_run_dir(out), "bohm.csv"), delimiter=",", skiprows=1)
+    grid = make_grid(cfg)
+    u = reference_unitary(grid, make_potential(cfg), cfg["dt"])
+    psi = coherent_state(grid, cfg["q0"], cfg["p0"], cfg["sigma_x"])
+    snapshots = [psi]
+    for _ in range(40):
+        psi = WaveFunction(grid, u @ psi.amplitudes, validate=False)
+        snapshots.append(psi)
+    run = bohm_evolve(
+        BohmEnsemble.from_state(snapshots[0], cfg["n_traj"], cfg["seed"]),
+        snapshots, np.arange(41) * cfg["dt"], cfg["ode_dt"],
+    )
+    want = run.as_columns()
+    assert np.array_equal(got[:, 0], want["traj_id"]) and np.array_equal(got[:, 1], want["t"])
+    # measured 1.6e-14 on positions of order 1; the bound leaves 64 times that
+    assert np.abs(got[:, 2] - want["x"]).max() <= 1e-12
 
 
 def test_sample_initial_rows_use_sentinel_alpha(tmp_path):

@@ -157,8 +157,8 @@ def test_unitary_step_round_trip():
     psi = coherent_state(grid, 0.5, 2.0, 0.7)
     pot = harmonic_potential(1.0, 1.0)
     prop = Propagator(grid, pot, 0.0, 0.05)
-    fwd = WaveFunction(grid, prop.step_wave(psi.amplitudes), validate=False)
-    back = Propagator(grid, pot, 0.0, -0.05).step_wave(fwd.amplitudes)
+    fwd = WaveFunction(grid, prop.core.run(psi.amplitudes), validate=False)
+    back = Propagator(grid, pot, 0.0, -0.05).core.run(fwd.amplitudes)
     assert np.max(np.abs(back - psi.amplitudes)) < 1e-12
     assert fwd.norm_squared() == pytest.approx(1.0, abs=1e-12)
     rho_fwd = prop.step_elements(psi.to_density().elements)
@@ -308,7 +308,7 @@ def test_fft_step_matches_dense_reference(n_points, lam, dt, pot):
     el = prop.pack(ref)
     wave = ref_wave = psi.amplitudes
     for _ in range(10):
-        el, wave = prop.step_elements(el), prop.step_wave(wave)
+        el, wave = prop.step_elements(el), prop.core.run(wave)
         ref = dense_step(ref)
         ref_wave = u @ ref_wave
     el = prop.unpack(el)

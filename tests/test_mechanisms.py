@@ -58,7 +58,7 @@ def test_zero_rate_matches_unitary_evolution():
     prop = Propagator(GRID, pot, 0.0, 0.01)
     wave = psi.amplitudes
     for _ in range(50):
-        wave = prop.step_wave(wave)
+        wave = prop.core.run(wave)
     assert run.hits == []
     assert np.max(np.abs(run.final.amplitudes - wave)) < 1e-12
 
@@ -189,7 +189,7 @@ def free_run(grid, psi0, dt_snap, n_snap):
     wave = psi0
     prop = Propagator(grid, free_potential(), 0.0, dt_snap)
     for k in range(n_snap):
-        wave = WaveFunction(grid, prop.step_wave(wave.amplitudes), validate=False)
+        wave = WaveFunction(grid, prop.core.run(wave.amplitudes), validate=False)
         snaps.append(wave)
         ts.append((k + 1) * dt_snap)
     return snaps, ts

@@ -226,7 +226,7 @@ def test_escape_draw_counts_as_violation():
 def test_measured_horizon_steps_one_propagator_per_z0(povm, monkeypatch):
     spec = _spec(povm, (1.2, 3.5))
     z0 = spec.d_c[0]
-    builds, chunks = [], []
+    builds, chains = [], []
     init, evolve_on = dynamics.Propagator.__init__, reduction._evolve_on
 
     def counting_init(self, *a, **k):
@@ -235,19 +235,20 @@ def test_measured_horizon_steps_one_propagator_per_z0(povm, monkeypatch):
 
     def recording_evolve_on(*a, **k):
         rec = evolve_on(*a, **k)
-        chunks.append(rec)
+        chains.append(rec)
         return rec
 
     monkeypatch.setattr(dynamics.Propagator, "__init__", counting_init)
     monkeypatch.setattr(reduction, "_evolve_on", recording_evolve_on)
     assert math.isinf(reduction._measured_horizon(spec, z0, 1.5))
-    assert builds == [288] and len(chunks) == 3
-    # the same bits as a fresh evolve() per chunk on the widened grid
-    wide = chunks[0].final.grid
+    # one build and one chain of 5 substeps per collapse interval over the
+    # three intervals of the horizon
+    assert builds == [288] and len(chains) == 1
+    (rec,) = chains
+    # the same bits as one evolve() over the whole horizon on the widened grid
+    wide = rec.final.grid
     state = coherent_state(wide, z0.q, z0.p, spec.sigma_x).to_density()
-    for rec in chunks:
-        alone = evolve(state, spec.potential, spec.lambda_rate, spec.dt / 5, 5)
-        for name in ("times", "var_x", "var_p"):
-            assert np.array_equal(getattr(rec, name), getattr(alone, name))
-        assert np.array_equal(rec.final.elements, alone.final.elements)
-        state = alone.final
+    alone = evolve(state, spec.potential, spec.lambda_rate, spec.dt / 5, 15)
+    for name in ("times", "var_x", "var_p"):
+        assert np.array_equal(getattr(rec, name), getattr(alone, name))
+    assert np.array_equal(rec.final.elements, alone.final.elements)
