@@ -463,19 +463,35 @@ class DecoherenceReport:
     reduced_rho: Optional[DensityMatrix] = None
 
 
-def _explicit_core(model: ExplicitModel, potential: Potential, dt: float) -> _SplitStep:
-    """Split-step core for the joint state transposed to (2^k, n_points).
+def _explicit_rows(
+    model: ExplicitModel, potential: Potential, dt: float
+) -> tuple[np.ndarray, _SplitStep, np.ndarray]:
+    """The distinct rows of the joint state transposed to (2^k, n_points),
+    their split-step core and the index that expands them: a block stepped
+    from rows, indexed by inverse, is the block of every row.
 
-    Row b's diagonal phase covers V(x) plus the full interaction and any
-    sigma_z self-terms, all of which commute; with k = 0 this is exactly
-    the single-particle Strang step.
+    Row b's diagonal phase covers V(x) plus the full interaction s_b x and
+    any sigma_z self-term h_b, all of which commute; with k = 0 this is
+    exactly the single-particle Strang step.  Its phase row is built from
+    the two scalars alone, so rows with the same bits of (s_b, h_b) and the
+    same initial row are one computation, bit for bit, and each such group
+    is stepped once.  The representatives stay C-ordered rows, the core's
+    layout.
     """
     signs = model.sigma_signs()  # (2^k, k)
     shift = signs @ model.couplings  # s_b = sum_j g_j s_j(b)
     env = signs @ model.env_energies if model.env_energies is not None else np.zeros(len(shift))
+    rows = np.ascontiguousarray(model.state.T)
+    bits = rows.view(np.uint64)  # keys on bits, so 0.0 and -0.0 stay apart
+    if (bits == bits[0]).all():
+        start = np.zeros(len(rows), dtype=np.int64)
+    else:
+        start = np.unique(bits, axis=0, return_inverse=True)[1].reshape(-1)
+    keys = np.column_stack((shift.view(np.int64), env.view(np.int64), start))
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     grid = model.grid
-    diag = potential.values(grid) + shift[:, None] * grid.x + env[:, None]
-    return _SplitStep(grid, diag, dt)
+    diag = potential.values(grid) + shift[first, None] * grid.x + env[first, None]
+    return rows[first], _SplitStep(grid, diag, dt), inverse.reshape(-1)
 
 
 def evolve_explicit(
@@ -487,14 +503,18 @@ def evolve_explicit(
 ) -> tuple[ExplicitModel, DecoherenceReport]:
     """Run the joint unitary dynamics and report conditioned-env overlaps.
 
+    The transposed (2^k, n_points) block steps each distinct environment
+    row once, as one fused split-step call (see _explicit_rows), and is
+    expanded to every row before anything reads it.
+
     bins are position intervals; each nonempty bin is represented by the
     grid point nearest its probability centroid, and the environment ket at
     that point (normalized column of the joint state) stands in for the
     branch's environment state.  Defaults to the two window halves.
     """
     grid = model.grid
-    rows = np.ascontiguousarray(model.state.T)
-    state = np.ascontiguousarray(_explicit_core(model, potential, dt).run(rows, n_steps).T)
+    rows, core, inverse = _explicit_rows(model, potential, dt)
+    state = np.ascontiguousarray(core.run(rows, n_steps)[inverse].T)
     out = ExplicitModel(grid, model.couplings, state, model.env_energies)
 
     if bins is None:
@@ -543,7 +563,9 @@ def decoherence_functional(
 
     A history (a_0, ..., a_N) applies projector a_0, then alternates the
     joint unitary over dt with the next projector: C = P_aN U ... U P_a0.
-    Projectors act on the particle index only.  Shared prefixes are
+    Projectors act on the particle index only, so the history vectors
+    step each distinct environment row once (see _explicit_rows) and are
+    expanded to every row for the Gram sum alone.  Shared prefixes are
     evaluated once.  Cost grows with len(histories) and N; both are capped.
     """
     histories = [tuple(h) for h in history_set]
@@ -557,10 +579,10 @@ def decoherence_functional(
     if length > 5:
         raise ValueError("histories capped at 5 entries (4 evolution steps)")
 
-    core = _explicit_core(model, potential, dt)
+    rows, core, inverse = _explicit_rows(model, potential, dt)
     grid = model.grid
-    # history vectors as C-ordered (2^k, n_points) rows, the core's layout
-    cache: dict[tuple[int, ...], np.ndarray] = {(): np.ascontiguousarray(model.state.T)}
+    # history vectors of the distinct rows, C-ordered, the core's layout
+    cache: dict[tuple[int, ...], np.ndarray] = {(): rows}
 
     def vector(prefix: tuple[int, ...]) -> np.ndarray:
         if prefix in cache:
@@ -571,7 +593,7 @@ def decoherence_functional(
         cache[prefix] = out
         return out
 
-    vecs = [vector(h) for h in histories]
+    vecs = [vector(h)[inverse] for h in histories]
     m = len(histories)
     d = np.empty((m, m), dtype=np.complex128)
     for a in range(m):

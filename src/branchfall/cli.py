@@ -25,7 +25,7 @@ from .config import ConfigError, load_config, make_grid, make_potential, make_po
 from .dynamics import _SplitStep, evolve
 from .ehrenfest import WidthSeries, classicality_horizon, ehrenfest_residual
 from .errors import BranchfallError, EscapeSampled, ExplosionGuard
-from .mechanisms import BohmEnsemble, GRWParams, bohm_evolve, grw_evolve
+from .mechanisms import BohmEnsemble, GRWParams, _step_count, bohm_evolve, grw_evolve
 from .pointer import predictability_sieve
 from .qstate import PhasePoint, WaveFunction, coherent_state
 from .reduction import ReductionSpec, verify_reduction
@@ -402,7 +402,7 @@ def _run_grw(cfg, run_dir):
 def _run_bohm(cfg, run_dir):
     grid = make_grid(cfg)
     potential = make_potential(cfg)
-    n_snap = max(1, int(round(cfg["total_time"] / cfg["dt"])))
+    n_snap = _step_count(cfg["total_time"], cfg["dt"])
     psi = _packet(cfg, grid)
     core = _SplitStep(grid, potential.values(grid), cfg["dt"])
     snapshots = [psi]

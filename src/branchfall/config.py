@@ -16,6 +16,7 @@ from .dynamics import (
     free_potential,
     harmonic_potential,
 )
+from .mechanisms import _step_count
 from .pointer import PhasePartition, POVMSet, build_povm
 from .qstate import GridSpec
 
@@ -243,6 +244,14 @@ def validate_config(raw: dict) -> dict:
             raise ConfigError(f"missing required key '{key}' for kind '{kind}'")
         else:
             cfg[key] = default
+    if kind == "bohm":
+        # bohm.csv and the KS distances must share the snapshot times
+        for span, step in (("total_time", "dt"), ("dt", "ode_dt")):
+            if _step_count(cfg[span], cfg[step]) is None:
+                raise ConfigError(
+                    f"bad value for key '{step}': {span} = {cfg[span]:g} is not a "
+                    f"whole number of {step} = {cfg[step]:g} steps"
+                )
     if "povm_sigma_x" in cfg and cfg["povm_sigma_x"] is None:
         cfg["povm_sigma_x"] = cfg.get("sigma_x", 1.0)
     return cfg

@@ -27,8 +27,9 @@ antisymmetric parts of R, so the unpacked kernel is exactly Hermitian.
 This module is the only one that steps a state.  Its two density chains,
 _evolve_on (evolve, the sieve, the measured horizon) and _evolve_kernel
 (the collapse interval of branch_step and BornSampler), pack the kernel
-once, keep R through every step, guard and moment row, and unpack it once
-at the end.  Every density step passes one guard: finite unit trace and
+once and keep R through every step, guard and moment row; _evolve_kernel
+unpacks it once at the end, and _evolve_on's record on the first read of
+its final state.  Every density step passes one guard: finite unit trace and
 at most EDGE_TOL of the mass in the outer two cells on either side, where
 it would wrap around the periodic grid.
 """
@@ -36,7 +37,7 @@ it would wrap around the periodic grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -367,6 +368,9 @@ class EvolutionRecord:
 
     All arrays share the length of times.  mean_dvdx is <V'(X)>, recorded so
     force-law residuals can be formed without storing state snapshots.
+    final is the state at the last time, either given or unpacked on its
+    first read from packed_final, the propagator and the packed kernel that
+    _evolve_on leaves; callers that read only the moment series never unpack.
     """
 
     times: np.ndarray
@@ -377,9 +381,21 @@ class EvolutionRecord:
     s_lin: np.ndarray
     purity: np.ndarray
     mean_dvdx: np.ndarray
-    final: DensityMatrix
     dt: float
     lambda_rate: float
+    # the cached property below is also this InitVar's default
+    final: InitVar[DensityMatrix]
+    packed_final: Optional[tuple[Propagator, np.ndarray]] = field(default=None, repr=False)
+
+    def __post_init__(self, final) -> None:
+        if isinstance(final, DensityMatrix):
+            self.__dict__["final"] = final
+
+    @cached_property
+    def final(self) -> DensityMatrix:
+        prop, packed = self.packed_final
+        self.packed_final = None
+        return DensityMatrix(prop.grid, prop.unpack(packed), validate=False)
 
     def as_columns(self) -> dict:
         """Column dict in CSV order (diagnostic extras excluded)."""
@@ -427,9 +443,12 @@ def evolve(
     The t = 0 row and the final row are always recorded.  Every step is
     checked: ExplosionGuard on non-finite values or trace drift beyond 1e-6,
     BoundaryViolation once more than EDGE_TOL of the mass sits in the
-    outermost two grid cells on either side.
+    outermost two grid cells on either side.  The record comes back with
+    its final state unpacked, so it does not keep the propagator alive.
     """
-    return _evolve_on(Propagator(rho.grid, potential, lambda_rate, dt), rho, n_steps, record_every)
+    rec = _evolve_on(Propagator(rho.grid, potential, lambda_rate, dt), rho, n_steps, record_every)
+    rec.final  # first read: unpacks and drops packed_final
+    return rec
 
 
 def _evolve_on(
@@ -442,8 +461,8 @@ def _evolve_on(
     states with one (grid, potential, lambda_rate, dt) build it once.
 
     The kernel is packed once (Propagator.pack), every step, guard and
-    moment row reads that form, and it is unpacked once for the final
-    state.
+    moment row reads that form, and the record unpacks it on the first read
+    of its final state.
     """
     if n_steps < 1 or record_every < 1:
         raise ValueError("n_steps and record_every must be >= 1")
@@ -480,7 +499,7 @@ def _evolve_on(
         s_lin=1.0 - pur,
         purity=pur,
         mean_dvdx=mdv,
-        final=DensityMatrix(grid, prop.unpack(kernel), validate=False),
         dt=dt,
         lambda_rate=prop.lambda_rate,
+        packed_final=(prop, kernel),
     )

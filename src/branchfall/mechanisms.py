@@ -145,6 +145,14 @@ State = Union[WaveFunction, ExplicitModel]
 DENSITY_FLOOR = 1e-12
 
 
+def _step_count(span: float, step: float) -> Optional[int]:
+    """How many steps of size step make up span, or None unless that is a
+    whole number of at least one, to a relative 1e-9."""
+    n = span / step
+    whole = round(n)
+    return whole if whole >= 1 and abs(n - whole) <= 1e-9 * n else None
+
+
 def _joint_columns(state: State) -> tuple[GridSpec, np.ndarray]:
     if isinstance(state, WaveFunction):
         return state.grid, state.amplitudes[:, None]
@@ -259,6 +267,11 @@ def bohm_evolve(
     dt_snap = times[1] - times[0]
     if not np.allclose(np.diff(times), dt_snap, rtol=0, atol=1e-9 * max(dt_snap, 1.0)):
         raise ValueError("snapshot times must be uniformly spaced")
+    if _step_count(float(dt_snap), ode_dt) is None:
+        # positions and densities would be compared at different times
+        raise ValueError(
+            f"snapshot spacing {dt_snap:g} is not a whole number of ode_dt = {ode_dt:g} steps"
+        )
     grid, _ = _joint_columns(snapshots[0])
     x_nodes = grid.x  # GridSpec.x builds a fresh array per access
 

@@ -653,6 +653,85 @@ def test_evolve_explicit_fuses_half_kicks(monkeypatch):
     assert len(calls) == 10
 
 
+def mixed_rows_model(grid):
+    """A 4-qubit model whose 16 rows mix three kinds of repeats.
+
+    Qubits 0 and 1 share g and h, so rows that swap their bits repeat one
+    phase row; row 2 then starts from another packet than its twin row 1.
+    Qubits 2 and 3 share g but not h, so env_energies split rows of equal
+    interaction shift."""
+    g, h = [0.3, 0.3, 0.5, 0.5], [0.2, 0.2, 0.1, -0.1]
+    model = ExplicitModel.from_wavefunction(coherent_state(grid, 1.0, 0.5, 0.8), g, h)
+    state = model.state.copy()
+    state[:, 2] = coherent_state(grid, -1.0, 0.0, 0.9).amplitudes / 4.0
+    return ExplicitModel(grid, model.couplings, state, model.env_energies)
+
+
+def alone_cores(model, pot, dt):
+    """One split-step core per row, each built from its own (s_b, h_b)."""
+    signs = model.sigma_signs()
+    shift, env = signs @ model.couplings, signs @ model.env_energies
+    grid = model.grid
+    return [
+        branching._SplitStep(grid, pot.values(grid) + s * grid.x + h, dt)
+        for s, h in zip(shift, env)
+    ]
+
+
+@pytest.fixture
+def run_blocks(monkeypatch):
+    """Shapes of the blocks handed to _SplitStep.run, in call order."""
+    blocks = []
+    run = branching._SplitStep.run
+
+    def recording_run(self, states, n=1):
+        blocks.append(states.shape)
+        return run(self, states, n)
+
+    monkeypatch.setattr(branching._SplitStep, "run", recording_run)
+    return blocks
+
+
+def test_explicit_distinct_rows_equal_rows_stepped_alone(run_blocks):
+    model = mixed_rows_model(GRID)
+    pot = harmonic_potential(1.0, 1.0)
+    out, _ = evolve_explicit(model, pot, 0.02, 7)
+    # 9 distinct shifts s_b, which h_b splits into 12 (s_b, h_b), and row 2
+    # starts apart from its twin row 1: 13 of the 16 rows
+    assert run_blocks == [(13, GRID.n_points)]
+    rows = model.state.T
+    for b, core in enumerate(alone_cores(model, pot, 0.02)):
+        assert np.array_equal(out.state[:, b], core.run(rows[b : b + 1], 7)[0])
+
+
+def test_decoherence_functional_distinct_rows_equal_rows_stepped_alone(povm_2x1):
+    model = mixed_rows_model(GRID)
+    projs = [povm_2x1.operators[0], povm_2x1.operators[1]]
+    histories = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 0)]
+    d, report = decoherence_functional(model, projs, histories, free_potential(), 0.3)
+    cores = alone_cores(model, free_potential(), 0.3)
+    vecs = []
+    for hist in histories:
+        vec = model.state.T @ projs[hist[0]].T
+        for a in hist[1:]:
+            vec = np.array([core.run(row[None])[0] for core, row in zip(cores, vec)])
+            vec = vec @ projs[a].T
+        vecs.append(vec)
+    ref = np.array([[np.sum(vb.conj() * va) * GRID.dx for vb in vecs] for va in vecs])
+    assert np.array_equal(d, ref)
+    assert np.all(np.diag(report.consistency_ratios) == 1.0)
+
+
+def test_evolve_explicit_steps_105_of_256_rows(run_blocks):
+    # couplings 0.1 ... 0.8 give 105 distinct shifts s_b over 256 rows
+    model = ExplicitModel.from_wavefunction(
+        coherent_state(GRID, 1.0, 0.0, 0.7071), np.arange(1, 9) / 10
+    )
+    out, _ = evolve_explicit(model, free_potential(), 0.01, 3)
+    assert run_blocks == [(105, GRID.n_points)]
+    assert out.state.shape == (GRID.n_points, 256) and out.state.flags.c_contiguous
+
+
 def test_reduced_lobe_follows_cosine_envelope():
     # heavy mass, V = 0: interaction phases commute across steps, so the
     # off-diagonal lobe decays by exactly prod_j cos(g_j (x - x') t)

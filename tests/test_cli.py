@@ -200,6 +200,8 @@ _SPOILED_BODIES = {
         pytest.param("bohm", "n_traj = -3", id="-3"),
         pytest.param("bohm", "ode_dt = 0", id="bohm-ode_dt-0"),
         pytest.param("bohm", "dt = inf", id="bohm-dt-inf"),
+        pytest.param("bohm", "dt = 0.2", id="bohm-total_time-not-whole-dt"),
+        pytest.param("bohm", "ode_dt = 0.04", id="bohm-dt-not-whole-ode_dt"),
         pytest.param("grw", "total_time = 1\ndt_int = 0", id="grw-dt_int-0"),
         pytest.param("grw", "total_time = 1\ndt_int = -0.01", id="grw-dt_int-negative"),
         pytest.param("grw", "total_time = -1", id="grw-total_time-negative"),
@@ -208,7 +210,9 @@ _SPOILED_BODIES = {
     ],
 )
 def test_bohm_without_trajectories_exits_2_before_any_work(tmp_path, capsys, kind, spoil):
-    # and every other non-positive (or infinite) step size, time span or count
+    # and every other non-positive (or infinite) step size, time span or
+    # count, and a bohm time span or snapshot step that is not a whole
+    # number of the step below it
     out = tmp_path / "runs"
     body = _SPOILED_BODIES[kind] + f"{spoil}\nout = {out}\n"
     key = spoil.splitlines()[-1].split(" = ")[0]

@@ -267,6 +267,16 @@ def test_bohm_evolve_validation():
         bohm_evolve(ens, [psi, psi, psi], [0.0, 0.1, 0.3], 0.01)
 
 
+def test_bohm_evolve_rejects_snapshots_between_ode_steps():
+    # 12 ODE steps of 0.04 end at t = 0.48, not at the last snapshot's 0.5
+    psi0 = coherent_state(GRID, 1.0, 0.0, 0.7071)
+    snaps, ts = free_run(GRID, psi0, 0.05, 10)
+    ens = BohmEnsemble(np.array([1.0]), 0)
+    with pytest.raises(ValueError, match="not a whole number of ode_dt"):
+        bohm_evolve(ens, snaps, ts, ode_dt=0.04)
+    assert bohm_evolve(ens, snaps, ts, ode_dt=0.025).positions.shape == (1, 21)
+
+
 def test_checkpoint_without_unflagged_trajectory_raises_node_region():
     # both positions sit where the packet's density is below DENSITY_FLOOR,
     # so every checkpoint finds no sample to compare with the density

@@ -334,6 +334,31 @@ def test_sieve_steps_every_width_with_one_propagator(monkeypatch):
     assert len(builds) == 1 + len(widths)
 
 
+def test_sieve_unpacks_no_final_kernel(monkeypatch):
+    # the sieve reads only S_lin; a chain's record unpacks its final kernel
+    # on the first read of final, once
+    grid = GridSpec(256, -12.0, 12.0, mass=1.0)
+    args = (grid, harmonic_potential(1.0, 1.0), 0.2)
+    unpacks = []
+    unpack = pointer.Propagator.unpack
+
+    def counting_unpack(self, kernel):
+        unpacks.append(kernel.shape)
+        return unpack(self, kernel)
+
+    monkeypatch.setattr(pointer.Propagator, "unpack", counting_unpack)
+    predictability_sieve(*args, [0.7071, 1.0], PhasePoint(1.0, 0.0), 0.02, dt=0.01)
+    assert unpacks == []
+    rho = coherent_state(grid, 1.0, 0.0, 0.7071).to_density()
+    rec = pointer._evolve_on(pointer.Propagator(*args, 0.01), rho, 2)
+    assert unpacks == []
+    final = rec.final
+    assert rec.final is final and unpacks == [(256, 256)]
+    alone = evolve(rho, *args[1:], 0.01, 2)
+    assert unpacks == [(256, 256)] * 2
+    assert np.array_equal(final.elements, alone.final.elements)
+
+
 def test_sieve_flat_without_dephasing():
     grid = GridSpec(128, -10.0, 10.0, mass=1.0)
     res = predictability_sieve(

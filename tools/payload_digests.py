@@ -2,6 +2,7 @@
 
     python3 tools/payload_digests.py > digests.json
     python3 tools/payload_digests.py --keep runs-dir > digests.json
+    python3 tools/payload_digests.py --kind explicit --kind bohm > digests.json
     python3 tools/payload_digests.py --compare runs-a runs-b > deviations.json
 
 Runs each `perfbench.workloads.all_jobs()` config once through
@@ -10,6 +11,8 @@ and prints one JSON object: {config key: {"exit_code": int, "files":
 {payload name: sha256}}}.  Comparing two checkouts is one `diff` of their
 outputs.  With --keep the run directories stay under the given directory,
 one per config key, so payload columns can be compared value by value.
+Each --kind (repeatable) keeps only the configs of that kind, so a one-kind
+audit runs nothing else.
 
 --compare reads two --keep directories and runs nothing.  Per config key it
 prints the byte-identical payload files and, for every other file, the
@@ -163,6 +166,10 @@ def main(argv=None) -> int:
         "--compare", nargs=2, metavar=("DIR_A", "DIR_B"),
         help="compare the payloads of two --keep directories column by column",
     )
+    parser.add_argument(
+        "--kind", action="append", choices=workloads.KINDS,
+        help="run only the configs of this kind (repeatable; default: every kind)",
+    )
     args = parser.parse_args(argv)
     if args.compare:
         json.dump(compare(*args.compare), sys.stdout, indent=1, sort_keys=True)
@@ -172,6 +179,8 @@ def main(argv=None) -> int:
     try:
         out = {}
         for job in workloads.all_jobs():
+            if args.kind and job.kind not in args.kind:
+                continue
             out_dir = os.path.join(args.keep or scratch, job.key)
             out[job.key] = {"kind": job.kind, **digest(job, out_dir, scratch)}
             if not args.keep:
