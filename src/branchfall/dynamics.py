@@ -383,13 +383,15 @@ class EvolutionRecord:
     mean_dvdx: np.ndarray
     dt: float
     lambda_rate: float
-    # the cached property below is also this InitVar's default
+    # final left out arrives as its default, the cached property below
     final: InitVar[DensityMatrix]
     packed_final: Optional[tuple[Propagator, np.ndarray]] = field(default=None, repr=False)
 
     def __post_init__(self, final) -> None:
         if isinstance(final, DensityMatrix):
             self.__dict__["final"] = final
+        elif not isinstance(final, cached_property) or self.packed_final is None:
+            raise TypeError("EvolutionRecord needs final, a DensityMatrix, or packed_final")
 
     @cached_property
     def final(self) -> DensityMatrix:

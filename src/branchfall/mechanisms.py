@@ -149,6 +149,8 @@ def _step_count(span: float, step: float) -> Optional[int]:
     """How many steps of size step make up span, or None unless that is a
     whole number of at least one, to a relative 1e-9."""
     n = span / step
+    if not math.isfinite(n):
+        return None
     whole = round(n)
     return whole if whole >= 1 and abs(n - whole) <= 1e-9 * n else None
 

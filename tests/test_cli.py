@@ -202,6 +202,7 @@ _SPOILED_BODIES = {
         pytest.param("bohm", "dt = inf", id="bohm-dt-inf"),
         pytest.param("bohm", "dt = 0.2", id="bohm-total_time-not-whole-dt"),
         pytest.param("bohm", "ode_dt = 0.04", id="bohm-dt-not-whole-ode_dt"),
+        pytest.param("bohm", "dt = 1e-320", id="bohm-dt-count-overflows"),
         pytest.param("grw", "total_time = 1\ndt_int = 0", id="grw-dt_int-0"),
         pytest.param("grw", "total_time = 1\ndt_int = -0.01", id="grw-dt_int-negative"),
         pytest.param("grw", "total_time = -1", id="grw-total_time-negative"),

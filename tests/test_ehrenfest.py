@@ -1,5 +1,6 @@
 """Force-law residuals, width bookkeeping, and the classicality horizon."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -45,6 +46,17 @@ def _fake_record(times):
         dt=float(times[1] - times[0]) if n > 1 else 0.0,
         lambda_rate=0.0,
     )
+
+
+def test_record_needs_a_final_state():
+    rec = _fake_record([0.0, 0.1])
+    assert rec.final.grid is GRID
+    fields = {f.name: getattr(rec, f.name) for f in dataclasses.fields(rec)}
+    fields.pop("packed_final")
+    with pytest.raises(TypeError, match="needs final"):
+        EvolutionRecord(**fields)
+    with pytest.raises(TypeError, match="needs final"):
+        EvolutionRecord(**fields, final=rec.final.elements)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.1, 1.0])

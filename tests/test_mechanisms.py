@@ -274,6 +274,8 @@ def test_bohm_evolve_rejects_snapshots_between_ode_steps():
     ens = BohmEnsemble(np.array([1.0]), 0)
     with pytest.raises(ValueError, match="not a whole number of ode_dt"):
         bohm_evolve(ens, snaps, ts, ode_dt=0.04)
+    with pytest.raises(ValueError, match="not a whole number of ode_dt"):
+        bohm_evolve(ens, snaps, ts, ode_dt=5e-324)  # the step count overflows
     assert bohm_evolve(ens, snaps, ts, ode_dt=0.025).positions.shape == (1, 21)
 
 
