@@ -413,6 +413,8 @@ class ExplicitModel:
         k = self.k
         if k > 12:
             raise ValueError(f"k = {k} exceeds the desk-scale cap of 12")
+        if not np.all(np.isfinite(self.couplings)):
+            raise ValueError("couplings must be finite")
         self.state = np.asarray(self.state, dtype=np.complex128)
         if self.state.shape != (self.grid.n_points, 2**k):
             raise ValueError(f"state must have shape (n_points, 2^{k})")
@@ -420,8 +422,11 @@ class ExplicitModel:
             self.env_energies = np.asarray(self.env_energies, dtype=float)
             if self.env_energies.shape != (k,):
                 raise ValueError("env_energies must match the number of qubits")
+            if not np.all(np.isfinite(self.env_energies)):
+                raise ValueError("env_energies must be finite")
+        # a non-finite amplitude makes the norm nan or inf
         nrm = self.norm_squared()
-        if abs(nrm - 1.0) > 1e-8:
+        if not math.isfinite(nrm) or abs(nrm - 1.0) > 1e-8:
             raise ValueError(f"joint state not normalized: {nrm!r}")
 
     @property

@@ -280,7 +280,7 @@ def _packet(cfg, grid):
 def _run_evolve(cfg, run_dir):
     grid = make_grid(cfg)
     rec = evolve(
-        _packet(cfg, grid).to_density(), make_potential(cfg), cfg["lambda"],
+        _packet(cfg, grid), make_potential(cfg), cfg["lambda"],
         cfg["dt"], cfg["n_steps"], cfg["record_every"],
     )
     _write_csv(os.path.join(run_dir, "evolve.csv"), rec.as_columns())
@@ -426,7 +426,7 @@ def _run_ehrenfest(cfg, run_dir):
     grid = make_grid(cfg)
     potential = make_potential(cfg)
     rec = evolve(
-        _packet(cfg, grid).to_density(), potential, cfg["lambda"],
+        _packet(cfg, grid), potential, cfg["lambda"],
         cfg["dt"], cfg["n_steps"], cfg["record_every"],
     )
     _write_csv(os.path.join(run_dir, "evolve.csv"), rec.as_columns())

@@ -24,14 +24,26 @@ two matrix products.  On the FFT path a Hermitian kernel A + iB moves as
 the one real array R = A + B, which rfft2/irfft2 transform at about half
 the cost of a complex fft2/ifft2; A and B are the symmetric and
 antisymmetric parts of R, so the unpacked kernel is exactly Hermitian.
-This module is the only one that steps a state.  Its two density chains,
-_evolve_on (evolve, the sieve, the measured horizon) and _evolve_kernel
-(the collapse interval of branch_step and BornSampler), pack the kernel
-once and keep R through every step, guard and moment row; _evolve_kernel
-unpacks it once at the end, and _evolve_on's record on the first read of
-its final state.  Every density step passes one guard: finite unit trace and
-at most EDGE_TOL of the mass in the outer two cells on either side, where
-it would wrap around the periodic grid.
+This module is the only one that steps a state.  It has two density
+chains.  _evolve_kernel (the collapse interval of branch_step and
+BornSampler) packs a kernel once, keeps R through every step and guard and
+unpacks it once at the end.  _evolve_on (evolve, the sieve, the measured
+horizon) takes a DensityMatrix or a WaveFunction.  A DensityMatrix, and a
+WaveFunction off the FFT path, step as the packed kernel in the same way.
+A WaveFunction on the FFT path enters as its own rank-1 factor
+rho = V diag(lam) V^H, lam = [1] and V = psi, and stays one through every
+step, guard and moment row, with no N x N array (the low-rank integrator
+of Le Bris & Rouchon, Phys. Rev. A 87, 022125, 2013).  The unitary is one
+run() on the r rows of V^T.  Each half dephasing D = sum_m d_m d_m^T,
+factored once per propagator, maps V to the block [d_m o v_k sqrt(lam_k)],
+recompressed through the eigenpairs of its Gram matrix.  Before each step
+the chain checks M0^2 r, M0 the closed-form term count of D's expansion:
+past _FACTOR_MAX_BLOCK, the crossover measured at N = 256 (r = 16 at
+M0 = 13), it expands once to the packed kernel and goes on there.  The
+record builds its final kernel on the first read of its final state.
+Every density step passes one guard on the diagonal density: finite unit
+trace and at most EDGE_TOL of the mass in the outer two cells on either
+side, where it would wrap around the periodic grid.
 """
 
 from __future__ import annotations
@@ -39,12 +51,12 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .errors import BoundaryViolation, ExplosionGuard
-from .qstate import DensityMatrix, GridSpec, _momentum_masses
+from .qstate import DensityMatrix, GridSpec, WaveFunction, _momentum_masses
 
 __all__ = [
     "Potential",
@@ -70,6 +82,18 @@ _FFT_MIN_N = 256
 # 0.61-0.86 at 266 (19), but 0.90-1.08 at 276 (23), 1.12-1.31 at 287 (41),
 # 0.90-1.07 at 301 (43) and 1.5-2.5 at the prime 257.
 _FFT_MAX_PRIME = 19
+
+# Bound on M0^2 r, the widest dephasing block one factored step can build
+# (Propagator.factored), past which a chain hands off to the packed kernel.
+# Crossover measured at N = 256, the FFT path's smallest grid and so its
+# cheapest packed step, on factors a Lambda = 0.2, dt = 0.01 chain grew
+# (M0 = 13): a factored step with its guard and moment row took 0.54, 0.73,
+# 0.97, 1.18 and 1.37 times the packed one at r = 9, 12, 16, 19 and 21
+# (medians of 7 interleaved rounds, one BLAS thread).  At N = 315 and 512 the
+# ratio at r = 16 was 0.57 and 0.26, so the bound hands off early there.
+# The benchmark's chains reach M0^2 r = 1690 (N = 256) and 2025 (N = 512);
+# reduce's horizon chain (N = 288, M0 = 144) never enters the factored form.
+_FACTOR_MAX_BLOCK = 13 * 13 * 16
 
 # Most mass a density step may leave in the outer two grid cells on either
 # side: mass there wraps around the periodic grid and is booked to the
@@ -245,6 +269,45 @@ def _unpack_kernel(packed: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Factor:
+    """A density kernel held as V diag(lam) V^H, rho = sum_k lam_k v_k v_k^H.
+
+    rows is V^T, shape (r, N), so _SplitStep.run steps the r columns of V
+    at once; lam is real and positive.  A pure packet enters as lam = [1],
+    V = psi.  Every readout of the chain reads the factor: the diagonal,
+    the momentum masses and the squared Hilbert-Schmidt norm.
+    """
+
+    def __init__(self, lam: np.ndarray, rows: np.ndarray):
+        self.lam = lam
+        self.rows = rows
+
+    @property
+    def rank(self) -> int:
+        return len(self.lam)
+
+    def density(self) -> np.ndarray:
+        """diag rho = sum_k lam_k |v_k|^2."""
+        return self.lam @ (self.rows.real**2 + self.rows.imag**2)
+
+    def momentum_masses(self, dx: float) -> np.ndarray:
+        """sum_k lam_k |FFT v_k|^2 dx / N, the masses of qstate."""
+        ft = np.fft.fft(self.rows)
+        return (self.lam @ (ft.real**2 + ft.imag**2)) * (dx / self.rows.shape[1])
+
+    def squares(self) -> float:
+        """sum |rho|^2 = sum_kl lam_k lam_l |v_k^H v_l|^2."""
+        gram = self.rows.conj() @ self.rows.T
+        return float(self.lam @ (gram.real**2 + gram.imag**2) @ self.lam)
+
+    def expand(self) -> np.ndarray:
+        """The exactly Hermitian N x N kernel V diag(lam) V^H."""
+        out = (self.rows.T * self.lam) @ self.rows.conj()
+        out += out.conj().T
+        out *= 0.5
+        return out
+
+
 class Propagator:
     """Precomputed one-step map on density kernels for a fixed (grid,
     potential, lambda_rate, dt); it steps kernels only, and a wave function
@@ -259,7 +322,8 @@ class Propagator:
     kernel back once the chain ends.  On every other grid U is built once
     as a dense matrix (the split-step core applied to the identity), u, a
     step is two matrix products, and pack() and unpack() return the kernel
-    as it is.
+    as it is.  On the FFT path step_factor() steps a _Factor instead.  The
+    N x N dephasing kernel and D's factor are built on first use.
     """
 
     def __init__(
@@ -291,11 +355,58 @@ class Propagator:
             del rows
             self.u_dag = self.u.conj().T
 
-        if lambda_rate > 0:
-            diff = grid.x[:, None] - grid.x[None, :]
-            self.dephase_half = np.exp(-lambda_rate * diff * diff * (dt / 2.0))
-        else:
-            self.dephase_half = None
+    @cached_property
+    def dephase_half(self) -> Optional[np.ndarray]:
+        """The N x N half-step dephasing kernel exp(-a (x - x')^2),
+        a = lambda_rate dt / 2, built on first use; None without dephasing."""
+        if self.lambda_rate == 0:
+            return None
+        diff = self.grid.x[:, None] - self.grid.x[None, :]
+        return np.exp(-self.lambda_rate * diff * diff * (self.dt / 2.0))
+
+    @cached_property
+    def dephase_terms(self) -> int:
+        """Terms M0 of the expansion of dephase_half that dephase_factor
+        compresses, from its closed form alone (no array is built).
+
+        About the centre x_c of the points, with y = x - x_c and |y| <= Y,
+        exp(-a (y - y')^2) = g(y) g(y') sum_m (2a y y')^m / m! for
+        g = exp(-a y^2).  Term m is at most e^-u u^m / m! with
+        u = 2a |y y'| <= 2c, c = a Y^2, and from m >= 2c on that bound is
+        largest at u = 2c and falls with m: M0 is the first such m at which
+        it is below eps.  M0 >= M, the count dephase_factor keeps.
+        """
+        y_max = 0.5 * self.grid.dx * (self.grid.n_points - 1)
+        u = self.lambda_rate * self.dt * y_max * y_max
+        if u == 0:
+            return 1
+        m = max(1, math.ceil(u))
+        log_eps = math.log(np.finfo(float).eps)
+        while m * math.log(u) - u - math.lgamma(m + 1) > log_eps:
+            m += 1
+        return m
+
+    @cached_property
+    def dephase_factor(self) -> np.ndarray:
+        """Real rows d_m, shape (M, N), with dephase_half = sum_m d_m d_m^T
+        to roundoff: the dephase_terms columns g(y) y^m (2a)^(m/2) / sqrt(m!)
+        compressed by one thin SVD, keeping singular values s with
+        s^2 > eps s_max^2 (M = 11 at N = 512 and 9 at N = 256 on the
+        benchmark's grids, from M0 = 15 and 13).  Built on first use."""
+        a = 0.5 * self.lambda_rate * self.dt
+        grid = self.grid
+        y = grid.x - (grid.x_min + 0.5 * grid.dx * (grid.n_points - 1))
+        terms = np.empty((self.dephase_terms, grid.n_points))
+        terms[0] = np.exp(-a * y * y)
+        for m in range(1, len(terms)):
+            terms[m] = terms[m - 1] * y * math.sqrt(2.0 * a / m)
+        _, s, vt = np.linalg.svd(terms, full_matrices=False)
+        keep = s * s > np.finfo(float).eps * s[0] * s[0]
+        rows = s[keep, None] * vt[keep]
+        # the SVD leaves the diagonal sum_m d_m^2 off 1 by ~30 eps, a trace
+        # drift each dephasing would add up; dividing by its root fixes it
+        rows /= np.sqrt(np.sum(rows * rows, axis=0))
+        return rows
 
     def pack(self, elements: np.ndarray) -> np.ndarray:
         """The form step_elements steps: the packed real R of the Hermitian
@@ -330,16 +441,74 @@ class Propagator:
         elements *= 0.5
         return elements
 
+    def factored(self, rank: int) -> bool:
+        """True when a factor of this rank takes its next step as a factor:
+        on the FFT path, while M0^2 rank stays within _FACTOR_MAX_BLOCK.
+        M0 = dephase_terms >= M, and the two dephasing blocks of a step are
+        M r and M r' <= M^2 r columns wide, so M0^2 rank bounds both.
+        Reads no array."""
+        return (
+            _fft_path(self.grid.n_points)
+            and self.dephase_terms**2 * rank <= _FACTOR_MAX_BLOCK
+        )
 
-def _check_density(elements: np.ndarray, dx: float, where: str) -> None:
-    """The invariants of every density step, on either form of
-    Propagator.pack (diag R = diag Re rho).
+    def step_factor(self, factor: "_Factor"):
+        """One step D U D on a factor, with U one core.run on its rows.
+
+        Returns the next factor, or, when factored(rank) fails, the packed
+        kernel step_elements makes of the expanded factor: the chain hands
+        off once and goes on with step_elements.
+        """
+        if not self.factored(factor.rank):
+            return self.step_elements(_pack_kernel(factor.expand()))
+        if self.lambda_rate == 0:
+            return _Factor(factor.lam, self.core.run(factor.rows))
+        factor = self._dephase(factor)
+        return self._dephase(_Factor(factor.lam, self.core.run(factor.rows)))
+
+    def _dephase(self, factor: "_Factor") -> "_Factor":
+        """D o (V Lam V^H) for D = dephase_half, recompressed.
+
+        With D = sum_m d_m d_m^T the product is W W^H for the M r columns
+        W = [d_m o v_k sqrt(lam_k)]; the eigenpairs (s, q) of the Gram
+        matrix W^H W give it as V' diag(s) V'^H with V' = W q / sqrt(s),
+        and pairs with s <= eps s_max, roundoff only, are dropped.
+        """
+        d = self.dephase_factor
+        scaled = factor.rows * np.sqrt(factor.lam)[:, None]
+        norms = (d * d) @ (scaled.real**2 + scaled.imag**2).T
+        m, k = np.nonzero(norms > np.finfo(float).eps * norms.max())
+        block = d[m] * scaled[k]
+        lam, vecs = np.linalg.eigh(block.conj() @ block.T)
+        keep = lam > np.finfo(float).eps * lam[-1]
+        rows = vecs[:, keep].T @ block
+        rows /= np.sqrt(lam[keep])[:, None]
+        return _Factor(lam[keep], rows)
+
+
+def _density(form) -> np.ndarray:
+    """diag rho of any form a chain steps: a _Factor, the packed R of the
+    FFT path (diag R = diag Re rho) or a dense-path complex kernel."""
+    if isinstance(form, _Factor):
+        return form.density()
+    return np.diagonal(form).real
+
+
+def _kernel(form) -> np.ndarray:
+    """The exactly Hermitian complex kernel of any form a chain steps."""
+    if isinstance(form, _Factor):
+        return form.expand()
+    return _unpack_kernel(form) if form.dtype == np.float64 else form
+
+
+def _check_density(dens: np.ndarray, dx: float, where: str) -> None:
+    """The invariants of every density step, on the diagonal density of
+    any form (see _density).
 
     Raises ExplosionGuard on a non-finite trace or trace drift beyond 1e-6,
     and BoundaryViolation once more than EDGE_TOL of the mass sits in the
     outermost two grid cells on either side.
     """
-    dens = np.diagonal(elements).real
     trace = float(np.sum(dens) * dx)
     if not math.isfinite(trace):
         raise ExplosionGuard(f"non-finite trace at {where}")
@@ -358,7 +527,7 @@ def _evolve_kernel(prop: Propagator, elements: np.ndarray, n_steps: int) -> np.n
     kernel = prop.pack(elements)
     for i in range(1, n_steps + 1):
         kernel = prop.step_elements(kernel)
-        _check_density(kernel, prop.grid.dx, f"substep {i} of {n_steps}")
+        _check_density(_density(kernel), prop.grid.dx, f"substep {i} of {n_steps}")
     return prop.unpack(kernel)
 
 
@@ -368,9 +537,11 @@ class EvolutionRecord:
 
     All arrays share the length of times.  mean_dvdx is <V'(X)>, recorded so
     force-law residuals can be formed without storing state snapshots.
-    final is the state at the last time, either given or unpacked on its
-    first read from packed_final, the propagator and the packed kernel that
-    _evolve_on leaves; callers that read only the moment series never unpack.
+    final is the state at the last time, either given or built on its first
+    read from packed_final, the grid and the last form of the chain that
+    _evolve_on leaves: a _Factor (expanded), the packed R of the FFT path
+    (unpacked) or a dense-path kernel (as it is).  Callers that read only
+    the moment series build no final kernel.
     """
 
     times: np.ndarray
@@ -385,7 +556,7 @@ class EvolutionRecord:
     lambda_rate: float
     # final left out arrives as its default, the cached property below
     final: InitVar[DensityMatrix]
-    packed_final: Optional[tuple[Propagator, np.ndarray]] = field(default=None, repr=False)
+    packed_final: Optional[tuple[GridSpec, object]] = field(default=None, repr=False)
 
     def __post_init__(self, final) -> None:
         if isinstance(final, DensityMatrix):
@@ -395,9 +566,9 @@ class EvolutionRecord:
 
     @cached_property
     def final(self) -> DensityMatrix:
-        prop, packed = self.packed_final
+        grid, form = self.packed_final
         self.packed_final = None
-        return DensityMatrix(prop.grid, prop.unpack(packed), validate=False)
+        return DensityMatrix(grid, _kernel(form), validate=False)
 
     def as_columns(self) -> dict:
         """Column dict in CSV order (diagnostic extras excluded)."""
@@ -412,83 +583,98 @@ class EvolutionRecord:
         }
 
 
-def _moment_row(kernel: np.ndarray, grid: GridSpec, dv_vals: np.ndarray):
-    """Moments of either form of Propagator.pack.  On the packed R the
-    purity is sum R^2 dx^2: the cross term between R's symmetric and
-    antisymmetric parts sums to zero."""
+def _moment_row(form, grid: GridSpec, dv_vals: np.ndarray):
+    """Moments of any form a chain steps.  On the packed R the purity is
+    sum R^2 dx^2: the cross term between R's symmetric and antisymmetric
+    parts sums to zero."""
     dx = grid.dx
-    dens = np.real(np.diag(kernel))
+    dens = _density(form)
+    if isinstance(form, _Factor):
+        mom, squares = form.momentum_masses(dx), form.squares()
+    else:
+        mom = _momentum_masses(form, dx)
+        if np.iscomplexobj(form):
+            squares = np.sum(np.abs(form) ** 2)
+        else:
+            squares = np.vdot(form, form)
     mean_x = float(np.sum(grid.x * dens) * dx)
     mean_x2 = float(np.sum(grid.x**2 * dens) * dx)
-    mom = _momentum_masses(kernel, dx)
     mean_p = float(np.sum(grid.p * mom))
     mean_p2 = float(np.sum(grid.p**2 * mom))
-    if np.iscomplexobj(kernel):
-        squares = np.sum(np.abs(kernel) ** 2)
-    else:
-        squares = np.vdot(kernel, kernel)
     purity = float(squares * dx * dx)
     mean_dv = float(np.sum(dv_vals * dens) * dx)
     return mean_x, mean_p, mean_x2, mean_p2, purity, mean_dv
 
 
 def evolve(
-    rho: DensityMatrix,
+    state: Union[WaveFunction, DensityMatrix],
     potential: Potential,
     lambda_rate: float,
     dt: float,
     n_steps: int,
     record_every: int = 1,
 ) -> EvolutionRecord:
-    """Evolve rho for n_steps and record diagnostics every record_every steps.
+    """Evolve a state for n_steps and record diagnostics every record_every steps.
 
     The t = 0 row and the final row are always recorded.  Every step is
     checked: ExplosionGuard on non-finite values or trace drift beyond 1e-6,
     BoundaryViolation once more than EDGE_TOL of the mass sits in the
-    outermost two grid cells on either side.  The record comes back with
-    its final state unpacked, so it does not keep the propagator alive.
+    outermost two grid cells on either side.  A WaveFunction evolves as a
+    low-rank factor where _evolve_on allows it, else as its density matrix;
+    the final kernel is built on the first read of the record's final.
     """
-    rec = _evolve_on(Propagator(rho.grid, potential, lambda_rate, dt), rho, n_steps, record_every)
-    rec.final  # first read: unpacks and drops packed_final
-    return rec
+    return _evolve_on(
+        Propagator(state.grid, potential, lambda_rate, dt), state, n_steps, record_every
+    )
 
 
 def _evolve_on(
     prop: Propagator,
-    rho: DensityMatrix,
+    state: Union[WaveFunction, DensityMatrix],
     n_steps: int,
     record_every: int = 1,
 ) -> EvolutionRecord:
     """evolve() with a prebuilt propagator, so callers that step several
     states with one (grid, potential, lambda_rate, dt) build it once.
 
-    The kernel is packed once (Propagator.pack), every step, guard and
-    moment row reads that form, and the record unpacks it on the first read
-    of its final state.
+    A WaveFunction where prop.factored(1) holds steps as a _Factor
+    (Propagator.step_factor) until it hands off, at most once, to the
+    packed kernel; any other state steps as its kernel, packed once
+    (Propagator.pack).  Every step, guard and moment row reads the current
+    form, and the record builds the final kernel on the first read of its
+    final state.
     """
     if n_steps < 1 or record_every < 1:
         raise ValueError("n_steps and record_every must be >= 1")
-    grid, dt = rho.grid, prop.dt
+    grid, dt = state.grid, prop.dt
     dv_vals = prop.potential.derivative_values(grid)
 
     rows = []
     times = []
 
-    def record(k: int, kernel: np.ndarray):
-        mx, mp, mx2, mp2, pur, mdv = _moment_row(kernel, grid, dv_vals)
+    def record(k: int, form):
+        mx, mp, mx2, mp2, pur, mdv = _moment_row(form, grid, dv_vals)
         if not (math.isfinite(mx2) and math.isfinite(mp2)):
             raise ExplosionGuard(f"non-finite moments at t = {k * dt:.6g}")
         times.append(k * dt)
         rows.append((mx, mp, mx2, mp2, pur, mdv))
 
-    # every step returns a fresh array, so rho's kernel is never written
-    kernel = prop.pack(rho.elements)
+    if isinstance(state, WaveFunction) and prop.factored(1):
+        form = _Factor(np.ones(1), state.amplitudes[None, :])
+    else:
+        if isinstance(state, WaveFunction):
+            state = state.to_density()
+        # every step returns a fresh array, so the state's kernel is never written
+        form = prop.pack(state.elements)
     for k in range(n_steps + 1):
         if k:
-            kernel = prop.step_elements(kernel)
-        _check_density(kernel, grid.dx, f"t = {k * dt:.6g}")
+            if isinstance(form, _Factor):
+                form = prop.step_factor(form)
+            else:
+                form = prop.step_elements(form)
+        _check_density(_density(form), grid.dx, f"t = {k * dt:.6g}")
         if k % record_every == 0 or k == n_steps:
-            record(k, kernel)
+            record(k, form)
 
     t = np.asarray(times)
     mx, mp, mx2, mp2, pur, mdv = (np.asarray(col) for col in zip(*rows))
@@ -503,5 +689,5 @@ def _evolve_on(
         mean_dvdx=mdv,
         dt=dt,
         lambda_rate=prop.lambda_rate,
-        packed_final=(prop, kernel),
+        packed_final=(grid, form),
     )

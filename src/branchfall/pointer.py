@@ -407,8 +407,8 @@ def predictability_sieve(
     curves = []
     times = None
     for sigma in widths:
-        rho = coherent_state(grid, z0.q, z0.p, float(sigma)).to_density()
-        rec = _evolve_on(prop, rho, n_steps, cadence)
+        psi = coherent_state(grid, z0.q, z0.p, float(sigma))
+        rec = _evolve_on(prop, psi, n_steps, cadence)
         curves.append(rec.s_lin)
         times = rec.times
     curves = np.asarray(curves)

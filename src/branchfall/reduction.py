@@ -241,7 +241,7 @@ def _measured_horizon(spec: ReductionSpec, z0: PhasePoint, total_time: float) ->
         wide = GridSpec(grid.n_points * factor, mid - half, mid + half, grid.mass)
     else:
         wide = grid
-    state = coherent_state(wide, z0.q, z0.p, spec.sigma_x).to_density()
+    state = coherent_state(wide, z0.q, z0.p, spec.sigma_x)
     n_sub = 5
     n_intervals = max(1, int(round(total_time / spec.dt)))
     prop = Propagator(wide, spec.potential, spec.lambda_rate, spec.dt / n_sub)

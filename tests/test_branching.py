@@ -892,3 +892,18 @@ def test_explicit_model_validation():
         ExplicitModel.from_wavefunction(psi, np.ones(2), env_energies=np.ones(3))
     model = ExplicitModel.from_wavefunction(psi, np.ones(2))
     assert model.reduced_density().trace() == pytest.approx(1.0, abs=1e-10)
+
+
+def test_explicit_model_rejects_non_finite_inputs():
+    # a nan norm passed abs(nrm - 1) > 1e-8, which is False for nan
+    with pytest.raises(ValueError, match="not normalized: nan"):
+        ExplicitModel(GridSpec(64, -8, 8, 1.0), [0.1], np.full((64, 2), np.nan, complex))
+    psi = coherent_state(GRID, 0.0, 0.0, 0.8)
+    with pytest.raises(ValueError, match="couplings must be finite"):
+        ExplicitModel.from_wavefunction(psi, [0.1, np.nan])
+    with pytest.raises(ValueError, match="env_energies must be finite"):
+        ExplicitModel.from_wavefunction(psi, [0.1, 0.2], env_energies=[0.0, np.inf])
+    joint = np.repeat(psi.amplitudes[:, None], 2, axis=1) / math.sqrt(2)
+    joint[3, 1] = np.inf
+    with pytest.raises(ValueError, match="not normalized: inf"):
+        ExplicitModel(GRID, [0.1], joint)

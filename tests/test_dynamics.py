@@ -166,14 +166,24 @@ def test_unitary_step_round_trip():
     assert np.max(np.abs(rho_fwd - direct)) < 1e-12
 
 
+def _step_of(excinfo):
+    """The "t = ..." at the end of a guard's message."""
+    return str(excinfo.value).rsplit(" at ", 1)[1]
+
+
 def test_explosion_guard_trips_on_bad_trace():
-    # N = 256 guards the packed kernel of the FFT path
+    # N = 256 guards the packed kernel of the FFT path, and a wave function
+    # there the factor, at the same step
     for n_points in (64, 256):
         grid = GridSpec(n_points, -10.0, 10.0)
         psi = coherent_state(grid, 0.0, 0.0, 0.7)
         rho = DensityMatrix(grid, 2.0 * np.outer(psi.amplitudes, psi.amplitudes.conj()), validate=False)
-        with pytest.raises(ExplosionGuard):
+        with pytest.raises(ExplosionGuard) as kernel:
             evolve(rho, free_potential(), 0.0, dt=1e-3, n_steps=1)
+    wave = WaveFunction(grid, math.sqrt(2.0) * psi.amplitudes, validate=False)
+    with pytest.raises(ExplosionGuard) as factored:
+        evolve(wave, free_potential(), 0.0, dt=1e-3, n_steps=1)
+    assert _step_of(factored) == _step_of(kernel) == "t = 0"
 
 
 def test_boundary_violation_when_packet_reaches_edge():
@@ -190,8 +200,13 @@ def test_boundary_violation_between_records():
     for n_points in (128, 256):
         grid = GridSpec(n_points, -8.0, 8.0, mass=4.0)
         rho = coherent_state(grid, 0.0, 12.0, 0.7).to_density()
-        with pytest.raises(BoundaryViolation):
+        with pytest.raises(BoundaryViolation) as kernel:
             evolve(rho, free_potential(), 0.0, dt=0.01, n_steps=533, record_every=1000)
+    # the wave function's factor crosses the edge at the same step
+    psi = coherent_state(grid, 0.0, 12.0, 0.7)
+    with pytest.raises(BoundaryViolation) as factored:
+        evolve(psi, free_potential(), 0.0, dt=0.01, n_steps=533, record_every=1000)
+    assert _step_of(factored) == _step_of(kernel) == "t = 1.25"
 
 
 def test_record_cadence_and_columns():
@@ -318,6 +333,100 @@ def test_fft_step_matches_dense_reference(n_points, lam, dt, pot):
     assert np.array_equal(el, el.conj().T)
 
 
+def _evolve_recording_rows(monkeypatch, psi, pot, lam):
+    """evolve(psi) for 10 steps of 0.01, with the form and the moment row
+    (mean_x, mean_p, mean_x2, mean_p2, purity, mean_dvdx) of every record."""
+    forms, rows = [], []
+    moment_row = dynamics._moment_row
+
+    def spy(form, *args):
+        forms.append(type(form))
+        rows.append(moment_row(form, *args))
+        return rows[-1]
+
+    monkeypatch.setattr(dynamics, "_moment_row", spy)
+    rec = evolve(psi, pot, lam, dt=0.01, n_steps=10, record_every=1)
+    monkeypatch.setattr(dynamics, "_moment_row", moment_row)
+    assert np.array_equal(rec.purity, [row[4] for row in rows])
+    return rec, forms, rows
+
+
+def _assert_matches_dense_oracle(rec, rows, psi, pot, lam):
+    """The rows and the final kernel of a 10-step chain against the dense
+    oracle: 1e-13 max|rho| on the kernel, and on the rows the bounds of
+    test_moment_row_reads_the_packed_kernel."""
+    grid = psi.grid
+    _, dense_step = _dense_step(grid, pot, lam, 0.01)
+    dv = pot.derivative_values(grid)
+    ref = psi.to_density().elements
+    for k, (mx, mp, mx2, mp2, pur, mdv) in enumerate(rows):
+        if k:
+            ref = dense_step(ref)
+        mass = _momentum_masses(ref, grid.dx)
+        floor = 4 * np.finfo(float).eps * mass.max()
+        wx, wp, wx2, wp2, wpur, wdv = dynamics._moment_row(ref, grid, dv)
+        for got, want in ((mx, wx), (mx2, wx2), (pur, wpur), (mdv, wdv)):
+            assert abs(got - want) <= 1e-13 * abs(want)
+        assert abs(mp - wp) <= floor * np.sum(np.abs(grid.p))
+        assert abs(mp2 - wp2) <= floor * np.sum(grid.p**2)
+    final = rec.final.elements
+    assert np.max(np.abs(final - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(final, final.conj().T)
+
+
+# a pure packet on the FFT path steps as the factor V diag(lam) V^H; its
+# record rows and expanded final meet the bounds of the packed kernel
+@pytest.mark.parametrize("n_points", [256, 315, 512])
+@pytest.mark.parametrize("lam", [0.0, 0.2])
+@pytest.mark.parametrize(
+    "pot",
+    [free_potential(), harmonic_potential(1.5, 0.7), double_well_potential(0.05, 3.0)],
+    ids=lambda p: p.name,
+)
+def test_factored_chain_matches_dense_oracle(n_points, lam, pot, monkeypatch):
+    grid = GridSpec(n_points, -12.0, 12.0, mass=1.5)
+    psi = _cat(grid)
+    # the cat's rank outgrows the measured bound within 10 steps; lifting
+    # it keeps every step factored
+    monkeypatch.setattr(dynamics, "_FACTOR_MAX_BLOCK", 10**6)
+    rec, forms, rows = _evolve_recording_rows(monkeypatch, psi, pot, lam)
+    assert forms == [dynamics._Factor] * 11
+    _assert_matches_dense_oracle(rec, rows, psi, pot, lam)
+
+
+def test_factored_chain_hands_off_once(monkeypatch):
+    # reduce's horizon chain (N = 288 on |x| <= 30, Lambda = 0.25, step 0.3)
+    # has M0 = 144: a wave function there builds no factor and gives the
+    # bits of its density matrix's chain
+    factors, packs = [], []
+
+    class Counted(dynamics._Factor):
+        def __init__(self, *args):
+            factors.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(dynamics, "_Factor", Counted)
+    wide = GridSpec(288, -30.0, 30.0, mass=4.0)
+    prop = Propagator(wide, harmonic_potential(4.0, 0.25), 0.25, 0.3)
+    assert prop.dephase_terms == 144 and not prop.factored(1)
+    psi = coherent_state(wide, 1.0, 0.0, 0.8)
+    rec = dynamics._evolve_on(prop, psi, 10)
+    ref = dynamics._evolve_on(prop, psi.to_density(), 10)
+    assert factors == [] and "dephase_factor" not in vars(prop)
+    for name, col in ref.as_columns().items():
+        assert np.array_equal(rec.as_columns()[name], col)
+    assert np.array_equal(rec.final.elements, ref.final.elements)
+    # a chain whose rank outgrows the bound expands once, mid-chain, and
+    # still meets the dense oracle's bounds
+    monkeypatch.setattr(dynamics, "_FACTOR_MAX_BLOCK", 13 * 13 * 12)
+    pack = dynamics._pack_kernel
+    monkeypatch.setattr(dynamics, "_pack_kernel", lambda el: packs.append(1) or pack(el))
+    psi, pot = _cat(GridSpec(256, -12.0, 12.0, mass=1.5)), double_well_potential(0.05, 3.0)
+    rec, forms, rows = _evolve_recording_rows(monkeypatch, psi, pot, 0.2)
+    assert packs == [1] and forms[0] is Counted and forms[-1] is np.ndarray
+    _assert_matches_dense_oracle(rec, rows, psi, pot, 0.2)
+
+
 @pytest.mark.parametrize("n_points", [256, 301, 315])
 def test_fft_step_evolves_the_hermitian_part_of_a_noisy_kernel(n_points):
     # a kernel inside DensityMatrix's 1e-10 asymmetry tolerance steps as its
@@ -365,9 +474,11 @@ def test_moment_row_reads_the_packed_kernel(n_points):
 
 @pytest.mark.parametrize("n_points", [128, 256])
 def test_density_chains_pack_once_and_unpack_once(n_points, monkeypatch):
-    # evolve and one branch_step leaf each pack and unpack the kernel once
-    # on the FFT path (N = 256); the dense path (N = 128) does neither
-    calls = {"pack": 0, "unpack": 0}
+    # a DensityMatrix's evolve and one branch_step leaf each pack the kernel
+    # once and unpack it once on the FFT path (N = 256), evolve's on the read
+    # of final; the dense path (N = 128) does neither.  A WaveFunction on the
+    # FFT path steps as a factor: no packed kernel and no step_elements
+    calls = {"pack": 0, "unpack": 0, "step": 0}
 
     def counting(name):
         real = getattr(dynamics, f"_{name}_kernel")
@@ -378,17 +489,31 @@ def test_density_chains_pack_once_and_unpack_once(n_points, monkeypatch):
 
         return count
 
-    for name in calls:
+    for name in ("pack", "unpack"):
         monkeypatch.setattr(dynamics, f"_{name}_kernel", counting(name))
+    step = Propagator.step_elements
+
+    def counting_step(self, kernel):
+        calls["step"] += 1
+        return step(self, kernel)
+
+    monkeypatch.setattr(Propagator, "step_elements", counting_step)
     grid = GridSpec(n_points, -10.0, 10.0, mass=1.0)
-    rho = coherent_state(grid, 0.5, 1.0, 0.8).to_density()
+    psi = coherent_state(grid, 0.5, 1.0, 0.8)
+    rho = psi.to_density()
     once = int(n_points == 256)
-    evolve(rho, harmonic_potential(1.0, 1.0), 0.2, dt=0.01, n_steps=7, record_every=2)
-    assert calls == {"pack": once, "unpack": once}
+    rec = evolve(rho, harmonic_potential(1.0, 1.0), 0.2, dt=0.01, n_steps=7, record_every=2)
+    assert calls == {"pack": once, "unpack": 0, "step": 7}
+    rec.final
+    assert calls == {"pack": once, "unpack": once, "step": 7}
     povm = build_povm(grid, PhasePartition((-7.0, 7.0), (-6.0, 6.0), 2, 1), sigma_x=0.8)
     tree = BranchTree.from_state(rho, povm, dt=0.03)
     assert len(branch_step(tree, free_potential(), 0.2, dt_int=0.01).leaves) == 2
-    assert calls == {"pack": 2 * once, "unpack": 2 * once}
+    assert calls == {"pack": 2 * once, "unpack": 2 * once, "step": 10}
+    rec = evolve(psi, harmonic_potential(1.0, 1.0), 0.2, dt=0.01, n_steps=7, record_every=2)
+    rec.final
+    steps = 7 * (1 - once)
+    assert calls == {"pack": 2 * once, "unpack": 2 * once, "step": 10 + steps}
     if once:
         with pytest.raises(TypeError, match="packed real kernel"):
             Propagator(grid, free_potential(), 0.2, 0.01).step_elements(rho.elements)

@@ -16,7 +16,7 @@ from branchfall import (
     branch_step,
     coherent_state,
 )
-from branchfall import pointer
+from branchfall import dynamics, pointer
 from branchfall.dynamics import evolve, free_potential, harmonic_potential
 from branchfall.pointer import (
     PhasePartition,
@@ -336,17 +336,17 @@ def test_sieve_steps_every_width_with_one_propagator(monkeypatch):
 
 def test_sieve_unpacks_no_final_kernel(monkeypatch):
     # the sieve reads only S_lin; a chain's record unpacks its final kernel
-    # on the first read of final, once
+    # on the first read of final, once, and evolve's record does the same
     grid = GridSpec(256, -12.0, 12.0, mass=1.0)
     args = (grid, harmonic_potential(1.0, 1.0), 0.2)
     unpacks = []
-    unpack = pointer.Propagator.unpack
+    unpack = dynamics._unpack_kernel
 
-    def counting_unpack(self, kernel):
+    def counting_unpack(kernel):
         unpacks.append(kernel.shape)
-        return unpack(self, kernel)
+        return unpack(kernel)
 
-    monkeypatch.setattr(pointer.Propagator, "unpack", counting_unpack)
+    monkeypatch.setattr(dynamics, "_unpack_kernel", counting_unpack)
     predictability_sieve(*args, [0.7071, 1.0], PhasePoint(1.0, 0.0), 0.02, dt=0.01)
     assert unpacks == []
     rho = coherent_state(grid, 1.0, 0.0, 0.7071).to_density()
@@ -355,8 +355,9 @@ def test_sieve_unpacks_no_final_kernel(monkeypatch):
     final = rec.final
     assert rec.final is final and unpacks == [(256, 256)]
     alone = evolve(rho, *args[1:], 0.01, 2)
+    assert unpacks == [(256, 256)]
+    assert np.array_equal(alone.final.elements, final.elements)
     assert unpacks == [(256, 256)] * 2
-    assert np.array_equal(final.elements, alone.final.elements)
 
 
 def test_sieve_flat_without_dephasing():
