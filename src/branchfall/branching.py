@@ -13,6 +13,14 @@ that kernel quasi-classical and of low numerical rank r, so the weights
 dx sum_k lam_k ||Pi_alpha v_k||^2 and the children (Pi V) diag(lam) (Pi V)^H
 cost O(N^2 r) per cell in place of the O(N^3) of Pi^2 and Pi rho Pi.
 
+Every child, of a tree or of a sampler node, is held as that factor,
+(lam / w_alpha, Pi_alpha V): its phase point and density read it in
+O(N r), and its N x N kernel is built only when its elements are read.
+A tree or sampler root made from a wave function is the packet itself,
+a factor of rank 1.  Each collapse interval expands one state at a time
+and keeps no kernel on it, so a branch_step holds at most one evolving
+N x N kernel besides the POVM and the propagator's tables.
+
 The module also carries an explicit system (x) environment model — a qubit
 bath coupled to position — used to check that phase-space histories of the
 reduced dynamics really decohere, via the decoherence functional and
@@ -31,7 +39,7 @@ import numpy as np
 from .dynamics import Potential, Propagator, _evolve_kernel, _SplitStep
 from .errors import EmptyTree, EscapeMass, EscapeSampled, ExplosionGuard
 from .pointer import POVMSet, _clip_weights
-from .qstate import DensityMatrix, GridSpec, PhasePoint, WaveFunction, mean_phase_point
+from .qstate import DensityMatrix, GridSpec, PhasePoint, WaveFunction, _Factor, mean_phase_point
 
 __all__ = [
     "BranchNode",
@@ -49,7 +57,7 @@ __all__ = [
 
 
 # Default live-leaf cap of branch_step and the most history nodes one
-# BornSampler caches: both bound how many density kernels stay alive.
+# BornSampler caches: both bound how many state factors stay alive.
 NODE_CAP = 256
 
 
@@ -149,11 +157,6 @@ def _factor(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam[keep], vecs[:, keep]
 
 
-def _mass(lam: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """sum_k lam_k ||v_k||^2 over the columns v_k of vecs, per leading index."""
-    return np.sum(vecs.real**2 + vecs.imag**2, axis=-2) @ lam
-
-
 def _interval_propagator(
     grid: GridSpec, potential: Potential, lambda_rate: float, dt: float,
     dt_int: float | None = None,
@@ -178,21 +181,17 @@ def _weigh(
     lam, vecs = _factor(elements)
     projs = povm.project(vecs)
     dx = povm.grid.dx
-    weights, esc = _clip_weights(
-        _mass(lam, projs) * dx, float(_mass(lam, vecs - projs.sum(axis=0))) * dx
-    )
+    # the stack of the cells' factors (lam, Pi_alpha V), and the remainder's
+    cells = _Factor(lam, projs.transpose(0, 2, 1))
+    rest = _Factor(lam, (vecs - projs.sum(axis=0)).T)
+    weights, esc = _clip_weights(cells.mass() * dx, float(rest.mass()) * dx)
     return lam, vecs, projs, weights, esc
 
 
-def _collapse(proj: np.ndarray, lam: np.ndarray, weight: float) -> np.ndarray:
+def _collapse(grid: GridSpec, proj: np.ndarray, lam: np.ndarray, weight: float) -> DensityMatrix:
     """Lueders child Pi rho Pi / w of rho = V diag(lam) V^H, from proj = Pi V
-    and the cell weight w > 0, re-symmetrized in place."""
-    child = (proj * (lam / weight)) @ proj.conj().T
-    # in place on the fresh product: the same bits as 0.5 * (c + c^H)
-    # without two N^2 temporaries
-    child += child.conj().T
-    child *= 0.5
-    return child
+    and the cell weight w > 0, held as the factor (lam / w, Pi V)."""
+    return DensityMatrix._from_factor(grid, _Factor(lam / weight, proj.T))
 
 
 def branch_step(
@@ -222,7 +221,7 @@ def branch_step(
     escaped = tree.escape_weight
     for leaf in tree.leaves:
         lam, _, projs, weights, esc = _weigh(
-            tree.povm, _evolve_kernel(prop, leaf.state.elements, n_sub)
+            tree.povm, _evolve_kernel(prop, leaf.state, n_sub)
         )
         total = weights.sum() + esc
         if total <= 0:
@@ -238,8 +237,8 @@ def branch_step(
             if w_child < tree.prune_epsilon:
                 dropped += w_child
                 continue
-            child_el = _collapse(projs[alpha], lam, weights[alpha])
-            child = DensityMatrix(grid, child_el, validate=False)
+            # a copy, so a child does not keep its pruned siblings' rows alive
+            child = _collapse(grid, projs[alpha].copy(), lam, weights[alpha])
             new_leaves.append(
                 BranchNode(
                     leaf.history + (int(alpha),),
@@ -268,10 +267,11 @@ def branch_step(
 class _HistoryNode:
     """A BornSampler cache entry: the state after one collapse history and,
     once evolved, the factor (lam, V) and cell weights of the next interval.
-    Past the root, evolving a node releases its state (see trajectory), so
-    an evolved node holds N x r arrays only."""
+    Past the root the state is the Lueders child as a factor, so a node
+    holds N x r arrays only; the collapse interval expands it afresh each
+    time and never keeps that kernel."""
 
-    state: Optional[np.ndarray]
+    state: DensityMatrix
     z: PhasePoint
     lam: Optional[np.ndarray] = None
     vecs: Optional[np.ndarray] = None
@@ -284,14 +284,15 @@ class BornSampler:
 
     Trajectories that share a collapse-history prefix share its evolution.
     The history tree is expanded lazily, keyed by prefix: a node keeps its
-    post-collapse state and phase point and, once a trajectory leaves it,
-    the factor (lam, V) of the evolved kernel and the cell weights of the
-    next interval; a child state is rebuilt from Pi_alpha V.  Each
+    post-collapse state, as the factor (lam / w_alpha, Pi_alpha V), and
+    phase point and, once a trajectory leaves it, the factor (lam, V) of
+    the evolved kernel and the cell weights of the next interval.  Each
     trajectory draws from its own rng stream against those weights.  The
     float operations per history are those of evolving it alone, so results
     are bit-identical to independent sampling.  At most NODE_CAP nodes are
-    cached, each holding one N x r factor (the root also its initial
-    kernel); past the cap, trajectories continue on uncached states.
+    cached, each holding N x r arrays only (a root built from a wave
+    function is its rank-1 factor); past the cap, trajectories continue on
+    uncached states.
     """
 
     def __init__(
@@ -311,7 +312,7 @@ class BornSampler:
         self._prop, self._n_sub = _interval_propagator(
             self.grid, potential, lambda_rate, dt, dt_int
         )
-        root = _HistoryNode(rho0.elements.copy(), mean_phase_point(rho0))
+        root = _HistoryNode(rho0.copy(), mean_phase_point(rho0))
         self._nodes: dict[tuple[int, ...], _HistoryNode] = {(): root}
 
     def trajectory(self, n_steps: int, rng_seed, stop=None):
@@ -319,9 +320,10 @@ class BornSampler:
 
         Returns (records, final_state) where records is a list of
         (t, alpha, PhasePoint); the first entry is the t = 0 readout with
-        alpha = None.  Drawing the remainder element raises EscapeSampled
-        with .time and .records attached.  Deterministic for a fixed
-        rng_seed.
+        alpha = None.  Past t = 0 the final state is a factor, its kernel
+        built on the first read of its elements.  Drawing the remainder
+        element raises EscapeSampled with .time and .records attached.
+        Deterministic for a fixed rng_seed.
 
         stop, when given, is called after each collapse with (t, alpha, z);
         returning True ends the run early with the records so far.
@@ -336,8 +338,6 @@ class BornSampler:
                     self.povm, _evolve_kernel(self._prop, node.state, self._n_sub)
                 )
                 node.total = node.weights.sum() + esc
-                if history:
-                    node.state = None
             t = step * self.dt
             draw = rng.random() * node.total
             alpha = int(np.searchsorted(np.cumsum(node.weights), draw, side="right"))
@@ -351,27 +351,19 @@ class BornSampler:
             records.append((t, alpha, node.z))
             if stop is not None and stop(t, alpha, node.z):
                 break
-        if node.state is None:
-            # a longer trajectory evolved this node: project the parent again
-            final = self._project(self._nodes[history[:-1]], history[-1])
-        else:
-            final = node.state.copy()
-        return records, DensityMatrix(self.grid, final, validate=False)
+        # a copy, so reading its elements builds no kernel on the cached node
+        return records, node.state.copy()
 
     def _child(self, history: tuple[int, ...], parent: _HistoryNode, alpha: int) -> _HistoryNode:
         node = self._nodes.get(history)
         if node is None:
-            state = self._project(parent, alpha)
-            node = _HistoryNode(state, mean_phase_point(DensityMatrix(self.grid, state, validate=False)))
+            # a drawn cell always has positive weight
+            proj = self.povm.project(parent.vecs, alpha)
+            state = _collapse(self.grid, proj, parent.lam, parent.weights[alpha])
+            node = _HistoryNode(state, mean_phase_point(state))
             if len(self._nodes) < NODE_CAP:
                 self._nodes[history] = node
         return node
-
-    def _project(self, parent: _HistoryNode, alpha: int) -> np.ndarray:
-        """The Lueders child of an evolved node in cell alpha; a drawn cell
-        always has positive weight."""
-        proj = self.povm.project(parent.vecs, alpha)
-        return _collapse(proj, parent.lam, parent.weights[alpha])
 
 
 def mixture_consistency(tree: BranchTree, reference: DensityMatrix) -> float:

@@ -63,6 +63,14 @@ def _positive(s: str) -> float:
     return value
 
 
+def _finite(s: str) -> float:
+    """A coordinate: a finite float."""
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {s.strip()!r}")
+    return value
+
+
 def _count(s: str) -> int:
     """A number of steps or trajectories: an integer of at least one."""
     value = int(s)
@@ -101,18 +109,22 @@ _POTENTIAL = {
 _PACKET = {
     "q0": (float, 0.0),
     "p0": (float, 0.0),
-    "sigma_x": (float, 1.0),
+    "sigma_x": (_positive, 1.0),
 }
 
 _WINDOW = {
-    "window_x_lo": (float, REQUIRED),
-    "window_x_hi": (float, REQUIRED),
-    "window_p_lo": (float, REQUIRED),
-    "window_p_hi": (float, REQUIRED),
+    "window_x_lo": (_finite, REQUIRED),
+    "window_x_hi": (_finite, REQUIRED),
+    "window_p_lo": (_finite, REQUIRED),
+    "window_p_hi": (_finite, REQUIRED),
     "cells_x": (int, REQUIRED),
     "cells_p": (int, REQUIRED),
-    "povm_sigma_x": (float, None),
+    "povm_sigma_x": (_positive, None),
 }
+
+# Lengths that may not exceed the grid's width x_max - x_min: a packet,
+# POVM or GRW width beyond it is meaningless, and at 1e300 the runs overflow.
+_WIDTHS = ("sigma_x", "povm_sigma_x", "r_c")
 
 SCHEMAS = {
     "evolve": {
@@ -160,7 +172,7 @@ SCHEMAS = {
     "grw": {
         **_BASE, **_GRID, **_POTENTIAL, **_PACKET,
         "hit_rate": (float, REQUIRED),
-        "r_c": (float, REQUIRED),
+        "r_c": (_positive, REQUIRED),
         "total_time": (_positive, REQUIRED),
         "dt_int": (_positive, 0.01),
     },
@@ -184,7 +196,7 @@ SCHEMAS = {
     },
     "reduce": {
         **_BASE, **_GRID, **_POTENTIAL, **_WINDOW,
-        "sigma_x": (float, 1.0),
+        "sigma_x": (_positive, 1.0),
         "lambda": (float, REQUIRED),
         "delta_x": (float, REQUIRED),
         "delta_p": (float, REQUIRED),
@@ -254,6 +266,13 @@ def validate_config(raw: dict) -> dict:
                 )
     if "povm_sigma_x" in cfg and cfg["povm_sigma_x"] is None:
         cfg["povm_sigma_x"] = cfg.get("sigma_x", 1.0)
+    width = cfg["x_max"] - cfg["x_min"]
+    for key in _WIDTHS:
+        if key in cfg and cfg[key] > width:
+            raise ConfigError(
+                f"bad value for key '{key}': {cfg[key]:g} exceeds the grid width "
+                f"x_max - x_min = {width:g}"
+            )
     return cfg
 
 

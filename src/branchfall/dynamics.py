@@ -26,10 +26,13 @@ the cost of a complex fft2/ifft2; A and B are the symmetric and
 antisymmetric parts of R, so the unpacked kernel is exactly Hermitian.
 This module is the only one that steps a state.  It has two density
 chains.  _evolve_kernel (the collapse interval of branch_step and
-BornSampler) packs a kernel once, keeps R through every step and guard and
-unpacks it once at the end.  _evolve_on (evolve, the sieve, the measured
-horizon) takes a DensityMatrix or a WaveFunction.  A DensityMatrix, and a
-WaveFunction off the FFT path, step as the packed kernel in the same way.
+BornSampler) takes one state at a time, expands its factor if it has one,
+packs the kernel once, keeps R through every step and guard and unpacks it
+once at the end.  The dense step writes its temporaries into two work
+arrays the propagator owns, so each step allocates only its result.
+_evolve_on (evolve, the sieve, the measured horizon) takes a DensityMatrix
+or a WaveFunction.  A DensityMatrix, and a WaveFunction off the FFT path,
+step as the packed kernel in the same way.
 A WaveFunction on the FFT path enters as its own rank-1 factor
 rho = V diag(lam) V^H, lam = [1] and V = psi, and stays one through every
 step, guard and moment row, with no N x N array (the low-rank integrator
@@ -40,7 +43,8 @@ recompressed through the eigenpairs of its Gram matrix.  Before each step
 the chain checks M0^2 r, M0 the closed-form term count of D's expansion:
 past _FACTOR_MAX_BLOCK, the crossover measured at N = 256 (r = 16 at
 M0 = 13), it expands once to the packed kernel and goes on there.  The
-record builds its final kernel on the first read of its final state.
+record's final state holds the last factor, or unpacks the last kernel on
+its first read.
 Every density step passes one guard on the diagonal density: finite unit
 trace and at most EDGE_TOL of the mass in the outer two cells on either
 side, where it would wrap around the periodic grid.
@@ -56,7 +60,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import BoundaryViolation, ExplosionGuard
-from .qstate import DensityMatrix, GridSpec, WaveFunction, _momentum_masses
+from .qstate import DensityMatrix, GridSpec, WaveFunction, _Factor, _momentum_masses
 
 __all__ = [
     "Potential",
@@ -269,45 +273,6 @@ def _unpack_kernel(packed: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Factor:
-    """A density kernel held as V diag(lam) V^H, rho = sum_k lam_k v_k v_k^H.
-
-    rows is V^T, shape (r, N), so _SplitStep.run steps the r columns of V
-    at once; lam is real and positive.  A pure packet enters as lam = [1],
-    V = psi.  Every readout of the chain reads the factor: the diagonal,
-    the momentum masses and the squared Hilbert-Schmidt norm.
-    """
-
-    def __init__(self, lam: np.ndarray, rows: np.ndarray):
-        self.lam = lam
-        self.rows = rows
-
-    @property
-    def rank(self) -> int:
-        return len(self.lam)
-
-    def density(self) -> np.ndarray:
-        """diag rho = sum_k lam_k |v_k|^2."""
-        return self.lam @ (self.rows.real**2 + self.rows.imag**2)
-
-    def momentum_masses(self, dx: float) -> np.ndarray:
-        """sum_k lam_k |FFT v_k|^2 dx / N, the masses of qstate."""
-        ft = np.fft.fft(self.rows)
-        return (self.lam @ (ft.real**2 + ft.imag**2)) * (dx / self.rows.shape[1])
-
-    def squares(self) -> float:
-        """sum |rho|^2 = sum_kl lam_k lam_l |v_k^H v_l|^2."""
-        gram = self.rows.conj() @ self.rows.T
-        return float(self.lam @ (gram.real**2 + gram.imag**2) @ self.lam)
-
-    def expand(self) -> np.ndarray:
-        """The exactly Hermitian N x N kernel V diag(lam) V^H."""
-        out = (self.rows.T * self.lam) @ self.rows.conj()
-        out += out.conj().T
-        out *= 0.5
-        return out
-
-
 class Propagator:
     """Precomputed one-step map on density kernels for a fixed (grid,
     potential, lambda_rate, dt); it steps kernels only, and a wave function
@@ -323,7 +288,8 @@ class Propagator:
     as a dense matrix (the split-step core applied to the identity), u, a
     step is two matrix products, and pack() and unpack() return the kernel
     as it is.  On the FFT path step_factor() steps a _Factor instead.  The
-    N x N dephasing kernel and D's factor are built on first use.
+    N x N dephasing kernel, D's factor and the dense step's two work arrays
+    are built on first use.
     """
 
     def __init__(
@@ -431,15 +397,26 @@ class Propagator:
             packed = self.core.run_kernel(self.dephase_half * elements)
             packed *= self.dephase_half
             return packed
+        # the dephased input and the first product go to the propagator's
+        # work arrays, the conjugate transpose to the first again: the
+        # returned kernel is the step's one fresh N x N array
+        first, second = self._work
         if self.dephase_half is not None:
-            elements = self.dephase_half * elements
-        elements = (self.u @ elements) @ self.u_dag
+            elements = np.multiply(self.dephase_half, elements, out=first)
+        out = np.matmul(self.u, elements, out=second) @ self.u_dag
         if self.dephase_half is not None:
-            np.multiply(self.dephase_half, elements, out=elements)
-        # in place on the step's own output: the same bits as 0.5 * (e + e^H)
-        elements += elements.conj().T
-        elements *= 0.5
-        return elements
+            np.multiply(self.dephase_half, out, out=out)
+        # the same bits as 0.5 * (e + e^H)
+        out += np.conjugate(out.T, out=first)
+        out *= 0.5
+        return out
+
+    @cached_property
+    def _work(self) -> tuple[np.ndarray, np.ndarray]:
+        """The two N x N complex work arrays of the dense step, built on
+        its first call."""
+        n = self.grid.n_points
+        return np.empty((n, n), np.complex128), np.empty((n, n), np.complex128)
 
     def factored(self, rank: int) -> bool:
         """True when a factor of this rank takes its next step as a factor:
@@ -494,13 +471,6 @@ def _density(form) -> np.ndarray:
     return np.diagonal(form).real
 
 
-def _kernel(form) -> np.ndarray:
-    """The exactly Hermitian complex kernel of any form a chain steps."""
-    if isinstance(form, _Factor):
-        return form.expand()
-    return _unpack_kernel(form) if form.dtype == np.float64 else form
-
-
 def _check_density(dens: np.ndarray, dx: float, where: str) -> None:
     """The invariants of every density step, on the diagonal density of
     any form (see _density).
@@ -519,12 +489,14 @@ def _check_density(dens: np.ndarray, dx: float, where: str) -> None:
         raise BoundaryViolation(f"mass {edge:.3e} within two cells of the window edge at {where}")
 
 
-def _evolve_kernel(prop: Propagator, elements: np.ndarray, n_steps: int) -> np.ndarray:
-    """n_steps guarded steps of a complex kernel, returned as a fresh,
-    exactly Hermitian complex kernel.  The kernel is packed once, every
-    step passes the density guard on that form (labelled "substep i of
-    n"), and it is unpacked once."""
-    kernel = prop.pack(elements)
+def _evolve_kernel(prop: Propagator, state: DensityMatrix, n_steps: int) -> np.ndarray:
+    """n_steps guarded steps of a state's kernel, returned as a fresh,
+    exactly Hermitian complex kernel.  A factor-backed state is expanded
+    afresh and does not keep that kernel (DensityMatrix._kernel); the
+    kernel is packed once (which drops the complex expansion on the FFT
+    path), every step passes the density guard on that form (labelled
+    "substep i of n"), and it is unpacked once."""
+    kernel = prop.pack(state._kernel())
     for i in range(1, n_steps + 1):
         kernel = prop.step_elements(kernel)
         _check_density(_density(kernel), prop.grid.dx, f"substep {i} of {n_steps}")
@@ -539,7 +511,8 @@ class EvolutionRecord:
     force-law residuals can be formed without storing state snapshots.
     final is the state at the last time, either given or built on its first
     read from packed_final, the grid and the last form of the chain that
-    _evolve_on leaves: a _Factor (expanded), the packed R of the FFT path
+    _evolve_on leaves: a _Factor (held as the state's factor, its kernel
+    built on the first read of elements), the packed R of the FFT path
     (unpacked) or a dense-path kernel (as it is).  Callers that read only
     the moment series build no final kernel.
     """
@@ -568,7 +541,10 @@ class EvolutionRecord:
     def final(self) -> DensityMatrix:
         grid, form = self.packed_final
         self.packed_final = None
-        return DensityMatrix(grid, _kernel(form), validate=False)
+        if isinstance(form, _Factor):
+            return DensityMatrix._from_factor(grid, form)
+        kernel = _unpack_kernel(form) if form.dtype == np.float64 else form
+        return DensityMatrix(grid, kernel, validate=False)
 
     def as_columns(self) -> dict:
         """Column dict in CSV order (diagnostic extras excluded)."""

@@ -129,7 +129,7 @@ def compatibility_score(post_hit: WaveFunction, tree: BranchTree) -> tuple[tuple
     dx = post_hit.grid.dx
     best_history, best = (), -1.0
     for leaf in tree.leaves:
-        fid = float(np.real(amps.conj() @ (leaf.state.elements @ amps)) * dx * dx)
+        fid = float(np.real(amps.conj() @ (leaf.state._kernel() @ amps)) * dx * dx)
         if fid > best:
             best_history, best = leaf.history, fid
     return best_history, min(max(best, 0.0), 1.0)

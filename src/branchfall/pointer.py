@@ -9,7 +9,8 @@ q-envelopes and a Hermitian matrix T of the p plane waves.  A cell then
 costs O((n_q + n_p) N^2), not O(n_q n_p N^2).  The remainder
 Pi_rest = I - sum Pi_alpha is kept as the exact subtraction so completeness
 is an identity; it is positive up to quadrature error only (the continuum
-remainder integral is an operator <= I).  A state being collapsed meets
+remainder integral is an operator <= I); it is built on its first read,
+as collapsing never reads it.  A state being collapsed meets
 the operators only through POVMSet.project, as Pi_alpha V for a factor
 rho = V diag(lam) V^H of its kernel with r << N columns: branch weights and
 Lueders children cost O(N^2 r) per cell, and no Pi_alpha^2 is ever built.
@@ -18,8 +19,8 @@ Lueders children cost O(N^2 r) per cell, and no Pi_alpha^2 is ever built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -156,15 +157,28 @@ class POVMSet:
 
     operators[alpha] acts by plain matrix multiplication (one dx factor is
     absorbed), so Tr(Pi rho) = sum(Pi * rho.T) * dx and the identity is eye.
+    The remainder rest is built on its first read: collapsing a state needs
+    Pi_rest V = V - sum_alpha Pi_alpha V only.
     """
 
     grid: GridSpec
     partition: PhasePartition
     sigma_x: float
     operators: np.ndarray
-    rest: np.ndarray
     rule: str
     quadrature: tuple[int, int]
+    _rest: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+
+    @property
+    def rest(self) -> np.ndarray:
+        """Pi_rest = I - sum_alpha Pi_alpha, built on first read."""
+        if self._rest is None:
+            # in place, with the bits of eye(n) - sum: 1 + (0 - s) is 1 - s
+            rest = self.operators.sum(axis=0)
+            np.subtract(0.0, rest, out=rest)
+            rest[np.diag_indices(self.grid.n_points)] += 1.0
+            self._rest = rest
+        return self._rest
 
     def trace_product(self, op: np.ndarray, rho: DensityMatrix) -> float:
         return float(np.sum(op * rho.elements.T).real * self.grid.dx)
@@ -210,7 +224,8 @@ def build_povm(
     quadrature: tuple[int, int] | None = None,
     rule: str = "gauss",
 ) -> POVMSet:
-    """Assemble one positive operator per cell plus the exact remainder.
+    """Assemble one positive operator per cell; the exact remainder is built
+    on its first read (POVMSet.rest).
 
     quadrature = (n_q, n_p) subsample counts per cell, each at least 2;
     None (the default) scales the counts with the cell size in coherent
@@ -270,11 +285,7 @@ def build_povm(
             ops[alpha] += op
             del op  # freed before the next cell's T is allocated
 
-    # in place, with the bits of eye(n) - sum: 1 + (0 - s) is 1 - s
-    rest = ops.sum(axis=0)
-    np.subtract(0.0, rest, out=rest)
-    rest[np.diag_indices(n)] += 1.0
-    povm = POVMSet(grid, partition, sigma_x, ops, rest, rule, (nq, npp))
+    povm = POVMSet(grid, partition, sigma_x, ops, rule, (nq, npp))
     leak = _probe_leak(povm)
     if leak > 0.1:
         raise WindowTooSmall(
@@ -286,10 +297,12 @@ def build_povm(
 
 def _probe_leak(povm: POVMSet) -> float:
     """Operator norm of Pi_rest |v><v| dx for the packet v at the window center;
-    the product has rank one, so the norm is ||Pi_rest v|| ||v|| dx."""
+    the product has rank one, so the norm is ||Pi_rest v|| ||v|| dx, with
+    Pi_rest v = v - sum_alpha Pi_alpha v."""
     part = povm.partition
     v = _packets(povm.grid, [sum(part.x_window) / 2], [sum(part.p_window) / 2], povm.sigma_x)[0]
-    return float(np.linalg.norm(povm.rest @ v) * np.linalg.norm(v) * povm.grid.dx)
+    rest_v = v - povm.project(v).sum(axis=0)
+    return float(np.linalg.norm(rest_v) * np.linalg.norm(v) * povm.grid.dx)
 
 
 # Power-iteration budget of _opnorm_power: at most this many iterations,

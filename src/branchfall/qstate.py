@@ -5,6 +5,14 @@ conjugate momentum grid satisfies dx * dp * n = 2*pi exactly.  Wave functions
 are normalized so that sum(|psi|^2) * dx = 1; density matrices are position
 kernels rho(x, x') with sum(diag) * dx = 1.  All observable values returned
 by this module are plain floats.
+
+A DensityMatrix is either an N x N kernel or a low-rank factor
+rho = V diag(lam) V^H (_Factor).  Pure states (from_pure, to_density) are
+factors of rank 1, and the Lueders children of the branch module are
+factors of the rank of their parent's evolved kernel.  A factor's position
+density, momentum masses, expectations and purity read (lam, V) in O(N r),
+with one FFT of the r rows; its N x N kernel, elements, is built on the
+first read of elements and kept.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -148,17 +156,84 @@ class WaveFunction:
         return DensityMatrix.from_pure(self)
 
 
+class _Factor:
+    """A density kernel held as V diag(lam) V^H, rho = sum_k lam_k v_k v_k^H.
+
+    rows is V^T, shape (r, N), so a split step runs the r columns of V at
+    once; lam is real.  Every readout reads the factor in O(N r), plus one
+    FFT of the rows for the momentum masses.  rows may carry leading axes,
+    a stack of factors sharing lam, for mass().
+    """
+
+    def __init__(self, lam: np.ndarray, rows: np.ndarray):
+        self.lam = lam
+        self.rows = rows
+
+    @property
+    def rank(self) -> int:
+        return len(self.lam)
+
+    def density(self) -> np.ndarray:
+        """diag rho = sum_k lam_k |v_k|^2."""
+        return self.lam @ (self.rows.real**2 + self.rows.imag**2)
+
+    def mass(self):
+        """The trace sum_k lam_k ||v_k||^2 without the dx measure, per
+        leading index of rows."""
+        return np.sum(self.rows.real**2 + self.rows.imag**2, axis=-1) @ self.lam
+
+    def momentum_masses(self, dx: float) -> np.ndarray:
+        """sum_k lam_k |FFT v_k|^2 dx / N, the masses of the kernel."""
+        ft = np.fft.fft(self.rows)
+        return (self.lam @ (ft.real**2 + ft.imag**2)) * (dx / self.rows.shape[1])
+
+    def squares(self) -> float:
+        """sum |rho|^2 = sum_kl lam_k lam_l |v_k^H v_l|^2."""
+        gram = self.rows.conj() @ self.rows.T
+        return float(self.lam @ (gram.real**2 + gram.imag**2) @ self.lam)
+
+    def expand(self) -> np.ndarray:
+        """The exactly Hermitian N x N kernel V diag(lam) V^H, re-symmetrized
+        in place on the fresh product (the same bits as 0.5 * (c + c^H)
+        without two N^2 temporaries)."""
+        out = (self.rows.T * self.lam) @ self.rows.conj()
+        out += out.conj().T
+        out *= 0.5
+        return out
+
+
+class _Pure(_Factor):
+    """A pure state psi as the rank-1 factor lam = [1], V = psi."""
+
+    def __init__(self, amplitudes: np.ndarray):
+        super().__init__(np.ones(1), amplitudes[None, :])
+
+    def expand(self) -> np.ndarray:
+        """The outer product psi psi^H, exactly Hermitian as it stands; a
+        matrix product with one inner term rounds otherwise."""
+        psi = self.rows[0]
+        return np.outer(psi, psi.conj())
+
+
 class DensityMatrix:
-    """A mixed state as a position kernel rho(x, x'), trace = sum(diag) * dx = 1."""
+    """A mixed state as a position kernel rho(x, x'), trace = sum(diag) * dx = 1.
+
+    A state given as elements is that N x N kernel.  A pure state
+    (from_pure, WaveFunction.to_density) and a Lueders child of the branch
+    module are held as a low-rank factor instead: factor is then a _Factor,
+    every readout below reads it, and elements is built from it on first
+    read and kept.  factor is None for a state given as elements.
+    """
 
     def __init__(self, grid: GridSpec, elements: np.ndarray, validate: bool = True):
         self.grid = grid
-        self.elements = np.asarray(elements, dtype=np.complex128)
+        self.factor: Optional[_Factor] = None
+        self._elements = np.asarray(elements, dtype=np.complex128)
         n = grid.n_points
-        if self.elements.shape != (n, n):
+        if self._elements.shape != (n, n):
             raise ValueError("elements must have shape (n_points, n_points)")
         if validate:
-            herm = float(np.max(np.abs(self.elements - self.elements.conj().T)))
+            herm = float(np.max(np.abs(self._elements - self._elements.conj().T)))
             if herm > 1e-10:
                 raise NonHermitianState(f"kernel asymmetry {herm:.3e} exceeds 1e-10")
             tr = self.trace()
@@ -166,8 +241,27 @@ class DensityMatrix:
                 raise ValueError(f"trace is {tr!r}, expected 1")
 
     @classmethod
+    def _from_factor(cls, grid: GridSpec, factor: _Factor) -> "DensityMatrix":
+        """The state of a factor; its kernel is built on the first read of
+        elements."""
+        rho = cls.__new__(cls)
+        rho.grid, rho.factor, rho._elements = grid, factor, None
+        return rho
+
+    @property
+    def elements(self) -> np.ndarray:
+        if self._elements is None:
+            self._elements = self.factor.expand()
+        return self._elements
+
+    def _kernel(self) -> np.ndarray:
+        """The N x N kernel for one use: elements if given or already built,
+        else a fresh expansion of the factor that the state does not keep."""
+        return self.factor.expand() if self._elements is None else self._elements
+
+    @classmethod
     def from_pure(cls, psi: WaveFunction) -> "DensityMatrix":
-        return cls(psi.grid, np.outer(psi.amplitudes, psi.amplitudes.conj()), validate=False)
+        return cls._from_factor(psi.grid, _Pure(psi.amplitudes))
 
     @classmethod
     def from_mixture(cls, weights, states) -> "DensityMatrix":
@@ -184,17 +278,25 @@ class DensityMatrix:
         return cls(grid, rho, validate=False)
 
     def trace(self) -> float:
-        return float(np.real(np.trace(self.elements)) * self.grid.dx)
+        if self.factor is not None:
+            return float(self.factor.mass() * self.grid.dx)
+        return float(np.real(np.trace(self._elements)) * self.grid.dx)
 
     def position_density(self) -> np.ndarray:
-        return np.real(np.diag(self.elements)).copy()
+        if self.factor is not None:
+            return self.factor.density()
+        return np.real(np.diag(self._elements)).copy()
 
     def momentum_masses(self) -> np.ndarray:
         """Probability mass on each FFT momentum node (sums to the trace)."""
-        return _momentum_masses(self.elements, self.grid.dx)
+        if self.factor is not None:
+            return self.factor.momentum_masses(self.grid.dx)
+        return _momentum_masses(self._elements, self.grid.dx)
 
     def copy(self) -> "DensityMatrix":
-        return DensityMatrix(self.grid, self.elements.copy(), validate=False)
+        if self.factor is not None:
+            return DensityMatrix._from_factor(self.grid, self.factor)
+        return DensityMatrix(self.grid, self._elements.copy(), validate=False)
 
 
 def _momentum_masses(kernel: np.ndarray, dx: float) -> np.ndarray:
@@ -306,10 +408,12 @@ def _expect_density(rho: DensityMatrix, observable: Observable) -> float:
             raise ValueError(f"unknown observable {observable!r}")
     else:
         vals = _resolve_diagonal(grid, observable)
-    tr = np.sum(vals * np.diag(rho.elements)) * grid.dx
-    if abs(tr.imag) > 1e-6:
-        raise NonHermitianState(f"expectation has imaginary part {tr.imag:.3e}")
-    return float(tr.real)
+    if rho.factor is None:
+        # a raw kernel may have a complex diagonal; a factor's is real
+        imag = np.sum(vals * np.diag(rho.elements).imag) * grid.dx
+        if abs(imag) > 1e-6:
+            raise NonHermitianState(f"expectation has imaginary part {imag:.3e}")
+    return float(np.sum(vals * rho.position_density()) * grid.dx)
 
 
 def expectation(state: State, observable: Observable) -> float:
@@ -348,8 +452,15 @@ def purity_and_entropy(rho: DensityMatrix) -> tuple[float, float, float]:
     Eigenvalues below 1e-14 are dropped from the log sum.
     """
     dx = rho.grid.dx
-    purity = float(np.sum(np.abs(rho.elements) ** 2) * dx * dx)
-    lam = np.linalg.eigvalsh(rho.elements * dx)
+    if rho.factor is None:
+        purity = float(np.sum(np.abs(rho.elements) ** 2) * dx * dx)
+        lam = np.linalg.eigvalsh(rho.elements * dx)
+    else:
+        # with V = Q T (thin QR), rho = Q (T diag(lam) T^H) Q^H: its nonzero
+        # eigenvalues are those of the r x r middle matrix
+        purity = rho.factor.squares() * dx * dx
+        tri = np.linalg.qr(rho.factor.rows.T, mode="r")
+        lam = np.linalg.eigvalsh((tri * rho.factor.lam) @ tri.conj().T * dx)
     lam = lam[lam > 1e-14]
     s_vn = float(-np.sum(lam * np.log(lam)))
     return purity, 1.0 - purity, s_vn

@@ -89,6 +89,29 @@ def reference_povm(grid, partition, sigma_x, quadrature, rule="gauss"):
     return ops, rest, leak
 
 
+def reference_collapse(proj, lam, weight):
+    """The Lueders child Pi rho Pi / w of rho = V diag(lam) V^H as one dense
+    kernel, from proj = Pi V: the expression whose bits a child factor's
+    expansion keeps."""
+    child = (proj * (lam / weight)) @ proj.conj().T
+    child += child.conj().T
+    child *= 0.5
+    return child
+
+
+def reference_dense_step(prop, elements):
+    """One dense-path step of prop with fresh temporaries: the expression
+    whose bits Propagator.step_elements keeps off the FFT path."""
+    if prop.dephase_half is not None:
+        elements = prop.dephase_half * elements
+    elements = (prop.u @ elements) @ prop.u_dag
+    if prop.dephase_half is not None:
+        np.multiply(prop.dephase_half, elements, out=elements)
+    elements += elements.conj().T
+    elements *= 0.5
+    return elements
+
+
 def reference_trajectory(rho0, potential, lambda_rate, povm, dt, n_steps, rng_seed, dt_int, stop=None):
     """One Born-sampled history evolved on its own from rho0, all dense.
 

@@ -31,15 +31,17 @@ from branchfall import (
     decoherence_functional,
     evolve,
     evolve_explicit,
+    expectation,
     free_potential,
     harmonic_potential,
     mixture_consistency,
+    purity_and_entropy,
     suggested_branch_interval,
     superorthogonality_overlap,
 )
 from branchfall import branching
-from branchfall.dynamics import Propagator
-from oracles import reference_strang, reference_trajectory
+from branchfall.dynamics import Propagator, _evolve_kernel
+from oracles import reference_collapse, reference_strang, reference_trajectory
 
 
 GRID = GridSpec(128, -10.0, 10.0, 1.0)
@@ -377,6 +379,13 @@ def _sample_against_reference(args, dt_int, runs, stop=None):
         if got[0] == "ok":
             dev = np.abs(got[2] - want[2]).max() / np.abs(want[2]).max()
             assert dev <= _FLOOR_UNITS * eps / born[len(recs) - 1]
+            # the final factor expands to the bits of the dense Lueders
+            # child of its cached parent, evolved by this run or a longer one
+            history = tuple(r[1] for r in recs[1:])
+            parent = sampler._nodes[history[:-1]]
+            proj = sampler.povm.project(parent.vecs, history[-1])
+            ref = reference_collapse(proj, parent.lam, parent.weights[history[-1]])
+            assert np.array_equal(got[2], ref)
         outcomes.append(got)
     return outcomes
 
@@ -515,7 +524,7 @@ def _check_against_dense_collapse(povm, el):
         pi = povm.operators[alpha]
         dense = (pi @ el) @ pi
         dense /= np.trace(dense).real * dx
-        child = branching._collapse(projs[alpha], lam, weights[alpha])
+        child = branching._collapse(povm.grid, projs[alpha], lam, weights[alpha]).elements
         assert np.array_equal(child, child.conj().T)
         dev = np.abs(child - dense).max() / np.abs(dense).max()
         assert dev <= _FLOOR_UNITS * eps / weights[alpha]
@@ -532,6 +541,93 @@ def test_factored_collapse_matches_dense_lueders(bench_shape):
         el = prop.step_elements(el)
     lam = _check_against_dense_collapse(povm, prop.unpack(el))
     assert len(lam) < shape["grid"].n_points / 2
+
+
+@pytest.fixture(scope="module")
+def bench_leaves(bench_shape):
+    """(shape, POVM, root, one-interval tree, the root's evolved kernel)."""
+    shape, povm, rho = bench_shape
+    tree = branch_step(
+        BranchTree.from_state(rho, povm, shape["dt"], 0.0),
+        shape["potential"], shape["lam"], shape["dt_int"],
+    )
+    prop, n_sub = branching._interval_propagator(
+        shape["grid"], shape["potential"], shape["lam"], shape["dt"], shape["dt_int"]
+    )
+    return shape, povm, rho, tree, _evolve_kernel(prop, rho, n_sub)
+
+
+def test_branch_leaves_expand_to_the_collapse_bits(bench_leaves):
+    # a leaf holds (lam / w, Pi V) and builds its kernel on the first read,
+    # with the bits of the dense product the children were stored as
+    _, povm, rho, tree, evolved = bench_leaves
+    lam, _, projs, weights, _ = branching._weigh(povm, evolved)
+    assert rho.factor.rank == 1
+    assert len(tree.leaves) == np.count_nonzero(weights) > 1
+    for leaf in tree.leaves:
+        (alpha,) = leaf.history
+        assert leaf.state._elements is None and leaf.state.factor.rank == len(lam)
+        ref = reference_collapse(projs[alpha], lam, weights[alpha])
+        assert np.array_equal(leaf.state.elements, ref)
+
+
+def test_factor_readouts_match_the_expanded_kernel(bench_leaves):
+    # the root packet (rank 1) and every leaf read from (lam, V) against the
+    # same state's expanded kernel, to the bounds of
+    # test_moment_row_reads_the_packed_kernel (measured: density and masses
+    # within 2.3 eps of their largest entry, <P> and <P^2> within 0.05 of
+    # their floor, purity 2.3e-15 relative)
+    shape, _, rho, tree, _ = bench_leaves
+    grid = shape["grid"]
+    eps = np.finfo(float).eps
+    for state in [rho] + [leaf.state for leaf in tree.leaves]:
+        dense = DensityMatrix(grid, state.factor.expand(), validate=False)
+        dens, mass = dense.position_density(), dense.momentum_masses()
+        floor = 4 * eps * mass.max()
+        assert np.max(np.abs(state.position_density() - dens)) <= 4 * eps * dens.max()
+        assert np.max(np.abs(state.momentum_masses() - mass)) <= floor
+        for key in ("x", "x2"):
+            want = expectation(dense, key)
+            assert abs(expectation(state, key) - want) <= 1e-13 * abs(want)
+        assert abs(expectation(state, "p") - expectation(dense, "p")) <= floor * np.sum(
+            np.abs(grid.p)
+        )
+        assert abs(expectation(state, "p2") - expectation(dense, "p2")) <= floor * np.sum(
+            grid.p**2
+        )
+        got, want = purity_and_entropy(state), purity_and_entropy(dense)
+        assert abs(got[0] - want[0]) <= 1e-13 * want[0]
+        assert abs(got[2] - want[2]) <= 1e-13
+
+
+@pytest.mark.parametrize("prune", [1e-4, 0.0], ids=["27-leaves", "81-leaves"])
+def test_branch_step_holds_one_live_kernel(prune):
+    # two N = 128 intervals of the benchmark's branch config: the peak stays
+    # within the POVM, the leaves' own N x r factors (r = 24 to 28 here) and
+    # a fixed count of N x N arrays, whatever the leaf count.  Measured:
+    # 12.4 to 13.5 N^2 past the POVM and factors at 9, 27 and 81 leaves (the
+    # propagator's tables and work arrays, one evolving kernel and its
+    # factorization); leaves held as kernels peaked at 42.7 and 98 N^2
+    grid = GridSpec(128, -10.0, 10.0, 1.0)
+
+    def grow():
+        povm = build_povm(grid, PhasePartition((-6.0, 6.0), (-6.0, 6.0), 3, 3), 0.7071)
+        rho = coherent_state(grid, 2.0, 0.0, 0.7071).to_density()
+        tree = BranchTree.from_state(rho, povm, 0.3, prune)
+        for _ in range(2):
+            tree = branch_step(tree, harmonic_potential(1.0, 1.0), 0.5, 0.03)
+        return povm, tree
+
+    grow()  # imports and caches filled on first use stay out of the peak
+    tracemalloc.start()
+    try:
+        povm, tree = grow()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    factors = sum(leaf.state.factor.rows.nbytes for leaf in tree.leaves)
+    assert len(tree.leaves) >= 20
+    assert peak <= povm.operators.nbytes + factors + 16 * grid.n_points**2 * 16
 
 
 def test_full_rank_mixed_kernel_takes_the_full_eigh(monkeypatch):
@@ -573,9 +669,10 @@ def test_born_sampler_nodes_hold_factors_not_kernels(bench_shape):
     for history, node in evolved.items():
         square = [a for a in vars(node).values() if isinstance(a, np.ndarray) and a.ndim == 2
                   and a.shape[1] == n]
-        # past the root, an evolved node keeps no N x N array; the root
-        # keeps its initial kernel
-        assert len(square) == (0 if history else 1)
+        # an evolved node, the root included, keeps no N x N array: its
+        # state is a factor whose kernel was never built
+        assert square == []
+        assert node.state.factor is not None and node.state._elements is None
         assert node.vecs.shape[0] == n and node.vecs.shape[1] < n / 2
 
 

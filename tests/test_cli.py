@@ -222,6 +222,42 @@ def test_bohm_without_trajectories_exits_2_before_any_work(tmp_path, capsys, kin
     assert not out.exists()
 
 
+# valid bodies of the kinds with a window or a width key
+_WIDE_BODIES = {
+    "branch": SAMPLE_BODY.replace("kind = sample", "kind = branch").replace(
+        "n_traj = 5\n", ""
+    ),
+    "sample": SAMPLE_BODY,
+    "reduce": REDUCE_BODY.replace("{dx}", "1.5").replace("{dp}", "1.5"),
+    "grw": _SPOILED_BODIES["grw"] + "total_time = 1\nout = {out}\n",
+}
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("branch", "window_x_lo", "-inf"),
+        ("branch", "window_x_hi", "inf"),
+        ("sample", "window_p_lo", "-inf"),
+        ("reduce", "window_p_hi", "inf"),
+        ("branch", "sigma_x", "inf"),
+        ("sample", "povm_sigma_x", "inf"),
+        ("branch", "sigma_x", "1e300"),
+        ("grw", "r_c", "1e300"),
+    ],
+)
+def test_infinite_window_or_width_exits_2_before_any_work(tmp_path, capsys, kind, key, value):
+    # each raised OverflowError or ZeroDivisionError inside the run before;
+    # sigma_x, povm_sigma_x and r_c may not exceed the grid width
+    out = tmp_path / "runs"
+    lines = [ln for ln in _WIDE_BODIES[kind].splitlines() if not ln.startswith(f"{key} =")]
+    body = "\n".join(lines + [f"{key} = {value}"]).format(out=out) + "\n"
+    assert validate_config(parse_config(_WIDE_BODIES[kind].format(out=out)))
+    assert main(["run", write_cfg(tmp_path, "w.cfg", body)]) == 2
+    assert f"bad value for key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nan_in_float_list_key_rejected():
     with pytest.raises(ConfigError, match="bad value for key 'sigma_list'.*NaN"):
         validate_config({"kind": "sieve", "lambda": "0.2", "sigma_list": "0.5, NaN"})

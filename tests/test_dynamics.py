@@ -36,7 +36,7 @@ from branchfall.dynamics import (
 from branchfall import dynamics
 from branchfall.dynamics import _SplitStep
 from branchfall.qstate import _momentum_masses
-from oracles import reference_strang, reference_unitary
+from oracles import reference_dense_step, reference_strang, reference_unitary
 
 
 def _moments(rec):
@@ -534,3 +534,28 @@ def test_fft_propagator_holds_one_table_and_the_dephasing_kernel():
         tracemalloc.stop()
     assert prop.u is None
     assert live <= 4.5 * 2**20
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_dense_step_allocates_only_its_result(lam):
+    # N = 128 is on the dense path: past its first step the propagator's two
+    # work arrays hold every temporary, so a 20-step chain peaks at its last
+    # input plus its result (measured 2.5 N^2 x 16 B above the input; fresh
+    # temporaries peaked at 4.0), with the bits of the fresh-temporary step
+    grid = GridSpec(128, -10.0, 10.0, mass=1.0)
+    prop = Propagator(grid, harmonic_potential(1.0, 1.0), lam, 0.01)
+    assert prop.u is not None
+    start = prop.step_elements(coherent_state(grid, 1.0, 0.5, 0.8).to_density().elements)
+    kernel = start
+    tracemalloc.start()
+    try:
+        for _ in range(20):
+            kernel = prop.step_elements(kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ref = start.copy()
+    for _ in range(20):
+        ref = reference_dense_step(prop, ref)
+    assert np.array_equal(kernel, ref)
+    assert peak < 3 * grid.n_points**2 * 16
