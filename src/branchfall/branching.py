@@ -17,9 +17,11 @@ Every child, of a tree or of a sampler node, is held as that factor,
 (lam / w_alpha, Pi_alpha V): its phase point and density read it in
 O(N r), and its N x N kernel is built only when its elements are read.
 A tree or sampler root made from a wave function is the packet itself,
-a factor of rank 1.  Each collapse interval expands one state at a time
-and keeps no kernel on it, so a branch_step holds at most one evolving
-N x N kernel besides the POVM and the propagator's tables.
+a factor of rank 1.  Each collapse interval steps one state through the
+density chain evolve records from (_evolve_kernel), so by its entry rule a
+factor within the factored bound steps as it is, and any other state as a
+kernel it does not keep: a branch_step holds at most one evolving N x N
+kernel besides the POVM and the propagator's tables.
 
 The module also carries an explicit system (x) environment model — a qubit
 bath coupled to position — used to check that phase-space histories of the
@@ -268,8 +270,8 @@ class _HistoryNode:
     """A BornSampler cache entry: the state after one collapse history and,
     once evolved, the factor (lam, V) and cell weights of the next interval.
     Past the root the state is the Lueders child as a factor, so a node
-    holds N x r arrays only; the collapse interval expands it afresh each
-    time and never keeps that kernel."""
+    holds N x r arrays only; the collapse interval steps it through the
+    one density chain, which keeps no kernel on it."""
 
     state: DensityMatrix
     z: PhasePoint

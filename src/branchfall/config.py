@@ -56,7 +56,7 @@ def _floats(s: str) -> tuple:
 
 
 def _positive(s: str) -> float:
-    """A step size or time span: a finite float above zero."""
+    """A step size, time span, width or mass: a finite float above zero."""
     value = float(s)
     if not 0.0 < value < math.inf:
         raise ValueError(f"expected a positive finite number, got {s.strip()!r}")
@@ -64,10 +64,26 @@ def _positive(s: str) -> float:
 
 
 def _finite(s: str) -> float:
-    """A coordinate: a finite float."""
+    """A coordinate or potential parameter: a finite float."""
     value = float(s)
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {s.strip()!r}")
+    return value
+
+
+def _rate(s: str) -> float:
+    """A decoherence rate: a finite float of at least zero."""
+    value = float(s)
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"expected a finite number >= 0, got {s.strip()!r}")
+    return value
+
+
+def _grid_points(s: str) -> int:
+    """A grid size: an integer in [8, 512], the range GridSpec accepts."""
+    value = int(s)
+    if not 8 <= value <= 512:
+        raise ValueError(f"expected a grid size in [8, 512], got {value}")
     return value
 
 
@@ -93,17 +109,17 @@ _BASE = {
 }
 
 _GRID = {
-    "grid_n": (int, 128),
-    "x_min": (float, -10.0),
-    "x_max": (float, 10.0),
-    "mass": (float, 1.0),
+    "grid_n": (_grid_points, 128),
+    "x_min": (_finite, -10.0),
+    "x_max": (_finite, 10.0),
+    "mass": (_positive, 1.0),
 }
 
 _POTENTIAL = {
     "potential": (str, "harmonic"),
-    "omega": (float, 1.0),
-    "barrier": (float, 1.0),
-    "half_separation": (float, 2.0),
+    "omega": (_finite, 1.0),
+    "barrier": (_finite, 1.0),
+    "half_separation": (_finite, 2.0),
 }
 
 _PACKET = {
@@ -129,14 +145,14 @@ _WIDTHS = ("sigma_x", "povm_sigma_x", "r_c")
 SCHEMAS = {
     "evolve": {
         **_BASE, **_GRID, **_POTENTIAL, **_PACKET,
-        "lambda": (float, 0.0),
+        "lambda": (_rate, 0.0),
         "dt": (_positive, 0.01),
         "n_steps": (_count, 100),
         "record_every": (_count, 1),
     },
     "sieve": {
         **_BASE, **_GRID, **_POTENTIAL,
-        "lambda": (float, REQUIRED),
+        "lambda": (_rate, REQUIRED),
         "sigma_list": (_floats, REQUIRED),
         "q0": (float, 0.0),
         "p0": (float, 0.0),
@@ -145,7 +161,7 @@ SCHEMAS = {
     },
     "branch": {
         **_BASE, **_GRID, **_POTENTIAL, **_PACKET, **_WINDOW,
-        "lambda": (float, REQUIRED),
+        "lambda": (_rate, REQUIRED),
         "dt": (_positive, REQUIRED),
         "n_steps": (_count, REQUIRED),
         "dt_int": (_positive, None),
@@ -155,7 +171,7 @@ SCHEMAS = {
     },
     "sample": {
         **_BASE, **_GRID, **_POTENTIAL, **_PACKET, **_WINDOW,
-        "lambda": (float, REQUIRED),
+        "lambda": (_rate, REQUIRED),
         "dt": (_positive, REQUIRED),
         "n_steps": (_count, REQUIRED),
         "dt_int": (_positive, None),
@@ -186,7 +202,7 @@ SCHEMAS = {
     },
     "ehrenfest": {
         **_BASE, **_GRID, **_POTENTIAL, **_PACKET,
-        "lambda": (float, 0.0),
+        "lambda": (_rate, 0.0),
         "dt": (_positive, 0.01),
         "n_steps": (_count, 100),
         "record_every": (_count, 1),
@@ -197,7 +213,7 @@ SCHEMAS = {
     "reduce": {
         **_BASE, **_GRID, **_POTENTIAL, **_WINDOW,
         "sigma_x": (_positive, 1.0),
-        "lambda": (float, REQUIRED),
+        "lambda": (_rate, REQUIRED),
         "delta_x": (float, REQUIRED),
         "delta_p": (float, REQUIRED),
         "tau_c": (_positive, REQUIRED),
@@ -267,6 +283,11 @@ def validate_config(raw: dict) -> dict:
     if "povm_sigma_x" in cfg and cfg["povm_sigma_x"] is None:
         cfg["povm_sigma_x"] = cfg.get("sigma_x", 1.0)
     width = cfg["x_max"] - cfg["x_min"]
+    if not 0.0 < width < math.inf:
+        raise ConfigError(
+            f"bad value for key 'x_max': the grid width x_max - x_min = {width:g} "
+            "is not a positive finite number"
+        )
     for key in _WIDTHS:
         if key in cfg and cfg[key] > width:
             raise ConfigError(

@@ -24,30 +24,27 @@ two matrix products.  On the FFT path a Hermitian kernel A + iB moves as
 the one real array R = A + B, which rfft2/irfft2 transform at about half
 the cost of a complex fft2/ifft2; A and B are the symmetric and
 antisymmetric parts of R, so the unpacked kernel is exactly Hermitian.
-This module is the only one that steps a state.  It has two density
-chains.  _evolve_kernel (the collapse interval of branch_step and
-BornSampler) takes one state at a time, expands its factor if it has one,
-packs the kernel once, keeps R through every step and guard and unpacks it
-once at the end.  The dense step writes its temporaries into two work
-arrays the propagator owns, so each step allocates only its result.
-_evolve_on (evolve, the sieve, the measured horizon) takes a DensityMatrix
-or a WaveFunction.  A DensityMatrix, and a WaveFunction off the FFT path,
-step as the packed kernel in the same way.
-A WaveFunction on the FFT path enters as its own rank-1 factor
-rho = V diag(lam) V^H, lam = [1] and V = psi, and stays one through every
-step, guard and moment row, with no N x N array (the low-rank integrator
-of Le Bris & Rouchon, Phys. Rev. A 87, 022125, 2013).  The unitary is one
-run() on the r rows of V^T.  Each half dephasing D = sum_m d_m d_m^T,
-factored once per propagator, maps V to the block [d_m o v_k sqrt(lam_k)],
-recompressed through the eigenpairs of its Gram matrix.  Before each step
-the chain checks M0^2 r, M0 the closed-form term count of D's expansion:
-past _FACTOR_MAX_BLOCK, the crossover measured at N = 256 (r = 16 at
-M0 = 13), it expands once to the packed kernel and goes on there.  The
-record's final state holds the last factor, or unpacks the last kernel on
-its first read.
-Every density step passes one guard on the diagonal density: finite unit
-trace and at most EDGE_TOL of the mass in the outer two cells on either
-side, where it would wrap around the periodic grid.
+This module is the only one that steps a state.  Every density state
+steps through one guarded loop, _chain, with one entry rule: a state whose
+factor passes Propagator.factored(rank) enters as that factor, any other as
+its kernel, packed once (DensityMatrix._kernel: a factor is expanded afresh
+and not kept); a WaveFunction enters as its rank-1 to_density().  A factor
+rho = V diag(lam) V^H stays one through every step, guard and moment row
+with no N x N array (the low-rank integrator of Le Bris & Rouchon, Phys.
+Rev. A 87, 022125, 2013): the unitary is one run() on the r rows of V^T,
+and each half dephasing D = sum_m d_m d_m^T, factored once per propagator,
+maps V to the block [d_m o v_k sqrt(lam_k)], recompressed through the
+eigenpairs of its Gram matrix.  Before each step the chain checks M0^2 r,
+M0 the closed-form term count of D's expansion: past _FACTOR_MAX_BLOCK, the
+crossover measured at N = 256 (r = 16 at M0 = 13), it expands once to the
+packed kernel.  The dense step writes its temporaries into two work arrays
+the propagator owns, so each step allocates only its result.  evolve, the
+sieve and the measured horizon record rows from the chain (_evolve_on);
+each collapse interval of branch_step and BornSampler runs it to its last
+form (_evolve_kernel); _state_of makes the state of a last form for both.
+Every form, the entry form too, passes one guard on the diagonal density,
+labelled t = k dt: finite unit trace and at most EDGE_TOL of the mass in
+the outer two cells on either side, where it would wrap around the grid.
 """
 
 from __future__ import annotations
@@ -95,7 +92,8 @@ _FFT_MAX_PRIME = 19
 # 0.97, 1.18 and 1.37 times the packed one at r = 9, 12, 16, 19 and 21
 # (medians of 7 interleaved rounds, one BLAS thread).  At N = 315 and 512 the
 # ratio at r = 16 was 0.57 and 0.26, so the bound hands off early there.
-# The benchmark's chains reach M0^2 r = 1690 (N = 256) and 2025 (N = 512);
+# The benchmark's recorded chains reach M0^2 r = 1690 (N = 256) and 2025
+# (N = 512), and its N = 512 branch root sits on the bound (M0 = 52, r = 1);
 # reduce's horizon chain (N = 288, M0 = 144) never enters the factored form.
 _FACTOR_MAX_BLOCK = 13 * 13 * 16
 
@@ -282,14 +280,13 @@ class Propagator:
     U = K(dt/2) V(dt) K(dt/2) acting as rho -> U rho U^dagger and D the
     elementwise dephasing factor.  On the FFT path (see _fft_path) no dense
     matrix is built (u is None) and the split-step core steps the kernel
-    packed as one real array R, with real 2-D FFTs: pack() makes R once,
-    step_elements() takes and returns R, and unpack() gives the complex
-    kernel back once the chain ends.  On every other grid U is built once
-    as a dense matrix (the split-step core applied to the identity), u, a
-    step is two matrix products, and pack() and unpack() return the kernel
-    as it is.  On the FFT path step_factor() steps a _Factor instead.  The
-    N x N dephasing kernel, D's factor and the dense step's two work arrays
-    are built on first use.
+    packed as one real array R, with real 2-D FFTs: pack() makes R once
+    and step_elements() takes and returns R.  On every other grid U is
+    built once as a dense matrix (the split-step core applied to the
+    identity), u, a step is two matrix products, and pack() returns the
+    kernel as it is.  On the FFT path step_factor() steps a _Factor
+    instead.  The N x N dephasing kernel, D's factor and the dense step's
+    two work arrays are built on first use.
     """
 
     def __init__(
@@ -378,10 +375,6 @@ class Propagator:
         """The form step_elements steps: the packed real R of the Hermitian
         part on the FFT path, else the complex kernel itself."""
         return _pack_kernel(elements) if self.u is None else elements
-
-    def unpack(self, kernel: np.ndarray) -> np.ndarray:
-        """The exactly Hermitian complex kernel of a form pack returned."""
-        return _unpack_kernel(kernel) if self.u is None else kernel
 
     def step_elements(self, elements: np.ndarray) -> np.ndarray:
         """One full step on the form pack returned, into a fresh array of
@@ -489,18 +482,38 @@ def _check_density(dens: np.ndarray, dx: float, where: str) -> None:
         raise BoundaryViolation(f"mass {edge:.3e} within two cells of the window edge at {where}")
 
 
+def _chain(prop: Propagator, state: DensityMatrix, n_steps: int):
+    """Yield (k, form), the form of state after k = 0 ... n_steps guarded
+    steps: its factor while step_factor keeps one (it hands off at most
+    once to the packed kernel), else its packed kernel.  Every step
+    returns a fresh form, so the state is never written."""
+    form = state.factor
+    if form is None or not prop.factored(form.rank):
+        form = prop.pack(state._kernel())
+    for k in range(n_steps + 1):
+        if k:
+            step = prop.step_factor if isinstance(form, _Factor) else prop.step_elements
+            form = step(form)
+        _check_density(_density(form), prop.grid.dx, f"t = {k * prop.dt:.6g}")
+        yield k, form
+
+
+def _state_of(grid: GridSpec, form) -> DensityMatrix:
+    """The state of a chain's form: a _Factor held as the state's factor
+    (its kernel built on the first read of elements), the packed R of the
+    FFT path unpacked, or a dense-path kernel as it is."""
+    if isinstance(form, _Factor):
+        return DensityMatrix._from_factor(grid, form)
+    kernel = _unpack_kernel(form) if form.dtype == np.float64 else form
+    return DensityMatrix(grid, kernel, validate=False)
+
+
 def _evolve_kernel(prop: Propagator, state: DensityMatrix, n_steps: int) -> np.ndarray:
-    """n_steps guarded steps of a state's kernel, returned as a fresh,
-    exactly Hermitian complex kernel.  A factor-backed state is expanded
-    afresh and does not keep that kernel (DensityMatrix._kernel); the
-    kernel is packed once (which drops the complex expansion on the FFT
-    path), every step passes the density guard on that form (labelled
-    "substep i of n"), and it is unpacked once."""
-    kernel = prop.pack(state._kernel())
-    for i in range(1, n_steps + 1):
-        kernel = prop.step_elements(kernel)
-        _check_density(_density(kernel), prop.grid.dx, f"substep {i} of {n_steps}")
-    return prop.unpack(kernel)
+    """The exactly Hermitian kernel of state after n_steps of _chain, held
+    by no state; only the current form is alive."""
+    for _, form in _chain(prop, state, n_steps):
+        pass
+    return _state_of(prop.grid, form)._kernel()
 
 
 @dataclass
@@ -510,11 +523,8 @@ class EvolutionRecord:
     All arrays share the length of times.  mean_dvdx is <V'(X)>, recorded so
     force-law residuals can be formed without storing state snapshots.
     final is the state at the last time, either given or built on its first
-    read from packed_final, the grid and the last form of the chain that
-    _evolve_on leaves: a _Factor (held as the state's factor, its kernel
-    built on the first read of elements), the packed R of the FFT path
-    (unpacked) or a dense-path kernel (as it is).  Callers that read only
-    the moment series build no final kernel.
+    read by _state_of from packed_final, the grid and the chain's last
+    form.  Callers that read only the moment series build no final kernel.
     """
 
     times: np.ndarray
@@ -541,10 +551,7 @@ class EvolutionRecord:
     def final(self) -> DensityMatrix:
         grid, form = self.packed_final
         self.packed_final = None
-        if isinstance(form, _Factor):
-            return DensityMatrix._from_factor(grid, form)
-        kernel = _unpack_kernel(form) if form.dtype == np.float64 else form
-        return DensityMatrix(grid, kernel, validate=False)
+        return _state_of(grid, form)
 
     def as_columns(self) -> dict:
         """Column dict in CSV order (diagnostic extras excluded)."""
@@ -595,9 +602,9 @@ def evolve(
     The t = 0 row and the final row are always recorded.  Every step is
     checked: ExplosionGuard on non-finite values or trace drift beyond 1e-6,
     BoundaryViolation once more than EDGE_TOL of the mass sits in the
-    outermost two grid cells on either side.  A WaveFunction evolves as a
-    low-rank factor where _evolve_on allows it, else as its density matrix;
-    the final kernel is built on the first read of the record's final.
+    outermost two grid cells on either side.  A state steps as a low-rank
+    factor where _chain's entry rule allows it, else as its kernel; the
+    final kernel is built on the first read of the record's final.
     """
     return _evolve_on(
         Propagator(state.grid, potential, lambda_rate, dt), state, n_steps, record_every
@@ -613,44 +620,24 @@ def _evolve_on(
     """evolve() with a prebuilt propagator, so callers that step several
     states with one (grid, potential, lambda_rate, dt) build it once.
 
-    A WaveFunction where prop.factored(1) holds steps as a _Factor
-    (Propagator.step_factor) until it hands off, at most once, to the
-    packed kernel; any other state steps as its kernel, packed once
-    (Propagator.pack).  Every step, guard and moment row reads the current
-    form, and the record builds the final kernel on the first read of its
-    final state.
+    The state steps through _chain, a WaveFunction as its to_density(),
+    and each recorded row reads the current form.
     """
     if n_steps < 1 or record_every < 1:
         raise ValueError("n_steps and record_every must be >= 1")
+    if isinstance(state, WaveFunction):
+        state = state.to_density()
     grid, dt = state.grid, prop.dt
     dv_vals = prop.potential.derivative_values(grid)
 
-    rows = []
-    times = []
-
-    def record(k: int, form):
-        mx, mp, mx2, mp2, pur, mdv = _moment_row(form, grid, dv_vals)
-        if not (math.isfinite(mx2) and math.isfinite(mp2)):
-            raise ExplosionGuard(f"non-finite moments at t = {k * dt:.6g}")
-        times.append(k * dt)
-        rows.append((mx, mp, mx2, mp2, pur, mdv))
-
-    if isinstance(state, WaveFunction) and prop.factored(1):
-        form = _Factor(np.ones(1), state.amplitudes[None, :])
-    else:
-        if isinstance(state, WaveFunction):
-            state = state.to_density()
-        # every step returns a fresh array, so the state's kernel is never written
-        form = prop.pack(state.elements)
-    for k in range(n_steps + 1):
-        if k:
-            if isinstance(form, _Factor):
-                form = prop.step_factor(form)
-            else:
-                form = prop.step_elements(form)
-        _check_density(_density(form), grid.dx, f"t = {k * dt:.6g}")
+    rows, times = [], []
+    for k, form in _chain(prop, state, n_steps):
         if k % record_every == 0 or k == n_steps:
-            record(k, form)
+            mx, mp, mx2, mp2, pur, mdv = _moment_row(form, grid, dv_vals)
+            if not (math.isfinite(mx2) and math.isfinite(mp2)):
+                raise ExplosionGuard(f"non-finite moments at t = {k * dt:.6g}")
+            times.append(k * dt)
+            rows.append((mx, mp, mx2, mp2, pur, mdv))
 
     t = np.asarray(times)
     mx, mp, mx2, mp2, pur, mdv = (np.asarray(col) for col in zip(*rows))

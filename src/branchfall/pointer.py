@@ -181,18 +181,19 @@ class POVMSet:
         return self._rest
 
     def trace_product(self, op: np.ndarray, rho: DensityMatrix) -> float:
-        return float(np.sum(op * rho.elements.T).real * self.grid.dx)
+        return float(np.sum(op * rho._kernel().T).real * self.grid.dx)
 
     def probabilities(self, rho: DensityMatrix) -> tuple[np.ndarray, float]:
         """(Tr(Pi_alpha rho) per cell, Tr(Pi_rest rho)); tiny negatives clipped.
 
-        Raises PositivityError when any weight drops below -1e-10, which
-        signals a corrupted state rather than roundoff.
+        Tr(Pi_rest rho) = Tr rho - sum_alpha Tr(Pi_alpha rho) builds no rest,
+        and a factor-backed state keeps no kernel.  Raises PositivityError
+        when any weight drops below -1e-10 (a corrupted state, not roundoff).
         """
         probs = (
-            np.einsum("aij,ji->a", self.operators, rho.elements).real * self.grid.dx
+            np.einsum("aij,ji->a", self.operators, rho._kernel()).real * self.grid.dx
         )
-        return _clip_weights(probs, self.trace_product(self.rest, rho))
+        return _clip_weights(probs, rho.trace() - float(probs.sum()))
 
     def project(self, vecs: np.ndarray, alpha: int | None = None) -> np.ndarray:
         """Pi_alpha V for the columns V of a factor rho = V diag(lam) V^H;

@@ -372,25 +372,6 @@ def _resolve_diagonal(grid: GridSpec, observable: Observable) -> np.ndarray:
     return vals
 
 
-def _expect_wave(psi: WaveFunction, observable: Observable) -> float:
-    grid = psi.grid
-    if isinstance(observable, str):
-        key = observable.lower()
-        if key == "x":
-            vals = grid.x
-        elif key == "x2":
-            vals = grid.x**2
-        elif key in ("p", "p2"):
-            masses = psi.momentum_masses()
-            pw = grid.p if key == "p" else grid.p**2
-            return float(np.sum(pw * masses))
-        else:
-            raise ValueError(f"unknown observable {observable!r}")
-    else:
-        vals = _resolve_diagonal(grid, observable)
-    return float(np.sum(vals * psi.position_density()) * grid.dx)
-
-
 def _expect_density(rho: DensityMatrix, observable: Observable) -> float:
     grid = rho.grid
     if isinstance(observable, str):
@@ -420,10 +401,11 @@ def expectation(state: State, observable: Observable) -> float:
     """Expectation value of an observable in a pure or mixed state.
 
     observable may be one of the strings "x", "p", "x2", "p2", a real array
-    of diagonal (position-basis) values, or a callable f(x) -> values.
+    of diagonal (position-basis) values, or a callable f(x) -> values.  A
+    WaveFunction is read through its rank-1 to_density().
     """
     if isinstance(state, WaveFunction):
-        return _expect_wave(state, observable)
+        state = state.to_density()
     if isinstance(state, DensityMatrix):
         return _expect_density(state, observable)
     raise TypeError(f"unsupported state type {type(state).__name__}")
@@ -477,9 +459,9 @@ def check_positivity(rho: DensityMatrix) -> float:
 
     Emits PositivityWarning below POSITIVITY_WARN_FLOOR and raises
     PositivityError below POSITIVITY_ERROR_FLOOR.  Returns the minimum
-    eigenvalue either way.
+    eigenvalue either way.  A factor-backed state keeps no kernel.
     """
-    lam_min = float(np.linalg.eigvalsh(rho.elements * rho.grid.dx)[0])
+    lam_min = float(np.linalg.eigvalsh(rho._kernel() * rho.grid.dx)[0])
     if lam_min < POSITIVITY_ERROR_FLOOR:
         raise PositivityError(f"eigenvalue {lam_min:.3e} below {POSITIVITY_ERROR_FLOOR:.1e}")
     if lam_min < POSITIVITY_WARN_FLOOR:

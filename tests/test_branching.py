@@ -39,8 +39,8 @@ from branchfall import (
     suggested_branch_interval,
     superorthogonality_overlap,
 )
-from branchfall import branching
-from branchfall.dynamics import Propagator, _evolve_kernel
+from branchfall import branching, dynamics
+from branchfall.dynamics import Propagator, _evolve_kernel, _state_of
 from oracles import reference_collapse, reference_strang, reference_trajectory
 
 
@@ -173,33 +173,28 @@ def _gaussian_density(grid, q, sigma):
 
 
 @pytest.mark.parametrize(
-    "path, first_check",
+    "path",
     [
-        (lambda rho, povm: evolve(rho, free_potential(), 0.0, 0.01, 5), "t = 0"),
-        (
-            lambda rho, povm: branch_step(
-                BranchTree.from_state(rho, povm, dt=0.05), free_potential(), 0.0,
-                dt_int=0.01, escape_tol=1.0,
-            ),
-            "substep 1 of 5",
+        lambda rho, povm: evolve(rho, free_potential(), 0.0, 0.01, 5),
+        lambda rho, povm: branch_step(
+            BranchTree.from_state(rho, povm, dt=0.05), free_potential(), 0.0,
+            dt_int=0.01, escape_tol=1.0,
         ),
-        (
-            lambda rho, povm: BornSampler(
-                rho, free_potential(), 0.0, povm, 0.05, dt_int=0.01
-            ).trajectory(1, 0),
-            "substep 1 of 5",
-        ),
+        lambda rho, povm: BornSampler(
+            rho, free_potential(), 0.0, povm, 0.05, dt_int=0.01
+        ).trajectory(1, 0),
     ],
     ids=["evolve", "branch_step", "born_sampler"],
 )
-def test_every_density_path_guards_the_edge_at_1e_8(path, first_check):
+def test_every_density_path_guards_the_edge_at_1e_8(path):
+    # every path steps through one chain, which checks its entry form first
     grid = GridSpec(64, -8.0, 8.0, 1.0)
     povm = build_povm(grid, PhasePartition((-6.0, 6.0), (-4.0, 4.0), 2, 1), sigma_x=0.7)
     near = _gaussian_density(grid, 4.1, 0.7)
     dens = near.position_density()
     edge = (dens[0] + dens[1] + dens[-2] + dens[-1]) * grid.dx
     assert 1e-7 < edge < 1e-5  # past 1e-8, far inside the old branch bound 1e-2
-    with pytest.raises(BoundaryViolation, match=f"at {first_check}$"):
+    with pytest.raises(BoundaryViolation, match="at t = 0$"):
         path(near, povm)
     path(_gaussian_density(grid, 0.0, 0.7), povm)
 
@@ -539,8 +534,34 @@ def test_factored_collapse_matches_dense_lueders(bench_shape):
     el = prop.pack(rho.elements)
     for _ in range(n_sub):
         el = prop.step_elements(el)
-    lam = _check_against_dense_collapse(povm, prop.unpack(el))
+    lam = _check_against_dense_collapse(povm, _state_of(prop.grid, el).elements)
     assert len(lam) < shape["grid"].n_points / 2
+
+
+def test_wide_root_hands_off_after_one_factored_substep(monkeypatch):
+    # the wide-grid branch root: M0^2 r = 52^2 sits on the bound at r = 1,
+    # so the packet takes one factored substep, then its rank outgrows the
+    # bound and the chain hands off once, within 1e-13 max|rho| of the chain
+    # that steps its kernel from the start
+    shape = _BENCH_SHAPES["512-1x2"]
+    prop, n_sub = branching._interval_propagator(
+        shape["grid"], shape["potential"], shape["lam"], shape["dt"], shape["dt_int"]
+    )
+    assert prop.dephase_terms**2 == dynamics._FACTOR_MAX_BLOCK and n_sub == 3
+    ranks, packs = [], []
+    step_factor, pack = Propagator.step_factor, dynamics._pack_kernel
+    monkeypatch.setattr(
+        Propagator, "step_factor", lambda self, f: ranks.append(f.rank) or step_factor(self, f)
+    )
+    monkeypatch.setattr(dynamics, "_pack_kernel", lambda el: packs.append(1) or pack(el))
+    rho = coherent_state(shape["grid"], shape["q0"], 0.0, shape["sigma_x"]).to_density()
+    got = _evolve_kernel(prop, rho, n_sub)
+    assert ranks[0] == 1 and len(ranks) == 2 and not prop.factored(ranks[1])
+    assert packs == [1]
+    ref = _evolve_kernel(prop, DensityMatrix(shape["grid"], rho.elements), n_sub)
+    assert len(packs) == 2 and len(ranks) == 2
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(got, got.conj().T)
 
 
 @pytest.fixture(scope="module")

@@ -258,6 +258,36 @@ def test_infinite_window_or_width_exits_2_before_any_work(tmp_path, capsys, kind
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("grid_n", "4"),
+        ("grid_n", "600"),
+        ("x_min", "-inf"),
+        ("x_max", "inf"),
+        ("x_min", "8"),
+        ("mass", "0"),
+        ("lambda", "-1"),
+        ("lambda", "inf"),
+        ("omega", "inf"),
+        ("barrier", "inf"),
+        ("half_separation", "-inf"),
+    ],
+)
+def test_grid_and_physics_keys_outside_their_domain_exit_2(tmp_path, capsys, key, value):
+    # each passed validate before; a key the run reads then failed there
+    # (exit 2, or 3 for omega = inf), after the run directory existed
+    out = tmp_path / "runs"
+    lines = [ln for ln in EVOLVE_BODY.splitlines() if not ln.startswith(f"{key} =")]
+    body = "\n".join(lines + [f"{key} = {value}"]).format(out=out) + "\n"
+    cfg = write_cfg(tmp_path, "g.cfg", body)
+    shown = "x_max" if key == "x_min" and value == "8" else key
+    for command in ("validate", "run"):
+        assert main([command, cfg]) == 2
+        assert f"bad value for key '{shown}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nan_in_float_list_key_rejected():
     with pytest.raises(ConfigError, match="bad value for key 'sigma_list'.*NaN"):
         validate_config({"kind": "sieve", "lambda": "0.2", "sigma_list": "0.5, NaN"})

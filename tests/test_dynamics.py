@@ -34,7 +34,7 @@ from branchfall.dynamics import (
     harmonic_potential,
 )
 from branchfall import dynamics
-from branchfall.dynamics import _SplitStep
+from branchfall.dynamics import _SplitStep, _state_of
 from branchfall.qstate import _momentum_masses
 from oracles import reference_dense_step, reference_strang, reference_unitary
 
@@ -83,7 +83,7 @@ def test_step_preserves_trace_hermiticity_positivity():
         el = prop.pack(rho.elements)
         for _ in range(100):
             el = prop.step_elements(el)
-        el = prop.unpack(el)
+        el = _state_of(prop.grid, el).elements
         assert np.max(np.abs(el - el.conj().T)) == 0.0
         assert np.real(np.trace(el)) * grid.dx == pytest.approx(1.0, abs=1e-12)
         # dephasing is a Schur product with a Gaussian kernel: positivity survives
@@ -107,8 +107,7 @@ def test_leapfrog_moment_identities_per_step():
         rho = coherent_state(grid, 1.2, -0.5, 0.7).to_density()
         m, w, dt = 2.0, 1.3, 0.02
         prop = Propagator(grid, harmonic_potential(m, w), 0.5, dt)
-        out = prop.unpack(prop.step_elements(prop.pack(rho.elements)))
-        out = DensityMatrix(grid, out, validate=False)
+        out = _state_of(grid, prop.step_elements(prop.pack(rho.elements)))
         x0, p0 = expectation(rho, "x"), expectation(rho, "p")
         x1, p1 = expectation(out, "x"), expectation(out, "p")
         x_mid = x0 + 0.5 * dt * p0 / m
@@ -199,7 +198,7 @@ def test_boundary_violation_between_records():
     # and on the packed kernel of the FFT path (N = 256)
     for n_points in (128, 256):
         grid = GridSpec(n_points, -8.0, 8.0, mass=4.0)
-        rho = coherent_state(grid, 0.0, 12.0, 0.7).to_density()
+        rho = DensityMatrix(grid, coherent_state(grid, 0.0, 12.0, 0.7).to_density().elements)
         with pytest.raises(BoundaryViolation) as kernel:
             evolve(rho, free_potential(), 0.0, dt=0.01, n_steps=533, record_every=1000)
     # the wave function's factor crosses the edge at the same step
@@ -326,7 +325,7 @@ def test_fft_step_matches_dense_reference(n_points, lam, dt, pot):
         el, wave = prop.step_elements(el), prop.core.run(wave)
         ref = dense_step(ref)
         ref_wave = u @ ref_wave
-    el = prop.unpack(el)
+    el = _state_of(prop.grid, el).elements
     assert np.max(np.abs(el - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.max(np.abs(wave - ref_wave)) <= 1e-13 * np.max(np.abs(ref_wave))
     # either step leaves the kernel exactly Hermitian
@@ -390,29 +389,30 @@ def test_factored_chain_matches_dense_oracle(n_points, lam, pot, monkeypatch):
     # it keeps every step factored
     monkeypatch.setattr(dynamics, "_FACTOR_MAX_BLOCK", 10**6)
     rec, forms, rows = _evolve_recording_rows(monkeypatch, psi, pot, lam)
-    assert forms == [dynamics._Factor] * 11
+    # the first form is the packet's _Pure, a _Factor subclass
+    assert len(forms) == 11 and all(issubclass(form, dynamics._Factor) for form in forms)
     _assert_matches_dense_oracle(rec, rows, psi, pot, lam)
 
 
 def test_factored_chain_hands_off_once(monkeypatch):
     # reduce's horizon chain (N = 288 on |x| <= 30, Lambda = 0.25, step 0.3)
-    # has M0 = 144: a wave function there builds no factor and gives the
-    # bits of its density matrix's chain
-    factors, packs = [], []
+    # has M0 = 144: a wave function there takes no factored step and gives
+    # the bits of its density matrix's chain
+    factored, packs = [], []
+    step_factor = Propagator.step_factor
 
-    class Counted(dynamics._Factor):
-        def __init__(self, *args):
-            factors.append(1)
-            super().__init__(*args)
+    def counting_step_factor(self, factor):
+        factored.append(factor.rank)
+        return step_factor(self, factor)
 
-    monkeypatch.setattr(dynamics, "_Factor", Counted)
+    monkeypatch.setattr(Propagator, "step_factor", counting_step_factor)
     wide = GridSpec(288, -30.0, 30.0, mass=4.0)
     prop = Propagator(wide, harmonic_potential(4.0, 0.25), 0.25, 0.3)
     assert prop.dephase_terms == 144 and not prop.factored(1)
     psi = coherent_state(wide, 1.0, 0.0, 0.8)
     rec = dynamics._evolve_on(prop, psi, 10)
     ref = dynamics._evolve_on(prop, psi.to_density(), 10)
-    assert factors == [] and "dephase_factor" not in vars(prop)
+    assert factored == [] and "dephase_factor" not in vars(prop)
     for name, col in ref.as_columns().items():
         assert np.array_equal(rec.as_columns()[name], col)
     assert np.array_equal(rec.final.elements, ref.final.elements)
@@ -423,7 +423,9 @@ def test_factored_chain_hands_off_once(monkeypatch):
     monkeypatch.setattr(dynamics, "_pack_kernel", lambda el: packs.append(1) or pack(el))
     psi, pot = _cat(GridSpec(256, -12.0, 12.0, mass=1.5)), double_well_potential(0.05, 3.0)
     rec, forms, rows = _evolve_recording_rows(monkeypatch, psi, pot, 0.2)
-    assert packs == [1] and forms[0] is Counted and forms[-1] is np.ndarray
+    assert packs == [1] and issubclass(forms[0], dynamics._Factor) and forms[-1] is np.ndarray
+    # every step up to the first kernel, the hand-off included, is factored
+    assert len(factored) == forms.index(np.ndarray)
     _assert_matches_dense_oracle(rec, rows, psi, pot, 0.2)
 
 
@@ -437,7 +439,7 @@ def test_fft_step_evolves_the_hermitian_part_of_a_noisy_kernel(n_points):
     noisy = _noisy_cat(grid)
     _, dense_step = _dense_step(grid, pot, 0.2, 0.01)
     prop = Propagator(grid, pot, 0.2, 0.01)
-    out = prop.unpack(prop.step_elements(prop.pack(noisy)))
+    out = _state_of(prop.grid, prop.step_elements(prop.pack(noisy))).elements
     ref = dense_step(el)
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.array_equal(out, out.conj().T)
@@ -456,7 +458,10 @@ def test_moment_row_reads_the_packed_kernel(n_points):
     for _ in range(5):
         packed = prop.step_elements(packed)
     noisy = _noisy_cat(grid)
-    pairs = [(packed, prop.unpack(packed)), (prop.pack(noisy), 0.5 * (noisy + noisy.conj().T))]
+    pairs = [
+        (packed, _state_of(prop.grid, packed).elements),
+        (prop.pack(noisy), 0.5 * (noisy + noisy.conj().T)),
+    ]
     for kernel, ref in pairs:
         assert kernel.dtype == np.float64 and ref.dtype == np.complex128
         mass = _momentum_masses(ref, grid.dx)
@@ -472,12 +477,28 @@ def test_moment_row_reads_the_packed_kernel(n_points):
         assert abs(mp2 - wp2) <= floor * np.sum(grid.p**2)
 
 
+@pytest.mark.parametrize("n_points", [128, 256, 512])
+def test_wave_and_density_share_one_chain(n_points):
+    # a WaveFunction enters the chain as its to_density(), so both give the
+    # same bits: as the dense-path kernel at N = 128, as the factor from 256
+    # up (the cat's rank outgrows the bound and hands off mid-chain at 256)
+    grid = GridSpec(n_points, -12.0, 12.0, mass=1.5)
+    psi = _cat(grid)
+    args = (double_well_potential(0.05, 3.0), 0.2, 0.01, 10, 3)
+    rec, ref = evolve(psi, *args), evolve(psi.to_density(), *args)
+    for name, col in ref.as_columns().items():
+        assert np.array_equal(rec.as_columns()[name], col)
+    assert np.array_equal(rec.mean_dvdx, ref.mean_dvdx)
+    assert np.array_equal(rec.final.elements, ref.final.elements)
+
+
 @pytest.mark.parametrize("n_points", [128, 256])
 def test_density_chains_pack_once_and_unpack_once(n_points, monkeypatch):
-    # a DensityMatrix's evolve and one branch_step leaf each pack the kernel
-    # once and unpack it once on the FFT path (N = 256), evolve's on the read
-    # of final; the dense path (N = 128) does neither.  A WaveFunction on the
-    # FFT path steps as a factor: no packed kernel and no step_elements
+    # a DensityMatrix given as a kernel: its evolve and one branch_step leaf
+    # each pack the kernel once and unpack it once on the FFT path (N = 256),
+    # evolve's on the read of final; the dense path (N = 128) does neither.
+    # A WaveFunction on the FFT path steps as a factor: no packed kernel and
+    # no step_elements
     calls = {"pack": 0, "unpack": 0, "step": 0}
 
     def counting(name):
@@ -500,7 +521,7 @@ def test_density_chains_pack_once_and_unpack_once(n_points, monkeypatch):
     monkeypatch.setattr(Propagator, "step_elements", counting_step)
     grid = GridSpec(n_points, -10.0, 10.0, mass=1.0)
     psi = coherent_state(grid, 0.5, 1.0, 0.8)
-    rho = psi.to_density()
+    rho = DensityMatrix(grid, psi.to_density().elements)
     once = int(n_points == 256)
     rec = evolve(rho, harmonic_potential(1.0, 1.0), 0.2, dt=0.01, n_steps=7, record_every=2)
     assert calls == {"pack": once, "unpack": 0, "step": 7}

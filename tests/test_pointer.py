@@ -14,6 +14,7 @@ from branchfall import (
     PhasePoint,
     WindowTooSmall,
     branch_step,
+    check_positivity,
     coherent_state,
 )
 from branchfall import dynamics, pointer
@@ -175,6 +176,28 @@ def test_sum_rule_and_weight_positivity(grid, three_sigma):
     probs, escape = three_sigma.probabilities(mix)
     assert np.all(probs >= 0.0)
     assert probs.sum() + escape == pytest.approx(1.0, abs=1e-10)
+
+
+def test_povm_readers_keep_no_leaf_kernel():
+    # check_positivity, probabilities and trace_product read a factor-backed
+    # leaf through a kernel they do not keep, and probabilities forms the
+    # escape weight as Tr rho - sum_alpha Tr(Pi_alpha rho), building no rest
+    grid = GridSpec(128, -10.0, 10.0, 1.0)
+    povm = build_povm(grid, PhasePartition((-6.0, 6.0), (-6.0, 6.0), 3, 3), 0.7071)
+    rho = coherent_state(grid, 2.0, 0.0, 0.7071).to_density()
+    tree = BranchTree.from_state(rho, povm, 0.3)
+    tree = branch_step(tree, harmonic_potential(1.0, 1.0), 0.5, 0.03)
+    leaf = max(tree.leaves, key=lambda node: node.weight_sq)
+    lam_min = check_positivity(leaf.state)
+    probs, escape = povm.probabilities(leaf.state)
+    cell = povm.trace_product(povm.operators[0], leaf.state)
+    assert leaf.state._elements is None and povm._rest is None
+    kernel = DensityMatrix(grid, leaf.state.factor.expand(), validate=False)
+    want = np.einsum("aij,ji->a", povm.operators, kernel.elements).real * grid.dx
+    assert np.max(np.abs(probs - np.clip(want, 0.0, None))) <= 1e-12
+    assert abs(escape - max(povm.trace_product(povm.rest, kernel), 0.0)) <= 1e-12
+    assert abs(cell - want[0]) <= 1e-12
+    assert abs(lam_min - np.linalg.eigvalsh(kernel.elements * grid.dx)[0]) <= 1e-12
 
 
 def test_project_gives_dense_weight_and_lueders_update(grid, three_sigma):
@@ -349,7 +372,8 @@ def test_sieve_unpacks_no_final_kernel(monkeypatch):
     monkeypatch.setattr(dynamics, "_unpack_kernel", counting_unpack)
     predictability_sieve(*args, [0.7071, 1.0], PhasePoint(1.0, 0.0), 0.02, dt=0.01)
     assert unpacks == []
-    rho = coherent_state(grid, 1.0, 0.0, 0.7071).to_density()
+    # a kernel, so the chain steps the packed kernel, not the packet's factor
+    rho = DensityMatrix(grid, coherent_state(grid, 1.0, 0.0, 0.7071).to_density().elements)
     rec = pointer._evolve_on(pointer.Propagator(*args, 0.01), rho, 2)
     assert unpacks == []
     final = rec.final
