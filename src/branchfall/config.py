@@ -72,7 +72,7 @@ def _finite(s: str) -> float:
 
 
 def _rate(s: str) -> float:
-    """A decoherence rate: a finite float of at least zero."""
+    """A decoherence or hit rate: a finite float of at least zero."""
     value = float(s)
     if not 0.0 <= value < math.inf:
         raise ValueError(f"expected a finite number >= 0, got {s.strip()!r}")
@@ -187,7 +187,7 @@ SCHEMAS = {
     },
     "grw": {
         **_BASE, **_GRID, **_POTENTIAL, **_PACKET,
-        "hit_rate": (float, REQUIRED),
+        "hit_rate": (_rate, REQUIRED),
         "r_c": (_positive, REQUIRED),
         "total_time": (_positive, REQUIRED),
         "dt_int": (_positive, 0.01),
@@ -280,6 +280,19 @@ def validate_config(raw: dict) -> dict:
                     f"bad value for key '{step}': {span} = {cfg[span]:g} is not a "
                     f"whole number of {step} = {cfg[step]:g} steps"
                 )
+    if kind == "grw" and cfg["hit_rate"] * cfg["total_time"] > 1e4:
+        # each hit keeps two N-point copies of the state
+        raise ConfigError("bad value for key 'hit_rate': over 1e4 hits expected in total_time")
+    if kind == "reduce":
+        # ReductionSpec's domains, checked before any run directory exists
+        for key, ok, domain in (
+            ("epsilon", 0.0 < cfg["epsilon"] < 1.0, "in (0, 1)"),
+            ("n_traj", cfg["n_traj"] >= 100, "at least 100"),
+            ("delta_x", cfg["delta_x"] > 0.0, "positive"),
+            ("delta_p", cfg["delta_p"] > 0.0, "positive"),
+        ):
+            if not ok:
+                raise ConfigError(f"bad value for key '{key}': {cfg[key]:g} is not {domain}")
     if "povm_sigma_x" in cfg and cfg["povm_sigma_x"] is None:
         cfg["povm_sigma_x"] = cfg.get("sigma_x", 1.0)
     width = cfg["x_max"] - cfg["x_min"]

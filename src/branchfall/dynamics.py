@@ -15,26 +15,26 @@ qubit model and the decoherence functional.  It steps blocks of states
 along the last axis and fuses the kinetic half-steps of chained steps
 (K(dt/2) K(dt/2) = K(dt)): n steps cost 2n + 2 FFTs, not 4n.  It also
 steps a density kernel in place of a block of states, with the congruence
-K rho K^dagger applied as one real 2-D transform pair.  On grids
-of _FFT_MIN_N points or more whose prime factors are at most _FFT_MAX_PRIME
-(_fft_path), the Propagator keeps no dense matrix and steps kernels with the
-core's 2-D transforms, O(N^2 log N) in place of O(N^3); on every other grid
-it materializes the Strang unitary as a dense matrix and steps kernels with
-two matrix products.  On the FFT path a Hermitian kernel A + iB moves as
-the one real array R = A + B, which rfft2/irfft2 transform at about half
-the cost of a complex fft2/ifft2; A and B are the symmetric and
-antisymmetric parts of R, so the unpacked kernel is exactly Hermitian.
+K rho K^dagger applied as one real 2-D transform pair.  The Propagator
+steps a Hermitian kernel A + iB packed as the one real array R = A + B,
+whose symmetric and antisymmetric parts unpack it exactly Hermitian.  On
+grids of _FFT_MIN_N points or more whose prime factors are at most
+_FFT_MAX_PRIME (_fft_path) it keeps no dense matrix and steps R with the
+core's rfft2/irfft2, half the cost of complex transforms, O(N^2 log N) in
+place of O(N^3); on every other grid it builds the Strang unitary U as a
+dense matrix and packs X = U R U^dagger as Re X - (Im X)^T.
 This module is the only one that steps a state.  Every density state
-steps through one guarded loop, _chain, with one entry rule: a state whose
-factor passes Propagator.factored(rank) enters as that factor, any other as
-its kernel, packed once (DensityMatrix._kernel: a factor is expanded afresh
-and not kept); a WaveFunction enters as its rank-1 to_density().  A factor
-rho = V diag(lam) V^H stays one through every step, guard and moment row
-with no N x N array (the low-rank integrator of Le Bris & Rouchon, Phys.
-Rev. A 87, 022125, 2013): the unitary is one run() on the r rows of V^T,
-and each half dephasing D = sum_m d_m d_m^T, factored once per propagator,
-maps V to the block [d_m o v_k sqrt(lam_k)], recompressed through the
-eigenpairs of its Gram matrix.  Before each step the chain checks M0^2 r,
+steps through one guarded loop, _chain, as a _Factor or as R, with one
+entry rule: a state whose factor passes Propagator.factored(rank) enters
+as that factor, any other as its kernel, packed once (DensityMatrix._kernel:
+a factor is expanded afresh and not kept); a WaveFunction enters as its
+rank-1 to_density().  A factor rho = V diag(lam) V^H stays one through
+every step, guard and moment row with no N x N array (the low-rank
+integrator of Le Bris & Rouchon, Phys. Rev. A 87, 022125, 2013): the
+unitary is one run() on the r rows of V^T, and each half dephasing
+D = sum_m d_m d_m^T, factored once per propagator, maps V to the block
+[d_m o v_k sqrt(lam_k)], recompressed through the eigenpairs of its Gram
+matrix.  Before each step the chain checks M0^2 r,
 M0 the closed-form term count of D's expansion: past _FACTOR_MAX_BLOCK, the
 crossover measured at N = 256 (r = 16 at M0 = 13), it expands once to the
 packed kernel.  The dense step writes its temporaries into two work arrays
@@ -278,15 +278,14 @@ class Propagator:
 
     A step is D(dt/2) U D(dt/2) on a density kernel, with the Strang unitary
     U = K(dt/2) V(dt) K(dt/2) acting as rho -> U rho U^dagger and D the
-    elementwise dephasing factor.  On the FFT path (see _fft_path) no dense
-    matrix is built (u is None) and the split-step core steps the kernel
-    packed as one real array R, with real 2-D FFTs: pack() makes R once
-    and step_elements() takes and returns R.  On every other grid U is
-    built once as a dense matrix (the split-step core applied to the
-    identity), u, a step is two matrix products, and pack() returns the
-    kernel as it is.  On the FFT path step_factor() steps a _Factor
-    instead.  The N x N dephasing kernel, D's factor and the dense step's
-    two work arrays are built on first use.
+    elementwise dephasing factor.  step_elements() takes and returns the
+    packed real kernel R of _pack_kernel on every grid: on the FFT path
+    (see _fft_path) the split-step core steps it with real 2-D FFTs and no
+    dense matrix is built (u is None); on every other grid U is built once
+    as a dense matrix u (the core applied to the identity) and a step is
+    two complex matrix products.  On the FFT path step_factor() steps a
+    _Factor instead.  The N x N dephasing kernel, D's factor and the dense
+    step's two work arrays are built on first use.
     """
 
     def __init__(
@@ -371,38 +370,30 @@ class Propagator:
         rows /= np.sqrt(np.sum(rows * rows, axis=0))
         return rows
 
-    def pack(self, elements: np.ndarray) -> np.ndarray:
-        """The form step_elements steps: the packed real R of the Hermitian
-        part on the FFT path, else the complex kernel itself."""
-        return _pack_kernel(elements) if self.u is None else elements
-
-    def step_elements(self, elements: np.ndarray) -> np.ndarray:
-        """One full step on the form pack returned, into a fresh array of
-        that form.  A dense step takes a raw kernel, steps its Hermitian
-        part and returns it exactly Hermitian."""
+    def step_elements(self, packed: np.ndarray) -> np.ndarray:
+        """One full step on the packed real kernel R of _pack_kernel, into
+        a fresh packed array."""
+        if packed.dtype != np.float64:
+            raise TypeError("step_elements steps the packed real kernel of _pack_kernel")
+        d = self.dephase_half
         if self.u is None:
-            if elements.dtype != np.float64:
-                raise TypeError("the FFT path steps the packed real kernel of pack()")
-            if self.dephase_half is None:
-                return self.core.run_kernel(elements)
             # D is real and symmetric, so D * (A + B) packs D * rho; the
-            # first product is a temporary the core frees after one transform
-            packed = self.core.run_kernel(self.dephase_half * elements)
-            packed *= self.dephase_half
-            return packed
-        # the dephased input and the first product go to the propagator's
-        # work arrays, the conjugate transpose to the first again: the
-        # returned kernel is the step's one fresh N x N array
-        first, second = self._work
-        if self.dephase_half is not None:
-            elements = np.multiply(self.dephase_half, elements, out=first)
-        out = np.matmul(self.u, elements, out=second) @ self.u_dag
-        if self.dephase_half is not None:
-            np.multiply(self.dephase_half, out, out=out)
-        # the same bits as 0.5 * (e + e^H)
-        out += np.conjugate(out.T, out=first)
-        out *= 0.5
-        return out
+            # product is a temporary the core frees after one transform
+            packed = self.core.run_kernel(packed if d is None else d * packed)
+        else:
+            # X = U (D * R) U^dagger in the two work arrays packs to
+            # Re X - (Im X)^T, the step's one fresh N x N array
+            first, second = self._work
+            if d is None:
+                np.copyto(first, packed)
+            else:
+                np.multiply(d, packed, out=first)
+            np.matmul(self.u, first, out=second)
+            np.matmul(second, self.u_dag, out=first)
+            packed = first.real - first.imag.T
+        if d is not None:
+            packed *= d
+        return packed
 
     @cached_property
     def _work(self) -> tuple[np.ndarray, np.ndarray]:
@@ -457,8 +448,8 @@ class Propagator:
 
 
 def _density(form) -> np.ndarray:
-    """diag rho of any form a chain steps: a _Factor, the packed R of the
-    FFT path (diag R = diag Re rho) or a dense-path complex kernel."""
+    """diag rho of either form a chain steps: a _Factor, or the packed R
+    (diag R = diag Re rho)."""
     if isinstance(form, _Factor):
         return form.density()
     return np.diagonal(form).real
@@ -489,7 +480,7 @@ def _chain(prop: Propagator, state: DensityMatrix, n_steps: int):
     returns a fresh form, so the state is never written."""
     form = state.factor
     if form is None or not prop.factored(form.rank):
-        form = prop.pack(state._kernel())
+        form = _pack_kernel(state._kernel())
     for k in range(n_steps + 1):
         if k:
             step = prop.step_factor if isinstance(form, _Factor) else prop.step_elements
@@ -500,12 +491,10 @@ def _chain(prop: Propagator, state: DensityMatrix, n_steps: int):
 
 def _state_of(grid: GridSpec, form) -> DensityMatrix:
     """The state of a chain's form: a _Factor held as the state's factor
-    (its kernel built on the first read of elements), the packed R of the
-    FFT path unpacked, or a dense-path kernel as it is."""
+    (its kernel built on the first read of elements), or R unpacked."""
     if isinstance(form, _Factor):
         return DensityMatrix._from_factor(grid, form)
-    kernel = _unpack_kernel(form) if form.dtype == np.float64 else form
-    return DensityMatrix(grid, kernel, validate=False)
+    return DensityMatrix(grid, _unpack_kernel(form), validate=False)
 
 
 def _evolve_kernel(prop: Propagator, state: DensityMatrix, n_steps: int) -> np.ndarray:
@@ -567,19 +556,15 @@ class EvolutionRecord:
 
 
 def _moment_row(form, grid: GridSpec, dv_vals: np.ndarray):
-    """Moments of any form a chain steps.  On the packed R the purity is
-    sum R^2 dx^2: the cross term between R's symmetric and antisymmetric
+    """Moments of either form a chain steps.  On the packed R the purity
+    is sum R^2 dx^2: the cross term between R's symmetric and antisymmetric
     parts sums to zero."""
     dx = grid.dx
     dens = _density(form)
     if isinstance(form, _Factor):
         mom, squares = form.momentum_masses(dx), form.squares()
     else:
-        mom = _momentum_masses(form, dx)
-        if np.iscomplexobj(form):
-            squares = np.sum(np.abs(form) ** 2)
-        else:
-            squares = np.vdot(form, form)
+        mom, squares = _momentum_masses(form, dx), np.vdot(form, form)
     mean_x = float(np.sum(grid.x * dens) * dx)
     mean_x2 = float(np.sum(grid.x**2 * dens) * dx)
     mean_p = float(np.sum(grid.p * mom))

@@ -16,7 +16,10 @@ whose one-step image of the identity is the dense unitary bit for bit.
 The reference momentum masses are the diagonal of the full 2-D transform
 F rho F^dagger, and the operator widths trace P and P^2 applied spectrally
 to the kernel's first index, so neither builds the wrapped autocorrelation
-the package reads its momentum masses from.
+the package reads its momentum masses from.  The reference dense step and
+moment row work on the complex kernel, which the package steps and reads
+only in its packed real form; the moment row takes its momentum masses from
+the package's complex-kernel branch, held to the full transform above.
 """
 
 import math
@@ -26,6 +29,7 @@ from scipy.special import erf
 
 from branchfall import DensityMatrix, EscapeSampled, ExplosionGuard, mean_phase_point
 from branchfall.dynamics import Propagator
+from branchfall.qstate import _momentum_masses
 
 
 def closed_form_cell(x, dx, sigma, q1, q2, p1, p2):
@@ -100,8 +104,9 @@ def reference_collapse(proj, lam, weight):
 
 
 def reference_dense_step(prop, elements):
-    """One dense-path step of prop with fresh temporaries: the expression
-    whose bits Propagator.step_elements keeps off the FFT path."""
+    """One dense-path step of prop on a complex kernel with fresh
+    temporaries, re-symmetrized: the step whose packed form
+    Propagator.step_elements takes off the FFT path."""
     if prop.dephase_half is not None:
         elements = prop.dephase_half * elements
     elements = (prop.u @ elements) @ prop.u_dag
@@ -134,7 +139,7 @@ def reference_trajectory(rho0, potential, lambda_rate, povm, dt, n_steps, rng_se
     born = [1.0]
     for step in range(1, n_steps + 1):
         for _ in range(n_sub):
-            el = prop.step_elements(el)
+            el = reference_dense_step(prop, el)
         weights = np.clip(np.einsum("aij,ji->a", squares, el).real * dx, 0.0, None)
         esc = max(float(np.sum(rest_sq * el.T).real * dx), 0.0)
         t = step * dt
@@ -156,6 +161,25 @@ def reference_trajectory(rho0, potential, lambda_rate, povm, dt, n_steps, rng_se
         if stop is not None and stop(t, alpha, z):
             break
     return records, el, born
+
+
+def reference_moment_row(kernel, grid, dv_vals):
+    """(mean_x, mean_p, mean_x2, mean_p2, purity, mean_dvdx) of a complex
+    kernel: the row a chain's packed or factored form must match.  The
+    momentum masses are the complex-kernel branch of _momentum_masses,
+    which test_momentum_masses_match_full_transform holds to the full
+    transform; the purity is sum |rho|^2 dx^2."""
+    dx = grid.dx
+    dens = np.diagonal(kernel).real
+    mom = _momentum_masses(kernel, dx)
+    return (
+        float(np.sum(grid.x * dens) * dx),
+        float(np.sum(grid.p * mom)),
+        float(np.sum(grid.x**2 * dens) * dx),
+        float(np.sum(grid.p**2 * mom)),
+        float(np.sum(np.abs(kernel) ** 2) * dx * dx),
+        float(np.sum(dv_vals * dens) * dx),
+    )
 
 
 def _reference_cell(value) -> str:

@@ -47,7 +47,7 @@ from branchfall import (
     verify_reduction,
 )
 from branchfall.cli import main as cli_main
-from branchfall.dynamics import Propagator
+from branchfall.dynamics import Propagator, _pack_kernel, _state_of
 
 
 def report(label, ok, detail):
@@ -279,11 +279,11 @@ def test_branch_mixture_tracks_unconditioned_density():
     tree = BranchTree.from_state(rho, povm, dt=0.4, prune_epsilon=1e-6)
     for _ in range(2):
         tree = branch_step(tree, free_potential(), lam, dt_int=0.008, leaf_cap=512)
-    ref = rho.elements.copy()
+    ref = _pack_kernel(rho.elements)
     prop = Propagator(grid, free_potential(), lam, 0.008)
     for _ in range(100):
         ref = prop.step_elements(ref)
-    dev_mixed = mixture_consistency(tree, DensityMatrix(grid, ref, validate=False))
+    dev_mixed = mixture_consistency(tree, _state_of(grid, ref))
 
     # control: +-p superposition inside one x cell, no dephasing; splitting
     # it erases the position fringes the collapse-free evolution keeps
@@ -291,11 +291,11 @@ def test_branch_mixture_tracks_unconditioned_density():
     povm_c = build_povm(grid, PhasePartition((-9.0, 9.0), (-6.0, 6.0), 1, 2), sigma_x=0.7)
     tree_c = BranchTree.from_state(rho_c, povm_c, dt=0.1, prune_epsilon=0.0)
     tree_c = branch_step(tree_c, free_potential(), 0.0, dt_int=0.002)
-    ref_c = rho_c.elements.copy()
+    ref_c = _pack_kernel(rho_c.elements)
     prop_c = Propagator(grid, free_potential(), 0.0, 0.002)
     for _ in range(50):
         ref_c = prop_c.step_elements(ref_c)
-    dev_coherent = mixture_consistency(tree_c, DensityMatrix(grid, ref_c, validate=False))
+    dev_coherent = mixture_consistency(tree_c, _state_of(grid, ref_c))
 
     ok = dev_mixed < 0.05 and dev_coherent > 0.05
     report(

@@ -248,11 +248,11 @@ def test_mixture_consistency_single_cell_is_identity():
     povm = build_povm(grid, part, sigma_x=1.0, quadrature=(64, 72))
     tree = BranchTree.from_state(rho, povm, dt=0.2, prune_epsilon=0.0)
     out = branch_step(tree, free_potential(), 0.8, dt_int=0.002)
-    ref = rho.elements.copy()
+    ref = dynamics._pack_kernel(rho.elements)
     prop = Propagator(grid, free_potential(), 0.8, 0.002)
     for _ in range(100):
         ref = prop.step_elements(ref)
-    dev = mixture_consistency(out, DensityMatrix(grid, ref, validate=False))
+    dev = mixture_consistency(out, _state_of(grid, ref))
     assert len(out.leaves) == 1
     assert dev < 1e-10
 
@@ -263,11 +263,11 @@ def test_mixture_consistency_decohered_state(wide_povm_2x1):
     tree = BranchTree.from_state(rho, wide_povm_2x1, dt=0.4, prune_epsilon=1e-6)
     for _ in range(2):
         tree = branch_step(tree, free_potential(), lam, dt_int=0.008, leaf_cap=512)
-    ref = rho.elements.copy()
+    ref = dynamics._pack_kernel(rho.elements)
     prop = Propagator(WIDE, free_potential(), lam, 0.008)
     for _ in range(100):
         ref = prop.step_elements(ref)
-    dev = mixture_consistency(tree, DensityMatrix(WIDE, ref, validate=False))
+    dev = mixture_consistency(tree, _state_of(WIDE, ref))
     assert dev < 0.05
 
 
@@ -279,11 +279,11 @@ def test_mixture_consistency_interference_control():
     povm = build_povm(GRID, part, sigma_x=0.7)
     tree = BranchTree.from_state(rho, povm, dt=0.1, prune_epsilon=0.0)
     out = branch_step(tree, free_potential(), 0.0, dt_int=0.002)
-    ref = rho.elements.copy()
+    ref = dynamics._pack_kernel(rho.elements)
     prop = Propagator(GRID, free_potential(), 0.0, 0.002)
     for _ in range(50):
         ref = prop.step_elements(ref)
-    dev = mixture_consistency(out, DensityMatrix(GRID, ref, validate=False))
+    dev = mixture_consistency(out, _state_of(GRID, ref))
     weights = sorted(leaf.weight_sq for leaf in out.leaves)
     assert weights == pytest.approx([0.5, 0.5], abs=0.01)
     assert dev > 0.05
@@ -531,7 +531,7 @@ def test_factored_collapse_matches_dense_lueders(bench_shape):
     prop, n_sub = branching._interval_propagator(
         shape["grid"], shape["potential"], shape["lam"], shape["dt"], shape["dt_int"]
     )
-    el = prop.pack(rho.elements)
+    el = dynamics._pack_kernel(rho.elements)
     for _ in range(n_sub):
         el = prop.step_elements(el)
     lam = _check_against_dense_collapse(povm, _state_of(prop.grid, el).elements)

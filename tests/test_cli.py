@@ -288,6 +288,37 @@ def test_grid_and_physics_keys_outside_their_domain_exit_2(tmp_path, capsys, key
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("grw", "hit_rate", "inf"),
+        ("grw", "hit_rate", "-1"),
+        ("grw", "hit_rate", "1e300"),
+        ("reduce", "epsilon", "2"),
+        ("reduce", "epsilon", "0"),
+        ("reduce", "n_traj", "50"),
+        ("reduce", "delta_x", "-1"),
+        ("reduce", "delta_p", "0"),
+    ],
+)
+def test_grw_and_reduce_keys_outside_their_domain_exit_2(tmp_path, capsys, kind, key, value):
+    # each passed validate before: an infinite hit_rate drew zero waits
+    # without end, 1e300 expects more than the 1e4 hits validate allows over
+    # total_time, and the others failed only at run, after the run directory
+    # existed (reduce's in ReductionSpec)
+    out = tmp_path / "runs"
+    lines = [ln for ln in _WIDE_BODIES[kind].splitlines() if not ln.startswith(f"{key} =")]
+    body = "\n".join(lines + [f"{key} = {value}"]).format(out=out) + "\n"
+    cfg = write_cfg(tmp_path, "d.cfg", body)
+    for command in ("validate", "run"):
+        assert main([command, cfg]) == 2
+        assert f"bad value for key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+    if key.startswith("delta"):
+        # an infinite tolerance on one axis stays valid
+        assert validate_config(parse_config(body.replace(f"{key} = {value}", f"{key} = inf")))
+
+
 def test_nan_in_float_list_key_rejected():
     with pytest.raises(ConfigError, match="bad value for key 'sigma_list'.*NaN"):
         validate_config({"kind": "sieve", "lambda": "0.2", "sigma_list": "0.5, NaN"})

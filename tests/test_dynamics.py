@@ -34,9 +34,14 @@ from branchfall.dynamics import (
     harmonic_potential,
 )
 from branchfall import dynamics
-from branchfall.dynamics import _SplitStep, _state_of
+from branchfall.dynamics import _pack_kernel, _SplitStep, _state_of, _unpack_kernel
 from branchfall.qstate import _momentum_masses
-from oracles import reference_dense_step, reference_strang, reference_unitary
+from oracles import (
+    reference_dense_step,
+    reference_moment_row,
+    reference_strang,
+    reference_unitary,
+)
 
 
 def _moments(rec):
@@ -80,7 +85,7 @@ def test_step_preserves_trace_hermiticity_positivity():
         grid = GridSpec(n_points, -10.0, 10.0, mass=2.0)
         rho = coherent_state(grid, 1.2, -0.5, 0.7).to_density()
         prop = Propagator(grid, harmonic_potential(2.0, 1.3), 0.25, dt=0.01)
-        el = prop.pack(rho.elements)
+        el = _pack_kernel(rho.elements)
         for _ in range(100):
             el = prop.step_elements(el)
         el = _state_of(prop.grid, el).elements
@@ -107,7 +112,7 @@ def test_leapfrog_moment_identities_per_step():
         rho = coherent_state(grid, 1.2, -0.5, 0.7).to_density()
         m, w, dt = 2.0, 1.3, 0.02
         prop = Propagator(grid, harmonic_potential(m, w), 0.5, dt)
-        out = _state_of(grid, prop.step_elements(prop.pack(rho.elements)))
+        out = _state_of(grid, prop.step_elements(_pack_kernel(rho.elements)))
         x0, p0 = expectation(rho, "x"), expectation(rho, "p")
         x1, p1 = expectation(out, "x"), expectation(out, "p")
         x_mid = x0 + 0.5 * dt * p0 / m
@@ -160,7 +165,7 @@ def test_unitary_step_round_trip():
     back = Propagator(grid, pot, 0.0, -0.05).core.run(fwd.amplitudes)
     assert np.max(np.abs(back - psi.amplitudes)) < 1e-12
     assert fwd.norm_squared() == pytest.approx(1.0, abs=1e-12)
-    rho_fwd = prop.step_elements(psi.to_density().elements)
+    rho_fwd = _unpack_kernel(prop.step_elements(_pack_kernel(psi.to_density().elements)))
     direct = np.outer(fwd.amplitudes, fwd.amplitudes.conj())
     assert np.max(np.abs(rho_fwd - direct)) < 1e-12
 
@@ -319,7 +324,7 @@ def test_fft_step_matches_dense_reference(n_points, lam, dt, pot):
     assert (prop.u is None) == (n_points != 301)
     u, dense_step = _dense_step(grid, pot, lam, dt)
     ref = psi.to_density().elements
-    el = prop.pack(ref)
+    el = _pack_kernel(ref)
     wave = ref_wave = psi.amplitudes
     for _ in range(10):
         el, wave = prop.step_elements(el), prop.core.run(wave)
@@ -363,7 +368,7 @@ def _assert_matches_dense_oracle(rec, rows, psi, pot, lam):
             ref = dense_step(ref)
         mass = _momentum_masses(ref, grid.dx)
         floor = 4 * np.finfo(float).eps * mass.max()
-        wx, wp, wx2, wp2, wpur, wdv = dynamics._moment_row(ref, grid, dv)
+        wx, wp, wx2, wp2, wpur, wdv = reference_moment_row(ref, grid, dv)
         for got, want in ((mx, wx), (mx2, wx2), (pur, wpur), (mdv, wdv)):
             assert abs(got - want) <= 1e-13 * abs(want)
         assert abs(mp - wp) <= floor * np.sum(np.abs(grid.p))
@@ -439,7 +444,7 @@ def test_fft_step_evolves_the_hermitian_part_of_a_noisy_kernel(n_points):
     noisy = _noisy_cat(grid)
     _, dense_step = _dense_step(grid, pot, 0.2, 0.01)
     prop = Propagator(grid, pot, 0.2, 0.01)
-    out = _state_of(prop.grid, prop.step_elements(prop.pack(noisy))).elements
+    out = _state_of(prop.grid, prop.step_elements(_pack_kernel(noisy))).elements
     ref = dense_step(el)
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.array_equal(out, out.conj().T)
@@ -454,13 +459,13 @@ def test_moment_row_reads_the_packed_kernel(n_points):
     pot = double_well_potential(0.05, 3.0)
     prop = Propagator(grid, pot, 0.2, 0.01)
     dv = pot.derivative_values(grid)
-    packed = prop.pack(_cat(grid).to_density().elements)
+    packed = _pack_kernel(_cat(grid).to_density().elements)
     for _ in range(5):
         packed = prop.step_elements(packed)
     noisy = _noisy_cat(grid)
     pairs = [
         (packed, _state_of(prop.grid, packed).elements),
-        (prop.pack(noisy), 0.5 * (noisy + noisy.conj().T)),
+        (_pack_kernel(noisy), 0.5 * (noisy + noisy.conj().T)),
     ]
     for kernel, ref in pairs:
         assert kernel.dtype == np.float64 and ref.dtype == np.complex128
@@ -468,7 +473,7 @@ def test_moment_row_reads_the_packed_kernel(n_points):
         floor = 4 * np.finfo(float).eps * mass.max()
         assert np.max(np.abs(_momentum_masses(kernel, grid.dx) - mass)) <= floor
         mx, mp, mx2, mp2, pur, mdv = dynamics._moment_row(kernel, grid, dv)
-        wx, wp, wx2, wp2, wpur, wdv = dynamics._moment_row(ref, grid, dv)
+        wx, wp, wx2, wp2, wpur, wdv = reference_moment_row(ref, grid, dv)
         for got, want in ((mx, wx), (mx2, wx2), (pur, wpur), (mdv, wdv)):
             assert abs(got - want) <= 1e-13 * abs(want)
         # <P> and <P^2> weigh each mass's roundoff with |p| and p^2, up to
@@ -495,10 +500,10 @@ def test_wave_and_density_share_one_chain(n_points):
 @pytest.mark.parametrize("n_points", [128, 256])
 def test_density_chains_pack_once_and_unpack_once(n_points, monkeypatch):
     # a DensityMatrix given as a kernel: its evolve and one branch_step leaf
-    # each pack the kernel once and unpack it once on the FFT path (N = 256),
-    # evolve's on the read of final; the dense path (N = 128) does neither.
-    # A WaveFunction on the FFT path steps as a factor: no packed kernel and
-    # no step_elements
+    # each pack the kernel once and unpack it once on either stepper,
+    # evolve's on the read of final.  A WaveFunction on the FFT path
+    # (N = 256) steps as a factor: no packed kernel and no step_elements;
+    # on the dense path (N = 128) its rank-1 density enters as its kernel
     calls = {"pack": 0, "unpack": 0, "step": 0}
 
     def counting(name):
@@ -522,22 +527,20 @@ def test_density_chains_pack_once_and_unpack_once(n_points, monkeypatch):
     grid = GridSpec(n_points, -10.0, 10.0, mass=1.0)
     psi = coherent_state(grid, 0.5, 1.0, 0.8)
     rho = DensityMatrix(grid, psi.to_density().elements)
-    once = int(n_points == 256)
     rec = evolve(rho, harmonic_potential(1.0, 1.0), 0.2, dt=0.01, n_steps=7, record_every=2)
-    assert calls == {"pack": once, "unpack": 0, "step": 7}
+    assert calls == {"pack": 1, "unpack": 0, "step": 7}
     rec.final
-    assert calls == {"pack": once, "unpack": once, "step": 7}
+    assert calls == {"pack": 1, "unpack": 1, "step": 7}
     povm = build_povm(grid, PhasePartition((-7.0, 7.0), (-6.0, 6.0), 2, 1), sigma_x=0.8)
     tree = BranchTree.from_state(rho, povm, dt=0.03)
     assert len(branch_step(tree, free_potential(), 0.2, dt_int=0.01).leaves) == 2
-    assert calls == {"pack": 2 * once, "unpack": 2 * once, "step": 10}
+    assert calls == {"pack": 2, "unpack": 2, "step": 10}
     rec = evolve(psi, harmonic_potential(1.0, 1.0), 0.2, dt=0.01, n_steps=7, record_every=2)
     rec.final
-    steps = 7 * (1 - once)
-    assert calls == {"pack": 2 * once, "unpack": 2 * once, "step": 10 + steps}
-    if once:
-        with pytest.raises(TypeError, match="packed real kernel"):
-            Propagator(grid, free_potential(), 0.2, 0.01).step_elements(rho.elements)
+    kernel = int(not dynamics._fft_path(n_points))
+    assert calls == {"pack": 2 + kernel, "unpack": 2 + kernel, "step": 10 + 7 * kernel}
+    with pytest.raises(TypeError, match="packed real kernel"):
+        Propagator(grid, free_potential(), 0.2, 0.01).step_elements(rho.elements)
 
 
 def test_fft_propagator_holds_one_table_and_the_dephasing_kernel():
@@ -549,7 +552,7 @@ def test_fft_propagator_holds_one_table_and_the_dephasing_kernel():
     tracemalloc.start()
     try:
         prop = Propagator(grid, harmonic_potential(1.5, 0.7), 0.2, 0.01)
-        prop.step_elements(prop.pack(el))
+        prop.step_elements(_pack_kernel(el))
         live, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -560,13 +563,15 @@ def test_fft_propagator_holds_one_table_and_the_dephasing_kernel():
 @pytest.mark.parametrize("lam", [0.0, 0.5])
 def test_dense_step_allocates_only_its_result(lam):
     # N = 128 is on the dense path: past its first step the propagator's two
-    # work arrays hold every temporary, so a 20-step chain peaks at its last
-    # input plus its result (measured 2.5 N^2 x 16 B above the input; fresh
-    # temporaries peaked at 4.0), with the bits of the fresh-temporary step
+    # work arrays hold every complex temporary, so a 20-step chain of packed
+    # kernels peaks at its last input plus its result (measured 1.26 N^2 x
+    # 16 B above the input; a step with complex kernels and the same work
+    # arrays peaked at 2.5), within 1e-13 max|rho| of the complex
+    # fresh-temporary step (measured 3.0e-15)
     grid = GridSpec(128, -10.0, 10.0, mass=1.0)
     prop = Propagator(grid, harmonic_potential(1.0, 1.0), lam, 0.01)
     assert prop.u is not None
-    start = prop.step_elements(coherent_state(grid, 1.0, 0.5, 0.8).to_density().elements)
+    start = prop.step_elements(_pack_kernel(coherent_state(grid, 1.0, 0.5, 0.8).to_density().elements))
     kernel = start
     tracemalloc.start()
     try:
@@ -575,8 +580,8 @@ def test_dense_step_allocates_only_its_result(lam):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    ref = start.copy()
+    ref = _unpack_kernel(start)
     for _ in range(20):
         ref = reference_dense_step(prop, ref)
-    assert np.array_equal(kernel, ref)
-    assert peak < 3 * grid.n_points**2 * 16
+    assert np.max(np.abs(_unpack_kernel(kernel) - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert peak < 1.5 * grid.n_points**2 * 16
