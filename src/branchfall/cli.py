@@ -3,7 +3,10 @@
 Every run writes into its own fresh directory under the configured output
 root: CSV payloads and JSON reports first, then a manifest with digests,
 renamed into place atomically.  Payload bytes depend only on config + seed;
-timestamps live in the manifest and the directory name alone.
+timestamps live in the manifest and the directory name alone.  Each writer
+checks its whole payload before it opens the file and raises ExplosionGuard
+(exit 3) on a NaN, or on an infinity bound for a CSV (JSON spells it "inf"),
+so no payload or manifest holds a non-finite number.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import sys
 
 import numpy as np
@@ -57,19 +59,21 @@ def _write_csv(path: str, columns) -> None:
 
     One format per column, chosen from its dtype: bool as 1/0, integers with
     %d, floats with %.17g after one whole-column finite check; any other
-    column goes cell by cell through _cell.  Every check runs before the
-    file is opened, so a rejected payload leaves no file behind.  Rows are
-    formatted and written _BLOCK_ROWS at a time, so memory does not grow
-    with the row count.  Within a block, a typed column whose values repeat
-    is formatted once per distinct value (_block_column); each row is then
-    one call of the block's row template.
+    column goes cell by cell through _cell, reading the values as given (a
+    list mixing text and floats reaches numpy as text, a NaN as the string
+    "nan").  Every check runs before the file is opened, so a rejected
+    payload leaves no file behind.  Rows are formatted and written
+    _BLOCK_ROWS at a time, so memory does not grow with the row count.
+    Within a block, a typed column whose values repeat is formatted once
+    per distinct value (_block_column); each row is then one call of the
+    block's row template.
     """
     cols = [np.asarray(c) for c in columns.values()]
     n_rows = len(cols[0]) if cols else 0
     if any(c.ndim != 1 or len(c) != n_rows for c in cols):
         raise ValueError("CSV columns must be 1-D and of equal length")
     fmts = []
-    for i, col in enumerate(cols):
+    for i, (col, given) in enumerate(zip(cols, columns.values())):
         kind = col.dtype.kind
         if kind in "biu":
             fmts.append("%d")
@@ -78,7 +82,7 @@ def _write_csv(path: str, columns) -> None:
                 raise ExplosionGuard("non-finite value bound for CSV output")
             fmts.append("%.17g")
         else:
-            cols[i] = np.array([_cell(v) for v in col.tolist()], dtype=object)
+            cols[i] = np.array([_cell(v) for v in given], dtype=object)
             fmts.append("%s")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
@@ -125,10 +129,22 @@ def _jsonable(value):
     return value
 
 
-def _write_json(path: str, obj) -> None:
+# json.dumps layouts: reports and the manifest are indented, reduction.json
+# is one compact line
+_INDENTED = {"indent": 2}
+_COMPACT = {"separators": (",", ":")}
+
+
+def _write_json(path: str, obj, layout: dict) -> None:
+    """Write obj as sorted-key JSON in the given layout.
+
+    The text is built before the file is opened, so a payload that
+    _jsonable rejects (a NaN) leaves no file behind; an infinity is written
+    as the string "inf" or "-inf".
+    """
+    text = json.dumps(_jsonable(obj), sort_keys=True, allow_nan=False, **layout) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False))
-        fh.write("\n")
+        fh.write(text)
 
 
 def _sha256(path: str) -> str:
@@ -137,92 +153,6 @@ def _sha256(path: str) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _reject_constant(token):
-    raise ExplosionGuard(f"non-finite number {token} in JSON output")
-
-
-# One pattern per exponent letter: a literal first character lets re skip
-# ahead to each candidate, where a leading [eE] class tries every position.
-_LONG_EXPONENTS = (re.compile(r"e[+-]?[0-9_]{3}"), re.compile(r"E[+-]?[0-9_]{3}"))
-_LONG_LINE = 200
-_SCAN_CHARS = 1 << 18
-
-
-def _scan_lines(name: str, lines) -> None:
-    for line in lines:
-        for cell in line.rstrip("\n").split(","):
-            try:
-                value = float(cell)
-            except ValueError:
-                continue
-            if not math.isfinite(value):
-                raise ExplosionGuard(f"non-finite value in {name}: {cell}")
-
-
-def _longest_line(chunk: str) -> int:
-    """Length of the longest line of an ASCII chunk split at its newlines,
-    read off the offsets of its newline bytes."""
-    ends = np.flatnonzero(np.frombuffer(chunk.encode("ascii"), dtype=np.uint8) == 10)
-    return int(np.diff(ends, prepend=-1, append=len(chunk)).max()) - 1
-
-
-def _clean(chunk: str) -> bool:
-    """True when no cell of the chunk can parse to a non-finite float.
-
-    That holds when the chunk is ASCII (float() also reads other Unicode
-    digits), has no letter of nan/inf, no exponent of three or more digits
-    (underscores count, as float() skips them) and no line of _LONG_LINE
-    characters (a 309-digit integer parses to inf).  The conditions run in
-    that order, so the exponent search and _longest_line only see ASCII
-    chunks; neither runs a regex that tries every character.
-    """
-    return (
-        chunk.isascii()
-        and not any(letter in chunk for letter in "nNiI")
-        and not any(p.search(chunk) for p in _LONG_EXPONENTS)
-        and _longest_line(chunk) < _LONG_LINE
-    )
-
-
-def _scan_csv(path: str, name: str) -> None:
-    """Run _scan_lines over every line after the header, chunk by chunk.
-
-    Chunks end at line ends, and only a chunk that _clean cannot clear goes
-    through the per-cell loop.  When that loop finds a non-finite value, or
-    the file is not UTF-8, the loop runs once more over the whole file as
-    one stream, so an abort raises exactly what it alone would raise.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            fh.readline()
-            tail = ""
-            while True:
-                block = fh.read(_SCAN_CHARS)
-                chunk = tail + block
-                cut = chunk.rfind("\n") + 1 if block else len(chunk)
-                chunk, tail = chunk[:cut], chunk[cut:]
-                if chunk and not _clean(chunk):
-                    _scan_lines(name, chunk.split("\n"))
-                if not block:
-                    return
-    except (UnicodeDecodeError, ExplosionGuard):
-        with open(path, "r", encoding="utf-8") as fh:
-            fh.readline()
-            _scan_lines(name, fh)
-        raise
-
-
-def _assert_finite_outputs(run_dir: str, names) -> None:
-    """Defect scan: every number in every emitted file must be finite."""
-    for name in names:
-        path = os.path.join(run_dir, name)
-        if name.endswith(".json"):
-            with open(path, "r", encoding="utf-8") as fh:
-                json.load(fh, parse_constant=_reject_constant)
-        elif name.endswith(".csv"):
-            _scan_csv(path, name)
 
 
 def _new_run_dir(root: str, kind: str) -> str:
@@ -249,7 +179,7 @@ def _write_manifest(run_dir: str, cfg: dict, started: str, results: dict) -> Non
         "version": __version__,
         "kind": cfg["kind"],
         "seed": cfg["seed"],
-        "config": _jsonable(cfg),
+        "config": cfg,
         "started_at": started,
         "finished_at": _utc_now(),
         "files": [
@@ -260,12 +190,10 @@ def _write_manifest(run_dir: str, cfg: dict, started: str, results: dict) -> Non
             }
             for name in files
         ],
-        "results": _jsonable(results),
+        "results": results,
     }
     tmp = os.path.join(run_dir, "manifest.json.tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False))
-        fh.write("\n")
+    _write_json(tmp, manifest, _INDENTED)
     os.replace(tmp, os.path.join(run_dir, "manifest.json"))
 
 
@@ -323,7 +251,7 @@ def _run_branch(cfg, run_dir):
         "escape_weight": tree.escape_weight,
         "n_steps": tree.n_steps,
     }
-    _write_json(os.path.join(run_dir, "branch.json"), summary)
+    _write_json(os.path.join(run_dir, "branch.json"), summary, _INDENTED)
     return summary, EXIT_OK
 
 
@@ -352,7 +280,7 @@ def _run_sample(cfg, run_dir):
             cols["p"].append(z.p)
     _write_csv(os.path.join(run_dir, "trajectories.csv"), cols)
     summary = {"n_traj": cfg["n_traj"], "n_escaped": len(escapes), "escapes": escapes}
-    _write_json(os.path.join(run_dir, "sample.json"), summary)
+    _write_json(os.path.join(run_dir, "sample.json"), summary, _INDENTED)
     return {"n_traj": cfg["n_traj"], "n_escaped": len(escapes)}, EXIT_OK
 
 
@@ -379,7 +307,7 @@ def _run_explicit(cfg, run_dir):
         # Tr rho^2 of the Hermitian kernel, in O(N^2)
         "purity": float(np.sum(np.abs(reduced.elements) ** 2) * grid.dx**2),
     }
-    _write_json(os.path.join(run_dir, "explicit.json"), payload)
+    _write_json(os.path.join(run_dir, "explicit.json"), payload, _INDENTED)
     return {"k": model.k}, EXIT_OK
 
 
@@ -395,7 +323,7 @@ def _run_grw(cfg, run_dir):
         "x0": [hit.center for hit in run.hits],
     })
     summary = {"n_hits": len(run.hits), "total_time": run.total_time}
-    _write_json(os.path.join(run_dir, "grw.json"), summary)
+    _write_json(os.path.join(run_dir, "grw.json"), summary, _INDENTED)
     return summary, EXIT_OK
 
 
@@ -418,7 +346,7 @@ def _run_bohm(cfg, run_dir):
         "n_flagged": int(np.sum(run.node_flags)),
         "ks_distances": {"%.6g" % t: v for t, v in run.ks_distances.items()},
     }
-    _write_json(os.path.join(run_dir, "bohm.json"), summary)
+    _write_json(os.path.join(run_dir, "bohm.json"), summary, _INDENTED)
     return {"worst_ks": max(run.ks_distances.values())}, EXIT_OK
 
 
@@ -437,7 +365,7 @@ def _run_ehrenfest(cfg, run_dir):
     widths = WidthSeries.from_record(rec)
     _write_csv(os.path.join(run_dir, "widths.csv"), widths.as_columns())
     horizon = classicality_horizon(widths, (cfg["delta_x"], cfg["delta_p"]), cfg["l_v"])
-    _write_json(os.path.join(run_dir, "horizon.json"), horizon.as_json())
+    _write_json(os.path.join(run_dir, "horizon.json"), horizon.as_json(), _INDENTED)
     return {"horizon": horizon.as_json()}, EXIT_OK
 
 
@@ -458,9 +386,7 @@ def _run_reduce(cfg, run_dir):
         l_v=cfg["l_v"],
     )
     report = verify_reduction(spec, cfg["seed"])
-    with open(os.path.join(run_dir, "reduction.json"), "wb") as fh:
-        fh.write(report.to_json_bytes())
-        fh.write(b"\n")
+    _write_json(os.path.join(run_dir, "reduction.json"), report.as_json(), _COMPACT)
     results = {"verdict": report.verdict, "horizon_T": report.as_json()["horizon_T"]}
     return results, EXIT_OK if report.verdict == "PASS" else EXIT_REDUCE_FAIL
 
@@ -488,8 +414,6 @@ def cmd_run(config_path: str) -> int:
     run_dir = _new_run_dir(cfg["out"], cfg["kind"])
     try:
         results, code = _RUNNERS[cfg["kind"]](cfg, run_dir)
-        names = [n for n in os.listdir(run_dir) if n != "manifest.json"]
-        _assert_finite_outputs(run_dir, names)
         results["exit_code"] = code
         _write_manifest(run_dir, cfg, started, results)
     except BranchfallError as err:

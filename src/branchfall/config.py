@@ -133,8 +133,8 @@ _WINDOW = {
     "window_x_hi": (_finite, REQUIRED),
     "window_p_lo": (_finite, REQUIRED),
     "window_p_hi": (_finite, REQUIRED),
-    "cells_x": (int, REQUIRED),
-    "cells_p": (int, REQUIRED),
+    "cells_x": (_count, REQUIRED),
+    "cells_p": (_count, REQUIRED),
     "povm_sigma_x": (_positive, None),
 }
 
@@ -283,16 +283,24 @@ def validate_config(raw: dict) -> dict:
     if kind == "grw" and cfg["hit_rate"] * cfg["total_time"] > 1e4:
         # each hit keeps two N-point copies of the state
         raise ConfigError("bad value for key 'hit_rate': over 1e4 hits expected in total_time")
+    # domains the run would reject only after its directory exists
+    domains = [("seed", cfg["seed"] >= 0, "at least 0")]
+    if "cells_x" in cfg:
+        for axis in ("x", "p"):
+            lo = cfg[f"window_{axis}_lo"]
+            domains.append((f"window_{axis}_hi", cfg[f"window_{axis}_hi"] > lo, f"above {lo:g}"))
+    if kind in ("ehrenfest", "reduce"):
+        # classicality margins; inf leaves an axis unbounded
+        domains += [(key, cfg[key] > 0.0, "positive") for key in ("delta_x", "delta_p")]
     if kind == "reduce":
-        # ReductionSpec's domains, checked before any run directory exists
-        for key, ok, domain in (
+        # ReductionSpec's domains
+        domains += [
             ("epsilon", 0.0 < cfg["epsilon"] < 1.0, "in (0, 1)"),
             ("n_traj", cfg["n_traj"] >= 100, "at least 100"),
-            ("delta_x", cfg["delta_x"] > 0.0, "positive"),
-            ("delta_p", cfg["delta_p"] > 0.0, "positive"),
-        ):
-            if not ok:
-                raise ConfigError(f"bad value for key '{key}': {cfg[key]:g} is not {domain}")
+        ]
+    for key, ok, domain in domains:
+        if not ok:
+            raise ConfigError(f"bad value for key '{key}': {cfg[key]:g} is not {domain}")
     if "povm_sigma_x" in cfg and cfg["povm_sigma_x"] is None:
         cfg["povm_sigma_x"] = cfg.get("sigma_x", 1.0)
     width = cfg["x_max"] - cfg["x_min"]

@@ -10,7 +10,6 @@ stricter of the two possible readings.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -201,9 +200,6 @@ class ReductionReport:
             "horizon_T": self.horizon_t if math.isfinite(self.horizon_t) else "inf",
             "seed": self.seed,
         }
-
-    def to_json_bytes(self) -> bytes:
-        return json.dumps(self.as_json(), sort_keys=True, separators=(",", ":")).encode()
 
 
 def _orbit_window_check(spec: ReductionSpec, traj: ClassicalTrajectory) -> None:

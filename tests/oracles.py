@@ -8,9 +8,8 @@ reproduce to roundoff, and the reference sampler is the plain dense
 per-trajectory loop whose histories the shared-history sampler, which
 collapses from a low-rank factor, must reproduce exactly and whose states
 it must match to the roundoff floor eps / w of a child of weight w.  The
-reference CSV writer and defect scan are the per-cell loops that the
-columnar writer and the prefiltered scan must match byte for byte and
-verdict for verdict.  The reference Strang loop is the unfused four-FFT
+reference CSV writer is the per-cell loop that the columnar writer must
+match byte for byte.  The reference Strang loop is the unfused four-FFT
 step on axis 0 that the fused split-step core must match to roundoff, and
 whose one-step image of the identity is the dense unitary bit for bit.
 The reference momentum masses are the diagonal of the full 2-D transform
@@ -202,21 +201,6 @@ def reference_write_csv(path, header, rows):
         lines.append(",".join(_reference_cell(v) for v in row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def reference_finite_scan(path, name):
-    """Per-line defect scan: float() on every cell after the header line,
-    raising ExplosionGuard on the first one that parses non-finite."""
-    with open(path, "r", encoding="utf-8") as fh:
-        next(fh, None)
-        for line in fh:
-            for cell in line.rstrip("\n").split(","):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    continue
-                if not math.isfinite(value):
-                    raise ExplosionGuard(f"non-finite value in {name}: {cell}")
 
 
 def reference_strang(grid, diag, dt, states, n):

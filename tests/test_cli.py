@@ -10,16 +10,13 @@ import math
 import os
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
-from oracles import reference_finite_scan, reference_unitary, reference_write_csv
+from oracles import reference_unitary, reference_write_csv
 
 from branchfall import (
     BohmEnsemble,
@@ -40,6 +37,8 @@ from branchfall.config import (
     parse_config,
     validate_config,
 )
+from branchfall.qstate import PhasePoint
+from branchfall.reduction import PointResult, ReductionReport
 
 
 def write_cfg(tmp_path, name, body):
@@ -319,6 +318,44 @@ def test_grw_and_reduce_keys_outside_their_domain_exit_2(tmp_path, capsys, kind,
         assert validate_config(parse_config(body.replace(f"{key} = {value}", f"{key} = inf")))
 
 
+_CONTRACT_BODIES = {
+    "sample": SAMPLE_BODY,
+    "ehrenfest": (
+        "kind = ehrenfest\ngrid_n = 64\nx_min = -8\nx_max = 8\nq0 = 1.0\nsigma_x = 0.7071\n"
+        "lambda = 0.1\nn_steps = 30\ndelta_x = 1.5\ndelta_p = 1.5\nout = {out}\n"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("sample", "seed", "-1"),
+        ("sample", "cells_x", "0"),
+        ("sample", "cells_p", "-2"),
+        ("sample", "window_x_hi", "-4"),
+        ("sample", "window_p_hi", "-7"),
+        ("ehrenfest", "delta_x", "-1"),
+        ("ehrenfest", "delta_p", "0"),
+    ],
+)
+def test_keys_that_run_rejects_exit_2_at_validate(tmp_path, capsys, kind, key, value):
+    # each passed validate before: a negative seed, too few cells and an
+    # unordered window then exited 2 at run, after the run directory
+    # existed, and ehrenfest ran to exit 0 with a horizon of T = 0
+    out = tmp_path / "runs"
+    lines = [ln for ln in _CONTRACT_BODIES[kind].splitlines() if not ln.startswith(f"{key} =")]
+    body = "\n".join(lines + [f"{key} = {value}"]).format(out=out) + "\n"
+    cfg = write_cfg(tmp_path, "c.cfg", body)
+    for command in ("validate", "run"):
+        assert main([command, cfg]) == 2
+        assert f"bad value for key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+    if kind == "ehrenfest":
+        # an infinite margin leaves its axis unbounded and stays valid
+        assert validate_config(parse_config(body.replace(f"{key} = {value}", f"{key} = inf")))
+
+
 def test_nan_in_float_list_key_rejected():
     with pytest.raises(ConfigError, match="bad value for key 'sigma_list'.*NaN"):
         validate_config({"kind": "sieve", "lambda": "0.2", "sigma_list": "0.5, NaN"})
@@ -565,6 +602,40 @@ def test_sample_initial_rows_use_sentinel_alpha(tmp_path):
     assert all(int(l.split(",")[2]) >= 0 for l in later)
 
 
+def _recording(writer, written):
+    def record(path, *args):
+        written.append(os.path.basename(path))
+        return writer(path, *args)
+
+    return record
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        EVOLVE_BODY,
+        SAMPLE_BODY,
+        REDUCE_BODY.replace("{dx}", "1.2").replace("{dp}", "3.5"),
+        EXPLICIT_BODY,
+    ],
+    ids=["evolve", "sample", "reduce", "explicit"],
+)
+def test_every_payload_goes_through_a_writer(tmp_path, monkeypatch, body):
+    # the writers hold the finite-output rule, so every file a run leaves
+    # must have come from one; the manifest goes through its tmp file
+    written = []
+    for name in ("_write_csv", "_write_json"):
+        monkeypatch.setattr(cli, name, _recording(getattr(cli, name), written))
+    out = tmp_path / "runs"
+    assert main(["run", write_cfg(tmp_path, "w.cfg", body.format(out=out))]) == 0
+    run_dir = only_run_dir(out)
+    manifest = json.loads(Path(run_dir, "manifest.json").read_text())
+    payloads = sorted(set(written) - {"manifest.json.tmp"})
+    assert payloads and [e["name"] for e in manifest["files"]] == payloads
+    assert sorted(os.listdir(run_dir)) == sorted(payloads + ["manifest.json"])
+    assert written.count("manifest.json.tmp") == 1 and len(written) == len(payloads) + 1
+
+
 # ---------------------------------------------------------------- exit codes
 
 
@@ -601,15 +672,24 @@ def _nan_through_csv_writer(cfg, run_dir):
     return {}, cli.EXIT_OK
 
 
-def _nan_past_the_writer(cfg, run_dir):
-    with open(os.path.join(run_dir, "evolve.csv"), "w", encoding="utf-8") as fh:
-        fh.write("t,x\n0,nan\n")
+def _nan_through_csv_cell(cfg, run_dir):
+    # a column mixing text and floats goes cell by cell through _cell
+    cli._write_csv(os.path.join(run_dir, "branches.csv"), {"history": ["0/1", float("nan")]})
     return {}, cli.EXIT_OK
 
 
 def _nan_through_json_writer(cfg, run_dir):
-    cli._write_json(os.path.join(run_dir, "horizon.json"), {"T": float("nan")})
+    cli._write_json(os.path.join(run_dir, "horizon.json"), {"T": float("nan")}, cli._INDENTED)
     return {}, cli.EXIT_OK
+
+
+def _nan_in_reduction_report(cfg, run_dir):
+    # the reduce runner, handed a report whose worst deviation is NaN
+    reduce_cfg = validate_config(parse_config(REDUCE_BODY.format(dx=1.5, dp=1.5, out=cfg["out"])))
+    point = PointResult(PhasePoint(1.5, 0.0), 1.0, float("nan"), (), 0)
+    report = ReductionReport("0" * 64, (point,), "PASS", math.inf, reduce_cfg["seed"])
+    with mock.patch.object(cli, "verify_reduction", lambda spec, seed: report):
+        return cli._run_reduce(reduce_cfg, run_dir)
 
 
 def _nan_in_results(cfg, run_dir):
@@ -618,21 +698,28 @@ def _nan_in_results(cfg, run_dir):
 
 @pytest.mark.parametrize(
     "runner",
-    [_nan_through_csv_writer, _nan_past_the_writer, _nan_through_json_writer, _nan_in_results],
+    [
+        _nan_through_csv_writer,
+        _nan_through_csv_cell,
+        _nan_through_json_writer,
+        _nan_in_reduction_report,
+        _nan_in_results,
+    ],
 )
 def test_non_finite_output_exits_3(tmp_path, capsys, monkeypatch, runner):
-    # caught by the CSV cell or JSON formatter, by the defect scan after the
-    # run, or while the manifest's results are formatted
+    # refused by the CSV column or cell check or the JSON formatter before
+    # the payload's file is opened, or while the manifest's results are
+    # formatted: the run directory stays empty, with no payload file, no
+    # manifest and no manifest tmp file
     monkeypatch.setitem(cli._RUNNERS, "evolve", runner)
     path = write_cfg(tmp_path, "e.cfg", EVOLVE_BODY.format(out=tmp_path / "runs"))
     assert main(["run", path]) == 3
     err = capsys.readouterr().err
     assert "numerical abort" in err and "non-finite" in err
-    run_dir = only_run_dir(tmp_path / "runs")
-    assert "manifest.json" not in os.listdir(run_dir)
+    assert os.listdir(only_run_dir(tmp_path / "runs")) == []
 
 
-# ---------------------------------------------------------------- CSV writer and defect scan
+# ---------------------------------------------------------------- CSV writer
 
 _FLOATS = [-0.0, 0.0, 5e-324, 1e300, -1e300, 3.0, -42.0, 0.1, 1.7976931348623157e308, 2.5e-17]
 
@@ -670,81 +757,16 @@ def _repeated_cells(n_rows):
             "x": np.random.default_rng(5).normal(size=2 * cli._BLOCK_ROWS + 3) * 1e3,
         },
         _repeated_cells(2 * cli._BLOCK_ROWS + 3),
+        # numpy reads this list as text; its cells keep their own types
+        {"h": ["0/1", 0.1, 3, True, -0.0], "n": [1, 2, 3, 4, 5]},
     ],
-    ids=["typed-arrays", "python-lists", "header-only", "several-blocks", "repeated-cells"],
+    ids=["typed-arrays", "python-lists", "header-only", "several-blocks", "repeated-cells",
+         "mixed-list"],
 )
 def test_columnar_writer_matches_per_cell_writer(tmp_path, columns):
     cli._write_csv(str(tmp_path / "new.csv"), columns)
     reference_write_csv(str(tmp_path / "ref.csv"), list(columns), zip(*columns.values()))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-
-
-_SCAN_CELLS = st.one_of(
-    st.floats().map(repr),
-    st.floats(allow_nan=False, allow_infinity=False).map(lambda f: "%.17g" % f),
-    st.integers().map(str),
-    st.sampled_from([
-        "nan", "-Inf", "infinity", "NaN", "1e309", "-1e308", "1e-400", "1_0e3_08",
-        "1e3_0", "1E+99", "\u0661e\u0663\u0660\u0669", "\u0661\u0662", "abc", "",
-        " 2 ", "\u2028", "1\u2028nan", "\xe9",
-    ]),
-    st.integers(190, 400).map(lambda n: "9" * n),
-    st.text(max_size=6),
-)
-
-
-@st.composite
-def _csv_files(draw):
-    rows = draw(st.lists(st.lists(_SCAN_CELLS, min_size=1, max_size=4), max_size=10))
-    sep = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    text = sep.join(["a,b"] + [",".join(row) for row in rows]) + draw(st.sampled_from(["", sep]))
-    data = text.encode("utf-8")
-    if draw(st.sampled_from([False, False, False, True])):
-        at = draw(st.integers(0, len(data)))
-        data = data[:at] + b"\xff" + data[at:]
-    return data
-
-
-def _scan_outcome(scan):
-    try:
-        scan()
-    except (cli.ExplosionGuard, UnicodeDecodeError) as err:
-        return type(err), str(err)
-    return None
-
-
-@settings(max_examples=400, deadline=None)
-@given(data=_csv_files(), chunk=st.integers(1, 64))
-# a NaN decoded well before a byte that is not UTF-8, at the real chunk size
-@example(data=b"a,b\n0,nan\n" + b"1,2\n" * 4000 + b"\xff\n", chunk=cli._SCAN_CHARS)
-# an upper-case long exponent in a body with no lower-case e
-@example(data=b"a,b\n1,2\n1E+309,3\n", chunk=64)
-# an underscored long exponent closing a body with no trailing newline
-@example(data=b"a,b\n1,2\n3,1e_309", chunk=64)
-def test_defect_scan_agrees_with_per_cell_loop(data, chunk):
-    # small chunks so that bodies span several, cut at arbitrary line ends
-    with tempfile.TemporaryDirectory() as run_dir:
-        path = os.path.join(run_dir, "data.csv")
-        with open(path, "wb") as fh:
-            fh.write(data)
-        with mock.patch.object(cli, "_SCAN_CHARS", chunk):
-            new = _scan_outcome(lambda: cli._assert_finite_outputs(run_dir, ["data.csv"]))
-        assert new == _scan_outcome(lambda: reference_finite_scan(path, "data.csv"))
-
-
-@pytest.mark.parametrize(
-    "chunk",
-    [
-        "", "a", "ab\n", "\n\n", "1,2\n3,4\n5,6",
-        "x" * (cli._LONG_LINE - 1) + "\n",
-        "1\n" + "x" * cli._LONG_LINE + "\n2",
-        "y\n" + "x" * (cli._LONG_LINE + 1),
-    ],
-    ids=["empty", "one-char", "trailing-newline", "newlines-only", "no-trailing-newline",
-         "long-line-minus-one", "long-line", "long-line-plus-one"],
-)
-def test_longest_line_matches_split(chunk):
-    assert cli._longest_line(chunk) == max(map(len, chunk.split("\n")))
 
 
 def test_reduce_fail_exits_4_with_report(tmp_path):

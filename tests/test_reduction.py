@@ -201,7 +201,7 @@ def test_report_bytes_reproducible(povm):
     spec = _spec(povm, (0.5, 1.6), tau=1.0)
     a = verify_reduction(spec, 7)
     b = verify_reduction(spec, 7)
-    assert a.to_json_bytes() == b.to_json_bytes()
+    assert a.as_json() == b.as_json()
     assert a.spec_digest == spec.digest()
 
 
