@@ -6,7 +6,10 @@ renamed into place atomically.  Payload bytes depend only on config + seed;
 timestamps live in the manifest and the directory name alone.  Each writer
 checks its whole payload before it opens the file and raises ExplosionGuard
 (exit 3) on a NaN, or on an infinity bound for a CSV (JSON spells it "inf"),
-so no payload or manifest holds a non-finite number.
+so no payload or manifest holds a non-finite number.  CSV numbers are the
+bytes of '%.17g' % v: one exact vectorised kernel (_format_g17) writes every
+value in fixed notation (zero and 1e-4 <= |v| < 1e17), and only the rest,
+in scientific notation, goes through % one value at a time.
 """
 
 from __future__ import annotations
@@ -51,65 +54,188 @@ def _cell(value) -> str:
     return "%.17g" % f
 
 
+def _decade_floor(k: int) -> float:
+    """The smallest double at or above 10**k."""
+    f = float(f"1e{k}")
+    num, den = f.as_integer_ratio()
+    at_or_above = num * 10 ** max(-k, 0) >= den * 10 ** max(k, 0)
+    return f if at_or_above else math.nextafter(f, math.inf)
+
+
+def _group_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Group key of the lower edge of each binade, and the next decade edge.
+
+    A double x with edges[i - 1] <= |x| < edges[i] has the decimal exponent
+    i - 5, and %.17g writes it in fixed notation for i in 1 ... 21.  A
+    binade [2^e, 2^(e+1)) holds at most one decade edge, so the top 12 bits
+    of x (sign and exponent) give i up to one comparison: i = below[top] +
+    (|x| >= next_edge[top]).  The key is 2 i + sign.
+    """
+    edges = np.array([_decade_floor(k) for k in range(-4, 18)])
+    binades = np.append(np.ldexp(1.0, np.arange(2047) - 1023), np.inf)
+    binades[0] = 0.0
+    below = np.searchsorted(edges, binades, side="right")
+    group = np.concatenate([2 * below, 2 * below + 1]).astype(np.uint8)
+    return group, np.tile(np.append(edges, np.inf)[below], 2)
+
+
+def _quad_words() -> np.ndarray:
+    """ASCII of 0000 ... 9999 as uint32 words, then the same words with
+    their trailing zeros as NULs (10000 + i)."""
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    trailing = np.logical_and.accumulate(digits[:, ::-1] == ord("0"), axis=1)[:, ::-1]
+    words = np.concatenate([digits, np.where(trailing, 0, digits)]).astype(np.uint8)
+    return words.view(np.uint32).ravel()
+
+
+def _veltkamp(a):
+    """Split doubles into 26-bit halves hi + lo = a (Veltkamp)."""
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_GROUP, _NEXT_EDGE = _group_tables()
+# group key offset of the integral values, which print no fraction
+_INTEGRAL = 46
+# keys of the decimal exponents %.17g writes in scientific notation: below
+# 1e-4 (zero apart, whose key is integral) and 1e17 on (44/45 only NaN)
+_FALLBACK = (0, 1, 44, 45, 90, 91)
+# 10^q is exact for q <= 22
+_POW10 = 10.0 ** np.arange(23)
+_POW10_HI, _POW10_LO = _veltkamp(_POW10)
+_QUADS = _quad_words()
+_CELL = 24  # bytes per cell: the longest %.17g of a double is 24 characters
+
+
+def _format_g17(values: np.ndarray) -> np.ndarray:
+    """'%.17g' % v of every finite double, as an (n, _CELL) uint8 matrix
+    of NUL-padded ASCII cells in input order.
+
+    Exact for every double, with no per-value Python in fixed notation
+    (zero and 1e-4 <= |v| < 1e17): values are grouped by decimal exponent
+    and sign with one stable sort.  The 17 significant digits are D =
+    round-half-even(|v| 10^q), q = 16 - exponent in [0, 20]: Dekker's two-
+    product gives |v| 10^q = p + err exactly, p >= 1e16 > 2^53 is an even
+    integer, so D = p + rint(err).  D becomes ASCII through a table of
+    4-digit words, and each group copies its integer digits, point and
+    fraction into place; a fraction's trailing zeros come from the table as
+    NULs.  No double in the domain lies within half a unit of the 17th digit
+    below a power of ten, so D < 10^17.  The rest (below 1e-4 but not zero,
+    1e17 and above) goes through % one value at a time.
+    """
+    x = np.ascontiguousarray(values, dtype=np.float64)
+    n = len(x)
+    a = np.abs(x)
+    top = x.view(np.uint64) >> 52
+    key = _GROUP[top] + np.uint8(2) * (a >= _NEXT_EDGE[top])
+    key += np.uint8(_INTEGRAL) * (x == np.trunc(x))
+    order = np.argsort(key, kind="stable")
+    counts = np.bincount(key, minlength=2 * _INTEGRAL)
+    ends = np.cumsum(counts).tolist()
+    starts = [0] + ends[:-1]
+    a, key = a[order], key[order]
+    for k in _FALLBACK:
+        a[starts[k]:ends[k]] = 0.0
+    q = 21 - np.minimum((key % _INTEGRAL) >> 1, 21)
+    b, b_hi, b_lo = _POW10[q], _POW10_HI[q], _POW10_LO[q]
+    a_hi, a_lo = _veltkamp(a)
+    p = a * b
+    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    digits = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    # D as five 4-digit words "000d dddd dddd dddd dddd"; in a fraction, a
+    # word followed by zero words only takes its trailing-zero-free form
+    lead = digits // 10**16
+    rest = digits - lead * 10**16
+    hi8 = rest // 10**8
+    lo8 = rest - hi8 * 10**8
+    w1, w3 = hi8 // 10**4, lo8 // 10**4
+    w2, w4 = hi8 - w1 * 10**4, lo8 - w3 * 10**4
+    trim = (key < _INTEGRAL) * 10000
+    words = np.stack([
+        lead,
+        w1 + trim * (lo8 == 0) * (w2 == 0),
+        w2 + trim * (lo8 == 0),
+        w3 + trim * (w4 == 0),
+        w4 + trim,
+    ], axis=1)
+    src = _QUADS[words].view(np.uint8)
+    out = np.zeros((n, _CELL), np.uint8)
+    for k in np.flatnonzero(counts).tolist():
+        if k in _FALLBACK:
+            continue
+        integral, group = divmod(k, _INTEGRAL)
+        exp, neg = group // 2 - 5, group % 2
+        cell, dig = out[starts[k]:ends[k]], src[starts[k]:ends[k]]
+        # the integer digits, or the "0" of the padding below 1 (and of zero)
+        lo, hi = (3, 4 + exp) if exp >= 0 else (0, 1)
+        width = hi - lo
+        if neg:
+            cell[:, 0] = ord("-")
+        cell[:, neg:neg + width] = dig[:, lo:hi]
+        if not integral:
+            cell[:, neg + width] = ord(".")
+            cell[:, neg + width + 1:neg + width + 17 - exp] = dig[:, 4 + exp:]
+    cells = np.empty(n, f"S{_CELL}")
+    cells[order] = out.view(f"S{_CELL}").ravel()
+    others = np.concatenate([order[starts[k]:ends[k]] for k in _FALLBACK])
+    cells[others] = [b"%.17g" % v for v in x[others].tolist()]
+    return cells.view(np.uint8).reshape(n, _CELL)
+
+
 _BLOCK_ROWS = 4096
 
 
 def _write_csv(path: str, columns) -> None:
     """Write an ordered {name: 1-D sequence} mapping as CSV.
 
-    One format per column, chosen from its dtype: bool as 1/0, integers with
-    %d, floats with %.17g after one whole-column finite check; any other
-    column goes cell by cell through _cell, reading the values as given (a
-    list mixing text and floats reaches numpy as text, a NaN as the string
-    "nan").  Every check runs before the file is opened, so a rejected
-    payload leaves no file behind.  Rows are formatted and written
-    _BLOCK_ROWS at a time, so memory does not grow with the row count.
-    Within a block, a typed column whose values repeat is formatted once
-    per distinct value (_block_column); each row is then one call of the
-    block's row template.
+    Bool, integer and float columns are written as '%.17g' % float(v),
+    which is %d for bools (1/0) and for integers below 2^53 in magnitude;
+    wider integers go through %d one by one.  A float column is checked
+    finite whole, and any other column goes cell by cell through _cell,
+    reading the values as given (a list mixing text and floats reaches
+    numpy as text, a NaN as the string "nan"); a text cell may not hold a
+    NUL.  Every check runs before the file is opened, so a rejected payload
+    leaves no file behind.  Rows are written _BLOCK_ROWS at a time, so
+    memory does not grow with the row count: the numeric columns of a block
+    are formatted in one _format_g17 call, the block's cells and separators
+    are laid side by side in one byte matrix, and its NUL padding is
+    dropped.
     """
     cols = [np.asarray(c) for c in columns.values()]
     n_rows = len(cols[0]) if cols else 0
     if any(c.ndim != 1 or len(c) != n_rows for c in cols):
         raise ValueError("CSV columns must be 1-D and of equal length")
-    fmts = []
     for i, (col, given) in enumerate(zip(cols, columns.values())):
         kind = col.dtype.kind
-        if kind in "biu":
-            fmts.append("%d")
-        elif kind == "f":
-            if not np.isfinite(col).all():
-                raise ExplosionGuard("non-finite value bound for CSV output")
-            fmts.append("%.17g")
+        if kind == "f" and not np.isfinite(col).all():
+            raise ExplosionGuard("non-finite value bound for CSV output")
+        if kind in "iu" and n_rows and not (-(2**53) < col.min() and col.max() < 2**53):
+            # only an integer below 2^53 in magnitude is sure to be exact as a double
+            cells = [b"%d" % v for v in col.tolist()]
+        elif kind in "biuf":
+            continue
         else:
-            cols[i] = np.array([_cell(v) for v in given], dtype=object)
-            fmts.append("%s")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
+            cells = [_cell(v).encode("utf-8") for v in given]
+            if any(b"\0" in c for c in cells):
+                raise ValueError("CSV text cells may not hold a NUL character")
+        cols[i] = np.array(cells, dtype="S")
+    with open(path, "wb") as fh:
+        fh.write((",".join(columns) + "\n").encode("utf-8"))
         for start in range(0, n_rows, _BLOCK_ROWS):
-            parts = [_block_column(c[start:start + _BLOCK_ROWS], f) for c, f in zip(cols, fmts)]
-            template = ",".join(f for f, _ in parts) + "\n"
-            fh.write("".join(map(template.__mod__, zip(*(v for _, v in parts)))))
-
-
-def _block_column(block: np.ndarray, fmt: str) -> tuple[str, list]:
-    """Row-template format and row-order values of one block of a column.
-
-    A typed column is deduplicated on its bit pattern, read through an
-    unsigned view of the same width, so -0.0 and 0.0 stay apart.  When the
-    block holds at most half as many distinct values as rows, each value is
-    formatted once and the strings are gathered back into row order under
-    "%s"; otherwise the values go to the row template as they are, which
-    formats a row of distinct numbers faster than joining preformatted
-    cells.
-    """
-    if fmt == "%s":
-        return fmt, block.tolist()
-    bits, inverse = np.unique(block.view(f"u{block.itemsize}"), return_inverse=True)
-    if 2 * len(bits) > len(block):
-        return fmt, block.tolist()
-    cells = np.array(list(map(fmt.__mod__, bits.view(block.dtype).tolist())), dtype=object)
-    return "%s", cells[inverse].tolist()
+            block = [c[start:start + _BLOCK_ROWS] for c in cols]
+            rows = len(block[0])
+            numeric = [c for c in block if c.dtype.kind != "S"]
+            if numeric:
+                numbers = np.concatenate(numeric, dtype=np.float64)
+                formatted = iter(_format_g17(numbers).reshape(-1, rows, _CELL))
+            comma, newline = (np.full((rows, 1), ord(c), np.uint8) for c in ",\n")
+            parts = []
+            for col in block:
+                text = col.dtype.kind == "S"
+                parts += [col.view(np.uint8).reshape(rows, -1) if text else next(formatted), comma]
+            parts[-1] = newline
+            fh.write(np.concatenate(parts, axis=1).tobytes().translate(None, b"\0"))
 
 
 def _jsonable(value):

@@ -290,8 +290,9 @@ def validate_config(raw: dict) -> dict:
             lo = cfg[f"window_{axis}_lo"]
             domains.append((f"window_{axis}_hi", cfg[f"window_{axis}_hi"] > lo, f"above {lo:g}"))
     if kind in ("ehrenfest", "reduce"):
-        # classicality margins; inf leaves an axis unbounded
-        domains += [(key, cfg[key] > 0.0, "positive") for key in ("delta_x", "delta_p")]
+        # classicality margins and the anharmonic length cap; inf leaves a
+        # bound open
+        domains += [(key, cfg[key] > 0.0, "positive") for key in ("delta_x", "delta_p", "l_v")]
     if kind == "reduce":
         # ReductionSpec's domains
         domains += [
@@ -314,6 +315,17 @@ def validate_config(raw: dict) -> dict:
             raise ConfigError(
                 f"bad value for key '{key}': {cfg[key]:g} exceeds the grid width "
                 f"x_max - x_min = {width:g}"
+            )
+    # packet widths the grid must resolve, as coherent_state and build_povm
+    # require
+    dx = make_grid(cfg).dx
+    packets = [(key, cfg[key]) for key in ("sigma_x", "povm_sigma_x") if key in cfg]
+    packets += [("sigma_list", value) for value in cfg.get("sigma_list", ())]
+    for key, value in packets:
+        if value < 2.0 * dx:
+            raise ConfigError(
+                f"bad value for key '{key}': {value:g} is below 2 dx = {2.0 * dx:g}, "
+                "under-resolved on the grid"
             )
     return cfg
 

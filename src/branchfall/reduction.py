@@ -139,6 +139,8 @@ class ReductionSpec:
             raise ValueError("dt and dt_int must be positive")
         if len(self.d_c) == 0:
             raise ValueError("d_c must contain at least one initial point")
+        if not self.l_v > 0.0:
+            raise ValueError("l_v must be positive")
         object.__setattr__(self, "d_c", tuple(self.d_c))
 
     def digest(self) -> str:

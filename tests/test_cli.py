@@ -16,6 +16,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import reference_unitary, reference_write_csv
 
 from branchfall import (
@@ -298,6 +300,7 @@ def test_grid_and_physics_keys_outside_their_domain_exit_2(tmp_path, capsys, key
         ("reduce", "n_traj", "50"),
         ("reduce", "delta_x", "-1"),
         ("reduce", "delta_p", "0"),
+        ("reduce", "l_v", "-1"),
     ],
 )
 def test_grw_and_reduce_keys_outside_their_domain_exit_2(tmp_path, capsys, kind, key, value):
@@ -313,8 +316,8 @@ def test_grw_and_reduce_keys_outside_their_domain_exit_2(tmp_path, capsys, kind,
         assert main([command, cfg]) == 2
         assert f"bad value for key '{key}'" in capsys.readouterr().err
     assert not out.exists()
-    if key.startswith("delta"):
-        # an infinite tolerance on one axis stays valid
+    if key.startswith("delta") or key == "l_v":
+        # an infinite tolerance on one axis, or no position cap, stays valid
         assert validate_config(parse_config(body.replace(f"{key} = {value}", f"{key} = inf")))
 
 
@@ -337,12 +340,15 @@ _CONTRACT_BODIES = {
         ("sample", "window_p_hi", "-7"),
         ("ehrenfest", "delta_x", "-1"),
         ("ehrenfest", "delta_p", "0"),
+        ("ehrenfest", "l_v", "-1"),
+        ("ehrenfest", "l_v", "0"),
     ],
 )
 def test_keys_that_run_rejects_exit_2_at_validate(tmp_path, capsys, kind, key, value):
     # each passed validate before: a negative seed, too few cells and an
     # unordered window then exited 2 at run, after the run directory
-    # existed, and ehrenfest ran to exit 0 with a horizon of T = 0
+    # existed, and ehrenfest ran to exit 0 with a horizon of T = 0 (an l_v
+    # at or below zero caps every position width below it)
     out = tmp_path / "runs"
     lines = [ln for ln in _CONTRACT_BODIES[kind].splitlines() if not ln.startswith(f"{key} =")]
     body = "\n".join(lines + [f"{key} = {value}"]).format(out=out) + "\n"
@@ -352,8 +358,39 @@ def test_keys_that_run_rejects_exit_2_at_validate(tmp_path, capsys, kind, key, v
         assert f"bad value for key '{key}'" in capsys.readouterr().err
     assert not out.exists()
     if kind == "ehrenfest":
-        # an infinite margin leaves its axis unbounded and stays valid
+        # an infinite margin or l_v leaves its bound open and stays valid
         assert validate_config(parse_config(body.replace(f"{key} = {value}", f"{key} = inf")))
+
+
+_SIEVE_BODY = (
+    "kind = sieve\nseed = 1\ngrid_n = 64\nx_min = -8\nx_max = 8\n"
+    "lambda = 0.2\nsigma_list = 0.6, 0.7071, 1.1\nhorizon = 0.5\nout = {out}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "body, key, value",
+    [
+        (EVOLVE_BODY, "sigma_x", "0.45"),
+        (SAMPLE_BODY, "povm_sigma_x", "0.2"),
+        (_SIEVE_BODY, "sigma_list", "0.6, 0.49, 1.1"),
+    ],
+    ids=["sigma_x", "povm_sigma_x", "sigma_list"],
+)
+def test_under_resolved_packet_width_exits_2_at_validate(tmp_path, capsys, body, key, value):
+    # each passed validate before, then coherent_state or build_povm refused
+    # the width below 2 dx (here 2 * 16 / 64 = 0.5) at run, after the run
+    # directory existed
+    out = tmp_path / "runs"
+    lines = [ln for ln in body.splitlines() if not ln.startswith(f"{key} =")]
+    cfg = write_cfg(tmp_path, "w.cfg", "\n".join(lines + [f"{key} = {value}"]).format(out=out) + "\n")
+    assert validate_config(parse_config(body.format(out=out)))
+    for command in ("validate", "run"):
+        assert main([command, cfg]) == 2
+        assert f"bad value for key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+    # exactly 2 dx is resolved
+    assert validate_config(parse_config("\n".join(lines + [f"{key} = 0.5"]).format(out=out)))
 
 
 def test_nan_in_float_list_key_rejected():
@@ -767,6 +804,48 @@ def test_columnar_writer_matches_per_cell_writer(tmp_path, columns):
     cli._write_csv(str(tmp_path / "new.csv"), columns)
     reference_write_csv(str(tmp_path / "ref.csv"), list(columns), zip(*columns.values()))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _g17_cells(values):
+    """The cells of cli._format_g17 as text, each free of inner NULs."""
+    rows = [bytes(row).rstrip(b"\0") for row in cli._format_g17(values)]
+    assert all(b"\0" not in row for row in rows)
+    return [row.decode("ascii") for row in rows]
+
+
+def _adversarial_doubles():
+    """Edges of %.17g's fixed notation, exponent guesses and rounding."""
+    out = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308]
+    for edge in (1e-5, 1e-4):
+        out += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)]
+    for k in range(-5, 18):
+        ten_k = float(f"1e{k}")
+        out += [ten_k, math.nextafter(ten_k, 0.0), math.nextafter(ten_k, math.inf)]
+    # 17-digit ties (exact halves of the 17th digit) and their neighbours
+    for tie in (123456789012345.125, 562949953421312.125, 1125899906842624.25,
+                1234567890123456.25, 1234567890123456.75):
+        out += [tie, math.nextafter(tie, 0.0), math.nextafter(tie, math.inf)]
+    out += [2.0**53 - 2, 2.0**53, 2.0**53 + 2, 99999999999999984.0, 1.7976931348623157e308]
+    out += np.array([0.1, 3.4e38, 1e-40, 16777217.0, -2.5e-5], dtype=np.float32).tolist()
+    return out + [-v for v in out]
+
+
+def test_vectorised_g17_matches_percent_on_adversarial_doubles():
+    values = _adversarial_doubles()
+    assert _g17_cells(np.array(values)) == ["%.17g" % v for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+def test_vectorised_g17_matches_percent_on_any_double(values):
+    assert _g17_cells(np.array(values)) == ["%.17g" % v for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=32), min_size=1, max_size=64))
+def test_vectorised_g17_matches_percent_on_any_float32(values):
+    single = np.array(values, dtype=np.float32)
+    assert _g17_cells(single) == ["%.17g" % float(v) for v in single]
 
 
 def test_reduce_fail_exits_4_with_report(tmp_path):

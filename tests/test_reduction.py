@@ -141,6 +141,20 @@ def test_spec_validation(povm):
             ReductionSpec(**{**good, **bad})
 
 
+@pytest.mark.parametrize("l_v", [-1.0, 0.0, math.nan])
+def test_spec_rejects_l_v_that_is_not_positive(povm, l_v):
+    # l_v caps the horizon's position bound; at or below zero every width
+    # violates it at once, a horizon of T = 0 that reads as a result
+    good = dict(
+        delta_z=(1.0, 1.0), tau_c=1.5, d_c=(PhasePoint(1.5, 0.0),),
+        epsilon=0.05, n_traj=100, dt=0.5, dt_int=0.02,
+        potential=HARM4, lambda_rate=0.5, povm=povm, sigma_x=SIGMA,
+    )
+    with pytest.raises(ValueError, match="l_v"):
+        ReductionSpec(**good, l_v=l_v)
+    assert ReductionSpec(**good, l_v=math.inf).l_v == math.inf
+
+
 def test_spec_digest_tracks_fields(povm):
     a = _spec(povm, (1.2, 3.5))
     b = _spec(povm, (1.2, 3.5))

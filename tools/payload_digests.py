@@ -19,7 +19,9 @@ prints the byte-identical payload files and, for every other file, the
 largest absolute deviation per CSV column and per JSON number (list entries
 share their list's path, `key[]`); a text value that differs, or a file,
 row or key present on one side only, reads "differs".  "columns" holds the
-largest deviation per file name and column over all configs.
+largest deviation per file name and column over all configs.  As with
+`diff`, --compare exits 0 when every payload file is byte-identical on the
+two sides and 1 when any file differs or exists on one side only.
 """
 
 from __future__ import annotations
@@ -172,9 +174,10 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     if args.compare:
-        json.dump(compare(*args.compare), sys.stdout, indent=1, sort_keys=True)
+        result = compare(*args.compare)
+        json.dump(result, sys.stdout, indent=1, sort_keys=True)
         sys.stdout.write("\n")
-        return 0
+        return 1 if any(c["deviations"] for c in result["configs"].values()) else 0
     scratch = tempfile.mkdtemp(prefix="payload-digests-")
     try:
         out = {}
