@@ -142,6 +142,12 @@ _WINDOW = {
 # POVM or GRW width beyond it is meaningless, and at 1e300 the runs overflow.
 _WIDTHS = ("sigma_x", "povm_sigma_x", "r_c")
 
+# Most substeps total_time / dt_int a grw run may declare.  A hit-free
+# segment may span all of them: at dt_int = 1e-300 a stepped run ran past
+# 15 s, and a leapt segment of 1e300 substeps would square the step's
+# unitary about 1,000 times, into inf.
+_GRW_MAX_SUBSTEPS = 1e6
+
 SCHEMAS = {
     "evolve": {
         **_BASE, **_GRID, **_POTENTIAL, **_PACKET,
@@ -280,9 +286,15 @@ def validate_config(raw: dict) -> dict:
                     f"bad value for key '{step}': {span} = {cfg[span]:g} is not a "
                     f"whole number of {step} = {cfg[step]:g} steps"
                 )
-    if kind == "grw" and cfg["hit_rate"] * cfg["total_time"] > 1e4:
-        # each hit keeps two N-point copies of the state
-        raise ConfigError("bad value for key 'hit_rate': over 1e4 hits expected in total_time")
+    if kind == "grw":
+        if cfg["hit_rate"] * cfg["total_time"] > 1e4:
+            # each hit keeps two N-point copies of the state
+            raise ConfigError("bad value for key 'hit_rate': over 1e4 hits expected in total_time")
+        if cfg["total_time"] / cfg["dt_int"] > _GRW_MAX_SUBSTEPS:
+            raise ConfigError(
+                f"bad value for key 'dt_int': total_time / dt_int = "
+                f"{cfg['total_time'] / cfg['dt_int']:g} substeps exceeds {_GRW_MAX_SUBSTEPS:g}"
+            )
     # domains the run would reject only after its directory exists
     domains = [("seed", cfg["seed"] >= 0, "at least 0")]
     if "cells_x" in cfg:
@@ -317,9 +329,9 @@ def validate_config(raw: dict) -> dict:
                 f"x_max - x_min = {width:g}"
             )
     # packet widths the grid must resolve, as coherent_state and build_povm
-    # require
+    # require, and the GRW hit width (r_c**2 = 0 would divide by zero)
     dx = make_grid(cfg).dx
-    packets = [(key, cfg[key]) for key in ("sigma_x", "povm_sigma_x") if key in cfg]
+    packets = [(key, cfg[key]) for key in ("sigma_x", "povm_sigma_x", "r_c") if key in cfg]
     packets += [("sigma_list", value) for value in cfg.get("sigma_list", ())]
     for key, value in packets:
         if value < 2.0 * dx:

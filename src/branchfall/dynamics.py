@@ -9,11 +9,15 @@ a positive kernel, so positivity is preserved exactly; the unitary piece is
 a congruence, so the whole step is completely positive up to roundoff.
 
 One split-step core, _SplitStep, holds the spectral kinetic factor and runs
-every Strang loop, so every step of a wave function is one of its run()
-calls: the dense Propagator build, GRW, the Bohm snapshots, the explicit
-qubit model and the decoherence functional.  It steps blocks of states
-along the last axis and fuses the kinetic half-steps of chained steps
-(K(dt/2) K(dt/2) = K(dt)): n steps cost 2n + 2 FFTs, not 4n.  It also
+every Strang loop: the dense Propagator build, GRW, the Bohm snapshots, the
+explicit qubit model and the decoherence functional step wave functions by
+its run() calls.  It steps blocks of states along the last axis and fuses
+the kinetic half-steps of chained steps (K(dt/2) K(dt/2) = K(dt)): n steps
+cost 2n + 2 FFTs, not 4n.  The core also holds its step as the dense
+unitary U (run() on the identity), and leap() applies U^n to one state by
+the binary powers of U, one matrix-vector product per set bit of n; past
+the crossover of _leap_path, GRW's free flight is leapt, so there a
+wave-function step is not a run() call but part of a product.  It also
 steps a density kernel in place of a block of states, with the congruence
 K rho K^dagger applied as one real 2-D transform pair.  The Propagator
 steps a Hermitian kernel A + iB packed as the one real array R = A + B,
@@ -97,6 +101,22 @@ _FFT_MAX_PRIME = 19
 # reduce's horizon chain (N = 288, M0 = 144) never enters the factored form.
 _FACTOR_MAX_BLOCK = 13 * 13 * 16
 
+# GRW free flight by powers of the step (_SplitStep.leap) in place of
+# stepping, once a run's declared substeps S = total_time / dt_int reach
+# N^3 / _LEAP_N3_PER_STEP on grids of at most _LEAP_MAX_N points: the dense
+# unitary and its squares cost O(N^3 log S) once per run, each hit-free
+# segment of n substeps then a few O(N^2) products in place of 2n + 2 FFTs.
+# Leap over stepping CPU time from tools/crossovers.py (hit_rate 2, dt_int
+# 0.01, one BLAS thread, 2-vCPU x86_64 host), at the first power-of-two S
+# past the bound against the one below it: 0.80 / 1.14 at S = 128 / 64 for
+# N = 96, 0.79 / 1.29 at 256 / 128 for N = 128, 0.67 / 1.28 at 512 / 256
+# for N = 160, 0.78 / 1.26 at 1024 / 512 for N = 192, 0.70 / 1.16 at
+# 2048 / 1024 for N = 240 and 0.83 / 1.28 for N = 256; 0.59 at 16384 for
+# N = 384 (0.96 at 8192).  At N = 512 leaping took 2.01, 1.54 and 1.03
+# times as long at S = 4096, 8192 and 16384, so N = 512 keeps stepping.
+_LEAP_N3_PER_STEP = 10_000
+_LEAP_MAX_N = 384
+
 # Most mass a density step may leave in the outer two grid cells on either
 # side: mass there wraps around the periodic grid and is booked to the
 # opposite side, corrupting positions and branch weights.
@@ -162,22 +182,39 @@ def _fft_path(n: int) -> bool:
     return n == 1
 
 
+def _leap_path(n: int, steps: float) -> bool:
+    """True when a GRW run on n grid points with steps declared substeps
+    flies free by _SplitStep.leap: n <= _LEAP_MAX_N and
+    steps >= n^3 / _LEAP_N3_PER_STEP."""
+    return n <= _LEAP_MAX_N and steps * _LEAP_N3_PER_STEP >= n**3
+
+
 class _SplitStep:
     """Strang steps K(dt/2) D(dt) K(dt/2) on states along the last axis.
 
     K is the spectral kinetic factor exp(-i p^2/2M t); D = exp(-i diag dt)
     is a diagonal phase of shape (n_points,) or (n_states, n_points), so a
-    block of states can carry one potential per row.  Factors are built once
-    per dt; run() chains steps with the inner half kicks fused, and
-    run_kernel() steps a packed real density kernel from both sides (1-D
-    diag only).
+    block of states can carry one potential per row.  The half kick and D
+    are built with the core, everything else on first use: the full kick
+    on the first run() of two or more steps, the kick tables on the first
+    kernel step, the dense unitary and its powers on the first leap().
+    run() chains steps with the inner half kicks fused, run_kernel() steps
+    a packed real density kernel from both sides, and dense and leap()
+    hold and apply the step as a matrix (all three 1-D diag only).
     """
 
     def __init__(self, grid: GridSpec, diag: np.ndarray, dt: float):
-        self.kick_half, self.kick = (
-            np.exp(-1j * grid.p**2 / (2.0 * grid.mass) * t) for t in (dt / 2.0, dt)
-        )
+        # -i p^2/2M, from one read of grid.p (each read is a fresh fftfreq)
+        self._energy = -1j * grid.p**2 / (2.0 * grid.mass)
+        self.dt = dt
+        self.kick_half = np.exp(self._energy * (dt / 2.0))
         self.phase = np.exp(-1j * diag * dt)
+
+    @cached_property
+    def kick(self) -> np.ndarray:
+        """The full-step kinetic factor K(dt), built on the first run() of
+        two or more steps: a core that runs one step never builds it."""
+        return np.exp(self._energy * self.dt)
 
     def run(self, states: np.ndarray, n: int = 1) -> np.ndarray:
         """n chained steps with 2n + 2 FFTs (n <= 0 returns a copy).
@@ -196,6 +233,33 @@ class _SplitStep:
             out = np.fft.fft(out)
             np.multiply(self.kick if i < n else self.kick_half, out, out=out)
         return np.fft.ifft(out)
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        """The Strang unitary U as a C-ordered N x N matrix (1-D diag
+        only), built on first use: column j is the step of e_j, row j of
+        run(identity); the C-ordered copy keeps BLAS products of U on one
+        code path, and the rows are freed on return."""
+        return np.ascontiguousarray(self.run(np.eye(self.phase.size)).T)
+
+    @cached_property
+    def _powers(self) -> list:
+        """U^(2^k) for k = 0, 1, ...; leap() appends the squares it needs."""
+        return [self.dense]
+
+    def leap(self, state: np.ndarray, n: int) -> np.ndarray:
+        """U^n state for one 1-D state: one matrix-vector product per set
+        bit of n, lowest first, with U^(2^k) from _powers, squared on first
+        need (n <= 0 returns a copy).  Equal to run(state, n) to roundoff,
+        which grows about as n eps for the squared powers."""
+        out = np.array(state, dtype=np.complex128)
+        for k in range(max(n, 0).bit_length()):
+            powers = self._powers
+            if k == len(powers):
+                powers.append(powers[-1] @ powers[-1])
+            if n >> k & 1:
+                out = powers[k] @ out
+        return out
 
     @cached_property
     def kick_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -309,12 +373,7 @@ class Propagator:
         self.core = _SplitStep(grid, potential.values(grid), dt)
         self.u = self.u_dag = None
         if not _fft_path(grid.n_points):
-            # row j of the core's output is U e_j; the C-ordered copy keeps
-            # the BLAS products of step_elements on the same code path, and
-            # the rows are freed before the dephasing kernel is built
-            rows = self.core.run(np.eye(grid.n_points))
-            self.u = np.ascontiguousarray(rows.T)
-            del rows
+            self.u = self.core.dense
             self.u_dag = self.u.conj().T
 
     @cached_property

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .branching import BranchTree, ExplicitModel
-from .dynamics import Potential, _SplitStep
+from .dynamics import Potential, _leap_path, _SplitStep
 from .errors import EmptyTree, NodeRegion
 from .qstate import GridSpec, WaveFunction
 
@@ -64,13 +64,13 @@ class GRWRun:
     total_time: float
 
 
-def _evolve_segment(amps, core, grid, v_vals, duration, dt_int):
-    """int(duration / dt_int) fused steps of core (built for dt_int), then
-    one step over the remainder."""
+def _evolve_segment(amps, flight, grid, v_vals, duration, dt_int):
+    """int(duration / dt_int) steps of dt_int by flight (a core's run or
+    leap), then one step over the remainder."""
     if duration <= 0:
         return amps
     n_full = int(duration / dt_int)
-    amps = core.run(amps, n_full)
+    amps = flight(amps, n_full)
     rem = duration - n_full * dt_int
     if rem > 1e-15 * max(1.0, duration):
         amps = _SplitStep(grid, v_vals, rem).run(amps)
@@ -87,13 +87,20 @@ def grw_evolve(
 ) -> GRWRun:
     """Unitary evolution punctuated by Poisson-timed localization hits.
 
-    Hit centers follow the density (|psi|^2 convolved with a Gaussian of
-    variance r_c^2/2); the state is multiplied by the corresponding Gaussian
-    and renormalized.  Everything is deterministic for a fixed seed.
+    Between hits the state flies free under the Strang step U of dt_int:
+    int(wait / dt_int) steps, then one step over the remainder.  The steps
+    are fused split-step runs (2n + 2 FFTs for n steps), or, once the
+    declared substeps total_time / dt_int pass the crossover of
+    dynamics._leap_path for the grid, one leap U^n psi by the binary powers
+    of U, built for this run only; the two agree to roundoff.  Hit centers
+    follow the density (|psi|^2 convolved with a Gaussian of variance
+    r_c^2/2); the state is multiplied by the corresponding Gaussian and
+    renormalized.  Everything is deterministic for a fixed seed.
     """
     grid = psi.grid
     v_vals = potential.values(grid)
     core = _SplitStep(grid, v_vals, dt_int)
+    flight = core.leap if _leap_path(grid.n_points, total_time / dt_int) else core.run
     rng = np.random.default_rng(rng_seed)
     amps = psi.amplitudes.copy()
     hits: list[GRWHit] = []
@@ -101,9 +108,9 @@ def grw_evolve(
     while True:
         wait = rng.exponential(1.0 / params.hit_rate) if params.hit_rate > 0 else math.inf
         if t + wait >= total_time:
-            amps = _evolve_segment(amps, core, grid, v_vals, total_time - t, dt_int)
+            amps = _evolve_segment(amps, flight, grid, v_vals, total_time - t, dt_int)
             break
-        amps = _evolve_segment(amps, core, grid, v_vals, wait, dt_int)
+        amps = _evolve_segment(amps, flight, grid, v_vals, wait, dt_int)
         t += wait
         pre = WaveFunction(grid, amps.copy(), validate=False)
         prob = np.abs(amps) ** 2 * grid.dx

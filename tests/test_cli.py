@@ -295,6 +295,10 @@ def test_grid_and_physics_keys_outside_their_domain_exit_2(tmp_path, capsys, key
         ("grw", "hit_rate", "inf"),
         ("grw", "hit_rate", "-1"),
         ("grw", "hit_rate", "1e300"),
+        ("grw", "r_c", "1e-300"),
+        ("grw", "r_c", "0.49"),
+        ("grw", "dt_int", "1e-300"),
+        ("grw", "dt_int", "9.9e-7"),
         ("reduce", "epsilon", "2"),
         ("reduce", "epsilon", "0"),
         ("reduce", "n_traj", "50"),
@@ -306,8 +310,12 @@ def test_grid_and_physics_keys_outside_their_domain_exit_2(tmp_path, capsys, key
 def test_grw_and_reduce_keys_outside_their_domain_exit_2(tmp_path, capsys, kind, key, value):
     # each passed validate before: an infinite hit_rate drew zero waits
     # without end, 1e300 expects more than the 1e4 hits validate allows over
-    # total_time, and the others failed only at run, after the run directory
-    # existed (reduce's in ReductionSpec)
+    # total_time, an r_c below 2 dx (0.5 here) is a hit width the grid
+    # cannot resolve (at 1e-300, r_c**2 = 0 made the hit probabilities NaN),
+    # a dt_int below 1e-6 declares more than the 1e6 substeps validate
+    # allows over total_time (1e-300 ran for minutes), and the others
+    # failed only at run, after the run directory existed (reduce's in
+    # ReductionSpec)
     out = tmp_path / "runs"
     lines = [ln for ln in _WIDE_BODIES[kind].splitlines() if not ln.startswith(f"{key} =")]
     body = "\n".join(lines + [f"{key} = {value}"]).format(out=out) + "\n"
@@ -319,6 +327,10 @@ def test_grw_and_reduce_keys_outside_their_domain_exit_2(tmp_path, capsys, kind,
     if key.startswith("delta") or key == "l_v":
         # an infinite tolerance on one axis, or no position cap, stays valid
         assert validate_config(parse_config(body.replace(f"{key} = {value}", f"{key} = inf")))
+    if key in ("r_c", "dt_int"):
+        # r_c = 2 dx on the 0.25 grid, and 5e5 declared substeps, stay valid
+        bound = {"r_c": "0.5", "dt_int": "2e-6"}[key]
+        assert validate_config(parse_config(body.replace(f"{key} = {value}", f"{key} = {bound}")))
 
 
 _CONTRACT_BODIES = {

@@ -26,6 +26,7 @@ from branchfall import (
     grw_evolve,
     harmonic_potential,
 )
+from branchfall import dynamics, mechanisms
 from branchfall.dynamics import Propagator
 from branchfall.mechanisms import sample_positions
 
@@ -70,6 +71,51 @@ def test_grw_deterministic_given_seed():
     b = grw_evolve(psi, free_potential(), params, 2.0, rng_seed=9, dt_int=0.05)
     assert [(h.time, h.center) for h in a.hits] == [(h.time, h.center) for h in b.hits]
     assert np.array_equal(a.final.amplitudes, b.final.amplitudes)
+
+
+def _recorded_cores(monkeypatch):
+    """Every split-step core grw_evolve builds, in order."""
+    cores = []
+    init = mechanisms._SplitStep.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        cores.append(self)
+
+    monkeypatch.setattr(mechanisms._SplitStep, "__init__", recording_init)
+    return cores
+
+
+def test_leapt_free_flight_matches_stepping(monkeypatch):
+    # S = 300 substeps at N = 128 is past the crossover (N^3 / 1e4 = 210)
+    psi = coherent_state(GRID, 1.0, 0.0, 0.7071)
+    pot = harmonic_potential(1.0, 1.0)
+    params = GRWParams(2.0, 0.5)
+    assert dynamics._leap_path(GRID.n_points, 3.0 / 0.01)
+    cores = _recorded_cores(monkeypatch)
+    leapt = [grw_evolve(psi, pot, params, 3.0, rng_seed=seed) for seed in range(20)]
+    # one core per run holds the dense step and its squares
+    assert sum("dense" in core.__dict__ for core in cores) == 20
+    assert sum("_powers" in core.__dict__ for core in cores) == 20
+    monkeypatch.setattr(mechanisms, "_leap_path", lambda *_: False)
+    for seed, got in enumerate(leapt):
+        want = grw_evolve(psi, pot, params, 3.0, rng_seed=seed)
+        assert [(h.time, h.center) for h in got.hits] == [(h.time, h.center) for h in want.hits]
+        diff = np.linalg.norm(got.final.amplitudes - want.final.amplitudes)
+        assert diff <= 1e-12 * np.linalg.norm(want.final.amplitudes), seed
+
+
+def test_short_run_steps_without_dense_step(monkeypatch):
+    # S = 60 substeps at N = 128 is under the crossover: the run steps as
+    # before and builds neither the dense step nor its squares
+    psi = two_lobe(HEAVY)
+    assert not dynamics._leap_path(HEAVY.n_points, 3.0 / 0.05)
+    cores = _recorded_cores(monkeypatch)
+    run = grw_evolve(psi, free_potential(), GRWParams(2.0, 0.3), 3.0, rng_seed=4, dt_int=0.05)
+    assert run.hits and cores
+    assert not any("dense" in core.__dict__ or "_powers" in core.__dict__ for core in cores)
+    # the per-segment remainder cores run one step and build no full kick
+    assert not any("kick" in core.__dict__ for core in cores[1:])
 
 
 def test_first_hit_follows_born_weights():
