@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .dynamics import (
     Potential,
     double_well_potential,
@@ -330,7 +332,8 @@ def validate_config(raw: dict) -> dict:
             )
     # packet widths the grid must resolve, as coherent_state and build_povm
     # require, and the GRW hit width (r_c**2 = 0 would divide by zero)
-    dx = make_grid(cfg).dx
+    grid = make_grid(cfg)
+    dx = grid.dx
     packets = [(key, cfg[key]) for key in ("sigma_x", "povm_sigma_x", "r_c") if key in cfg]
     packets += [("sigma_list", value) for value in cfg.get("sigma_list", ())]
     for key, value in packets:
@@ -339,6 +342,31 @@ def validate_config(raw: dict) -> dict:
                 f"bad value for key '{key}': {value:g} is below 2 dx = {2.0 * dx:g}, "
                 "under-resolved on the grid"
             )
+    if "cells_x" in cfg:
+        # the partition against the grid and the momentum grid, as
+        # build_povm requires
+        p_domain = f"within the momentum grid's +-pi/dx = +-{grid.p_max:g}"
+        for key, ok, domain in (
+            ("window_x_lo", cfg["window_x_lo"] >= grid.x_min, f"at least x_min = {grid.x_min:g}"),
+            ("window_x_hi", cfg["window_x_hi"] <= grid.x_max, f"at most x_max = {grid.x_max:g}"),
+            ("window_p_lo", abs(cfg["window_p_lo"]) <= grid.p_max, p_domain),
+            ("window_p_hi", abs(cfg["window_p_hi"]) <= grid.p_max, p_domain),
+        ):
+            if not ok:
+                raise ConfigError(f"bad value for key '{key}': {cfg[key]:g} is not {domain}")
+    # the potential and its slope on the grid, which every kind steps by or
+    # integrates: at omega = 1e155 the harmonic V(x) overflows to inf
+    potential = make_potential(cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = all(
+            np.isfinite(values(grid)).all()
+            for values in (potential.values, potential.derivative_values)
+        )
+    if not finite:
+        raise ConfigError(
+            f"bad value for key 'potential': the {potential.name} potential or its slope "
+            "is not finite on the grid"
+        )
     return cfg
 
 

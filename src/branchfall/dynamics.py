@@ -492,12 +492,17 @@ class Propagator:
         With D = sum_m d_m d_m^T the product is W W^H for the M r columns
         W = [d_m o v_k sqrt(lam_k)]; the eigenpairs (s, q) of the Gram
         matrix W^H W give it as V' diag(s) V'^H with V' = W q / sqrt(s),
-        and pairs with s <= eps s_max, roundoff only, are dropped.
+        and pairs with s <= eps s_max, roundoff only, are dropped.  Raises
+        ExplosionGuard when no column is left to keep: the factor is zero or
+        not finite (nan compares false, so the block would be empty).
         """
         d = self.dephase_factor
         scaled = factor.rows * np.sqrt(factor.lam)[:, None]
         norms = (d * d) @ (scaled.real**2 + scaled.imag**2).T
-        m, k = np.nonzero(norms > np.finfo(float).eps * norms.max())
+        top = norms.max()
+        if not 0.0 < top < math.inf:
+            raise ExplosionGuard(f"dephasing a factor whose largest column norm is {top!r}")
+        m, k = np.nonzero(norms > np.finfo(float).eps * top)
         block = d[m] * scaled[k]
         lam, vecs = np.linalg.eigh(block.conj() @ block.T)
         keep = lam > np.finfo(float).eps * lam[-1]

@@ -98,6 +98,7 @@ def grw_evolve(
     renormalized.  Everything is deterministic for a fixed seed.
     """
     grid = psi.grid
+    x = grid.x
     v_vals = potential.values(grid)
     core = _SplitStep(grid, v_vals, dt_int)
     flight = core.leap if _leap_path(grid.n_points, total_time / dt_int) else core.run
@@ -116,8 +117,8 @@ def grw_evolve(
         prob = np.abs(amps) ** 2 * grid.dx
         prob = prob / prob.sum()
         idx = int(rng.choice(len(prob), p=prob))
-        center = grid.x[idx] + rng.normal(0.0, params.r_c / math.sqrt(2.0))
-        amps = amps * np.exp(-((grid.x - center) ** 2) / (2.0 * params.r_c**2))
+        center = x[idx] + rng.normal(0.0, params.r_c / math.sqrt(2.0))
+        amps = amps * np.exp(-((x - center) ** 2) / (2.0 * params.r_c**2))
         amps = amps / math.sqrt(np.sum(np.abs(amps) ** 2) * grid.dx)
         hits.append(GRWHit(t, center, pre, WaveFunction(grid, amps.copy(), validate=False)))
     return GRWRun(hits, WaveFunction(grid, amps, validate=False), total_time)

@@ -788,7 +788,9 @@ def mixed_rows_model(grid):
 def alone_cores(model, pot, dt):
     """One split-step core per row, each built from its own (s_b, h_b)."""
     signs = model.sigma_signs()
-    shift, env = signs @ model.couplings, signs @ model.env_energies
+    shift = signs @ model.couplings
+    h = model.env_energies
+    env = signs @ h if h is not None else np.zeros(len(shift))
     grid = model.grid
     return [
         branching._SplitStep(grid, pot.values(grid) + s * grid.x + h, dt)
@@ -840,14 +842,68 @@ def test_decoherence_functional_distinct_rows_equal_rows_stepped_alone(povm_2x1)
     assert np.all(np.diag(report.consistency_ratios) == 1.0)
 
 
-def test_evolve_explicit_steps_105_of_256_rows(run_blocks):
-    # couplings 0.1 ... 0.8 give 105 distinct shifts s_b over 256 rows
+def test_evolve_explicit_steps_37_of_256_rows(run_blocks):
+    # couplings 0.1 ... 0.8 give 37 shifts s_b = 0.1 m (m = -36, -34, ..., 36)
+    # over 256 rows; their sums spell them in 105 bit patterns
     model = ExplicitModel.from_wavefunction(
         coherent_state(GRID, 1.0, 0.0, 0.7071), np.arange(1, 9) / 10
     )
     out, _ = evolve_explicit(model, free_potential(), 0.01, 3)
-    assert run_blocks == [(105, GRID.n_points)]
+    assert run_blocks == [(37, GRID.n_points)]
     assert out.state.shape == (GRID.n_points, 256) and out.state.flags.c_contiguous
+
+
+@pytest.mark.parametrize("dt, n", [(0.01, 3), (0.01, 100), (-0.05, 40)])
+def test_grouped_rows_stay_within_the_phase_bound(dt, n):
+    # each row of a group steps under its first row's phase row, off by at
+    # most tol max|x|, so its state stays within tol max|x| |t| of the row
+    # stepped alone with its own bits (relative to the row's norm)
+    g = np.arange(1, 9) / 10
+    model = ExplicitModel.from_wavefunction(coherent_state(GRID, 1.0, 0.0, 0.7071), g)
+    pot = harmonic_potential(1.0, 1.0)
+    out, _ = evolve_explicit(model, pot, dt, n)
+    tol = 2 * 8 * np.finfo(float).eps * np.sum(np.abs(g))
+    bound = tol * np.max(np.abs(GRID.x)) * abs(dt * n)
+    _, _, inverse = branching._explicit_rows(model, pot, dt)
+    _, first = np.unique(inverse, return_index=True)
+    rows = model.state.T
+    for b, core in enumerate(alone_cores(model, pot, dt)):
+        alone = core.run(rows[b : b + 1], n)[0]
+        if b in first:
+            assert np.array_equal(out.state[:, b], alone)
+        assert np.linalg.norm(out.state[:, b] - alone) <= bound * np.linalg.norm(alone)
+
+
+def near_zero_model(couplings):
+    return ExplicitModel.from_wavefunction(coherent_state(GRID, 0.0, 0.0, 0.8), couplings)
+
+
+def test_shifts_just_over_tol_apart_stay_separate(run_blocks):
+    # couplings (1, 1 - d) give the exact shifts +-(2 - d) and +-d, and
+    # tol = 2 k eps (2 - d) = 2^-49 - 2^-100: at d = 2^-50 the pair +-d lies
+    # 2^-49 apart, one bit over tol, and stays two groups; at d = 2^-51 it
+    # is one
+    evolve_explicit(near_zero_model([1.0, 1.0 - 2.0**-50]), free_potential(), 0.01, 2)
+    evolve_explicit(near_zero_model([1.0, 1.0 - 2.0**-51]), free_potential(), 0.01, 2)
+    assert run_blocks == [(4, GRID.n_points), (3, GRID.n_points)]
+
+
+def test_shifts_spaced_under_tol_form_no_group_wider_than_tol(run_blocks):
+    # couplings (1, 1, c, 2c) with c = 2^-50 give, exactly, three clusters
+    # of four shifts (-2, 0 and 2, each offset by -3c, -c, c and 3c) spaced
+    # 2c = tol / 2 apart and 6c wide; tol = 8 eps (2 + 3c) is just over 4c,
+    # so each cluster splits into a group of three shifts and one of one,
+    # not a chain 6c wide
+    c = 2.0**-50
+    model = near_zero_model([1.0, 1.0, c, 2 * c])
+    evolve_explicit(model, free_potential(), 0.01, 2)
+    assert run_blocks == [(6, GRID.n_points)]
+    shift = model.sigma_signs() @ model.couplings
+    _, _, inverse = branching._explicit_rows(model, free_potential(), 0.01)
+    tol = 8 * np.finfo(float).eps * (2 + 3 * c)
+    for group in range(6):
+        members = shift[inverse == group]
+        assert members.max() - members.min() <= tol
 
 
 def test_reduced_lobe_follows_cosine_envelope():

@@ -405,6 +405,85 @@ def test_under_resolved_packet_width_exits_2_at_validate(tmp_path, capsys, body,
     assert validate_config(parse_config("\n".join(lines + [f"{key} = 0.5"]).format(out=out)))
 
 
+def one_key(body, key, value, out):
+    """body with key set to value (dropping any line of key), out filled in."""
+    lines = [ln for ln in body.splitlines() if not ln.startswith(f"{key} =")]
+    return "\n".join(lines + [f"{key} = {value}"]).format(out=out) + "\n"
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("branch", "window_x_lo", "-9"),
+        ("branch", "window_p_lo", "-13"),
+        ("sample", "window_x_hi", "8.5"),
+        ("sample", "window_p_hi", "13"),
+        ("reduce", "window_x_lo", "-7.5"),
+        ("reduce", "window_p_hi", "22"),
+    ],
+)
+def test_partition_outside_the_grid_exits_2_at_validate(tmp_path, capsys, kind, key, value):
+    # each passed validate before, then build_povm refused the x-window
+    # outside the grid or the p-window beyond pi / dx (12.6 on the 64-point
+    # +-8 grids, 21.5 on reduce's 96-point +-7 grid) at run, after the run
+    # directory existed
+    out = tmp_path / "runs"
+    cfg = write_cfg(tmp_path, "p.cfg", one_key(_WIDE_BODIES[kind], key, value, out))
+    for command in ("validate", "run"):
+        assert main([command, cfg]) == 2
+        assert f"bad value for key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+    # a window on the grid's edge, or at +-pi / dx, stays valid
+    grid = make_grid(validate_config(parse_config(_WIDE_BODIES[kind].format(out=out))))
+    edge = {"x_lo": grid.x_min, "x_hi": grid.x_max, "p_lo": -grid.p_max, "p_hi": grid.p_max}
+    assert validate_config(parse_config(one_key(_WIDE_BODIES[kind], key, edge[key[7:]], out)))
+
+
+# a valid body of every kind
+_KIND_BODIES = {
+    "evolve": EVOLVE_BODY,
+    "sieve": _SIEVE_BODY,
+    "branch": _WIDE_BODIES["branch"],
+    "sample": SAMPLE_BODY,
+    "explicit": _SPOILED_BODIES["explicit"] + "n_steps = 3\nout = {out}\n",
+    "grw": _WIDE_BODIES["grw"],
+    "bohm": _SPOILED_BODIES["bohm"] + "out = {out}\n",
+    "ehrenfest": _CONTRACT_BODIES["ehrenfest"],
+    "reduce": _WIDE_BODIES["reduce"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_BODIES))
+def test_potential_not_finite_on_the_grid_exits_2_at_validate(tmp_path, capsys, kind):
+    # at omega = 1e155 the harmonic V = M omega^2 x^2 / 2 overflows to inf;
+    # each kind passed validate before and failed only in its run, after
+    # the run directory existed: evolve and sieve on a factored grid
+    # (N >= 256) with an IndexError in the dephasing (exit 1), explicit with
+    # "joint state not normalized: nan" and grw with "Probabilities contain
+    # NaN" (exit 2), the others at a guard (exit 3)
+    out = tmp_path / "runs"
+    cfg = write_cfg(tmp_path, "v.cfg", one_key(_KIND_BODIES[kind], "omega", "1e155", out))
+    for command in ("validate", "run"):
+        assert main([command, cfg]) == 2
+        assert "bad value for key 'potential'" in capsys.readouterr().err
+    assert not out.exists()
+    # omega = 1e150 keeps V and V' finite (below 1e302) on every grid here
+    assert validate_config(parse_config(one_key(_KIND_BODIES[kind], "omega", "1e150", out)))
+
+
+def test_double_well_not_finite_on_the_grid_exits_2_at_validate(tmp_path, capsys):
+    # V = a (x^2 - b^2)^2 overflows at b = 1e100; the run then raised
+    # IndexError in the factored dephasing of the 256-point grid
+    body = EVOLVE_BODY.replace("grid_n = 64", "grid_n = 256").replace(
+        "potential = harmonic", "potential = double_well"
+    )
+    out = tmp_path / "runs"
+    cfg = write_cfg(tmp_path, "d.cfg", one_key(body, "half_separation", "1e100", out))
+    assert main(["run", cfg]) == 2
+    assert "double_well potential or its slope is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nan_in_float_list_key_rejected():
     with pytest.raises(ConfigError, match="bad value for key 'sigma_list'.*NaN"):
         validate_config({"kind": "sieve", "lambda": "0.2", "sigma_list": "0.5, NaN"})

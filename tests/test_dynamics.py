@@ -475,6 +475,19 @@ def test_factored_chain_hands_off_once(monkeypatch):
     _assert_matches_dense_oracle(rec, rows, psi, pot, 0.2)
 
 
+@pytest.mark.parametrize("fill", [np.nan, 0.0], ids=["nan", "zero"])
+def test_step_factor_guards_an_empty_or_non_finite_block(fill):
+    # a factor with no finite column to keep left the dephasing an empty
+    # block, and lam[-1] of its eigh raised IndexError (an evolve or sieve
+    # at omega = 1e155, whose V overflowed to inf and whose step then gave
+    # nan rows)
+    prop = Propagator(GridSpec(256, -12.0, 12.0), free_potential(), 0.2, 0.01)
+    assert prop.factored(1)
+    factor = dynamics._Factor(np.ones(1), np.full((1, 256), fill, dtype=complex))
+    with pytest.raises(ExplosionGuard, match="largest column norm"):
+        prop.step_factor(factor)
+
+
 @pytest.mark.parametrize("n_points", [256, 301, 315])
 def test_fft_step_evolves_the_hermitian_part_of_a_noisy_kernel(n_points):
     # a kernel inside DensityMatrix's 1e-10 asymmetry tolerance steps as its
