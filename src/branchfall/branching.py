@@ -389,6 +389,12 @@ def mixture_consistency(tree: BranchTree, reference: DensityMatrix) -> float:
 # --- explicit system (x) qubit-environment model ---------------------------
 
 
+def _check_qubits(k: int) -> None:
+    """The desk-scale cap: an ExplicitModel holds n_points * 2^k amplitudes."""
+    if k > 12:
+        raise ValueError(f"k = {k} exceeds the desk-scale cap of 12")
+
+
 @dataclass
 class ExplicitModel:
     """Pure state of the particle plus k coupled qubits.
@@ -408,8 +414,7 @@ class ExplicitModel:
     def __post_init__(self) -> None:
         self.couplings = np.atleast_1d(np.asarray(self.couplings, dtype=float))
         k = self.k
-        if k > 12:
-            raise ValueError(f"k = {k} exceeds the desk-scale cap of 12")
+        _check_qubits(k)
         if not np.all(np.isfinite(self.couplings)):
             raise ValueError("couplings must be finite")
         self.state = np.asarray(self.state, dtype=np.complex128)
@@ -437,6 +442,7 @@ class ExplicitModel:
     def from_wavefunction(cls, psi: WaveFunction, couplings, env_energies=None):
         """System state (x) environment in the uniform superposition |+>^k."""
         couplings = np.atleast_1d(np.asarray(couplings, dtype=float))
+        _check_qubits(len(couplings))  # before the n_points x 2^k block exists
         b = 2 ** len(couplings)
         joint = np.repeat(psi.amplitudes[:, None], b, axis=1) / math.sqrt(b)
         return cls(psi.grid, couplings, joint, env_energies)

@@ -1,8 +1,9 @@
 """Command line entry points: run, validate, report.
 
 Every run writes into its own fresh directory under the configured output
-root: CSV payloads and JSON reports first, then a manifest with digests,
-renamed into place atomically.  Payload bytes depend only on config + seed;
+root: CSV payloads and JSON reports first, then a manifest with the byte
+count and sha256 each writer took of the bytes it wrote, renamed into place
+atomically.  Payload bytes depend only on config + seed;
 timestamps live in the manifest and the directory name alone.  Each writer
 checks its whole payload before it opens the file and raises ExplosionGuard
 (exit 3) on a NaN, or on an infinity bound for a CSV (JSON spells it "inf"),
@@ -21,6 +22,7 @@ import json
 import math
 import os
 import sys
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -186,56 +188,108 @@ def _format_g17(values: np.ndarray) -> np.ndarray:
 _BLOCK_ROWS = 4096
 
 
-def _write_csv(path: str, columns) -> None:
-    """Write an ordered {name: 1-D sequence} mapping as CSV.
+class Indexed(NamedTuple):
+    """A CSV column given as its distinct values and, per row, the position
+    of the row's value in them: row i holds values[index[i]].  The writer
+    formats each value once.  A plain tuple stays a sequence of cells."""
 
-    Bool, integer and float columns are written as '%.17g' % float(v),
-    which is %d for bools (1/0) and for integers below 2^53 in magnitude;
-    wider integers go through %d one by one.  A float column is checked
-    finite whole, and any other column goes cell by cell through _cell,
-    reading the values as given (a list mixing text and floats reaches
-    numpy as text, a NaN as the string "nan"); a text cell may not hold a
-    NUL.  Every check runs before the file is opened, so a rejected payload
-    leaves no file behind.  Rows are written _BLOCK_ROWS at a time, so
-    memory does not grow with the row count: the numeric columns of a block
-    are formatted in one _format_g17 call, the block's cells and separators
-    are laid side by side in one byte matrix, and its NUL padding is
-    dropped.
-    """
-    cols = [np.asarray(c) for c in columns.values()]
-    n_rows = len(cols[0]) if cols else 0
-    if any(c.ndim != 1 or len(c) != n_rows for c in cols):
+    values: Sequence
+    index: np.ndarray
+
+
+def _checked_cells(given) -> np.ndarray:
+    """A column's values, checked: a bool, integer or float array that
+    _format_g17 writes, or else the cells as a NUL-padded uint8 matrix."""
+    col = np.asarray(given)
+    if col.ndim != 1:
         raise ValueError("CSV columns must be 1-D and of equal length")
-    for i, (col, given) in enumerate(zip(cols, columns.values())):
-        kind = col.dtype.kind
-        if kind == "f" and not np.isfinite(col).all():
-            raise ExplosionGuard("non-finite value bound for CSV output")
-        if kind in "iu" and n_rows and not (-(2**53) < col.min() and col.max() < 2**53):
-            # only an integer below 2^53 in magnitude is sure to be exact as a double
-            cells = [b"%d" % v for v in col.tolist()]
-        elif kind in "biuf":
-            continue
-        else:
-            cells = [_cell(v).encode("utf-8") for v in given]
-            if any(b"\0" in c for c in cells):
-                raise ValueError("CSV text cells may not hold a NUL character")
-        cols[i] = np.array(cells, dtype="S")
+    kind = col.dtype.kind
+    if kind == "f" and not np.isfinite(col).all():
+        raise ExplosionGuard("non-finite value bound for CSV output")
+    if kind in "iu" and len(col) and not (-(2**53) < col.min() and col.max() < 2**53):
+        # only an integer below 2^53 in magnitude is sure to be exact as a double
+        cells = [b"%d" % v for v in col.tolist()]
+    elif kind in "biuf":
+        return col
+    else:
+        cells = [_cell(v).encode("utf-8") for v in given]
+        if any(b"\0" in c for c in cells):
+            raise ValueError("CSV text cells may not hold a NUL character")
+    cells = np.array(cells, dtype="S")
+    return cells.view(np.uint8).reshape(len(cells), cells.itemsize)
+
+
+def _distinct_cells(column: Indexed) -> tuple[np.ndarray, np.ndarray]:
+    """The formatted cells of an Indexed column's values, as a uint8 matrix
+    cut to its widest cell, and its index, checked against them."""
+    cells = _checked_cells(column.values)
+    if cells.ndim == 1:
+        cells = _format_g17(cells)
+    width = np.flatnonzero(cells.any(axis=0))
+    cells = np.ascontiguousarray(cells[:, :width[-1] + 1 if width.size else 1])
+    index = np.asarray(column.index)
+    if index.ndim != 1 or index.dtype.kind not in "iu":
+        raise ValueError("a CSV column index must be a 1-D integer array")
+    # a negative index would wrap silently
+    if len(index) and not (0 <= index.min() and index.max() < len(cells)):
+        raise ValueError(f"CSV column index outside 0 ... {len(cells) - 1}")
+    return cells, index
+
+
+def _write_csv(path: str, columns) -> None:
+    """Write an ordered {name: column} mapping as CSV.
+
+    A column is a 1-D sequence, or an Indexed(values, index) pair whose
+    values are formatted once and gathered per row.  Bool, integer and
+    float values are written as '%.17g' % float(v), which is %d for bools
+    (1/0) and for integers below 2^53 in magnitude; wider integers go
+    through %d one by one.  Float values are checked finite whole, and any
+    other column goes cell by cell through _cell, reading the values as
+    given (a list mixing text and floats reaches numpy as text, a NaN as the
+    string "nan"); a text cell may not hold a NUL, and an index must lie in
+    0 ... len(values) - 1.  Every check runs before the file is opened, so a
+    rejected payload leaves no file behind.  Rows are written _BLOCK_ROWS at
+    a time, so memory does not grow with the row count: the plain numeric
+    columns of a block are formatted in one _format_g17 call, the block's
+    cells and separators go into one preallocated byte matrix, and its NUL
+    padding is dropped.  The byte count and sha256 of what is written are
+    recorded for the run directory's manifest.
+    """
+    cols = [
+        _distinct_cells(given) if isinstance(given, Indexed) else (_checked_cells(given), None)
+        for given in columns.values()
+    ]
+    lengths = {len(cells if index is None else index) for cells, index in cols}
+    if len(lengths) > 1:
+        raise ValueError("CSV columns must be 1-D and of equal length")
+    n_rows = lengths.pop() if lengths else 0
+    # cell width per column: a numeric column's cells come from _format_g17
+    widths = [_CELL if cells.ndim == 1 else cells.shape[1] for cells, _ in cols]
+    ends = np.cumsum(np.add(widths, 1)).tolist()
+    header = (",".join(columns) + "\n").encode("utf-8")
+    digest, size = hashlib.sha256(header), len(header)
     with open(path, "wb") as fh:
-        fh.write((",".join(columns) + "\n").encode("utf-8"))
+        fh.write(header)
         for start in range(0, n_rows, _BLOCK_ROWS):
-            block = [c[start:start + _BLOCK_ROWS] for c in cols]
-            rows = len(block[0])
-            numeric = [c for c in block if c.dtype.kind != "S"]
+            stop = min(start + _BLOCK_ROWS, n_rows)
+            numeric = [cells[start:stop] for cells, _ in cols if cells.ndim == 1]
             if numeric:
                 numbers = np.concatenate(numeric, dtype=np.float64)
-                formatted = iter(_format_g17(numbers).reshape(-1, rows, _CELL))
-            comma, newline = (np.full((rows, 1), ord(c), np.uint8) for c in ",\n")
-            parts = []
-            for col in block:
-                text = col.dtype.kind == "S"
-                parts += [col.view(np.uint8).reshape(rows, -1) if text else next(formatted), comma]
-            parts[-1] = newline
-            fh.write(np.concatenate(parts, axis=1).tobytes().translate(None, b"\0"))
+                formatted = iter(_format_g17(numbers).reshape(len(numeric), stop - start, _CELL))
+            buf = np.empty((stop - start, ends[-1]), np.uint8)
+            for (cells, index), width, end in zip(cols, widths, ends):
+                if cells.ndim == 1:
+                    buf[:, end - width - 1:end - 1] = next(formatted)
+                else:
+                    rows = slice(start, stop) if index is None else index[start:stop]
+                    buf[:, end - width - 1:end - 1] = cells[rows]
+                buf[:, end - 1] = ord(",")
+            buf[:, -1] = ord("\n")
+            data = buf[buf != 0]
+            fh.write(data)
+            digest.update(data)
+            size += len(data)
+    _record(path, size, digest.hexdigest())
 
 
 def _jsonable(value):
@@ -266,19 +320,26 @@ def _write_json(path: str, obj, layout: dict) -> None:
 
     The text is built before the file is opened, so a payload that
     _jsonable rejects (a NaN) leaves no file behind; an infinity is written
-    as the string "inf" or "-inf".
+    as the string "inf" or "-inf".  The byte count and sha256 of what is
+    written are recorded for the run directory's manifest.
     """
     text = json.dumps(_jsonable(obj), sort_keys=True, allow_nan=False, **layout) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    data = text.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    _record(path, len(data), hashlib.sha256(data).hexdigest())
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+# (bytes, sha256) of each file the writers wrote, by file name, for each run
+# directory cmd_run has open: the manifest takes its digests from here and
+# does not read its payloads back
+_WRITTEN: dict[str, dict[str, tuple[int, str]]] = {}
+
+
+def _record(path: str, size: int, sha256: str) -> None:
+    written = _WRITTEN.get(os.path.dirname(os.path.abspath(path)))
+    if written is not None:
+        written[os.path.basename(path)] = (size, sha256)
 
 
 def _new_run_dir(root: str, kind: str) -> str:
@@ -296,10 +357,16 @@ def _new_run_dir(root: str, kind: str) -> str:
 
 
 def _write_manifest(run_dir: str, cfg: dict, started: str, results: dict) -> None:
-    files = sorted(
-        name for name in os.listdir(run_dir)
-        if os.path.isfile(os.path.join(run_dir, name)) and name != "manifest.json"
-    )
+    """Write manifest.json: the run's config, times and results, and the
+    byte count and sha256 of each payload as its writer recorded them.
+    Every file in the run directory must have come from a writer."""
+    written = _WRITTEN[os.path.abspath(run_dir)]
+    files = []
+    for name in sorted(os.listdir(run_dir)):
+        if name not in written:
+            raise RuntimeError(f"{name} in {run_dir} did not come from a payload writer")
+        size, sha256 = written[name]
+        files.append({"name": name, "bytes": size, "sha256": sha256})
     manifest = {
         "artifact": "branchfall",
         "version": __version__,
@@ -308,14 +375,7 @@ def _write_manifest(run_dir: str, cfg: dict, started: str, results: dict) -> Non
         "config": cfg,
         "started_at": started,
         "finished_at": _utc_now(),
-        "files": [
-            {
-                "name": name,
-                "bytes": os.path.getsize(os.path.join(run_dir, name)),
-                "sha256": _sha256(os.path.join(run_dir, name)),
-            }
-            for name in files
-        ],
+        "files": files,
         "results": results,
     }
     tmp = os.path.join(run_dir, "manifest.json.tmp")
@@ -466,7 +526,13 @@ def _run_bohm(cfg, run_dir):
     times = np.arange(n_snap + 1) * cfg["dt"]
     ensemble = BohmEnsemble.from_state(snapshots[0], cfg["n_traj"], cfg["seed"])
     run = bohm_evolve(ensemble, snapshots, times, cfg["ode_dt"], cfg["checkpoints"])
-    _write_csv(os.path.join(run_dir, "bohm.csv"), run.as_columns())
+    # each trajectory id and time is formatted once, not once per row
+    traj, step = run.row_index()
+    _write_csv(os.path.join(run_dir, "bohm.csv"), {
+        "traj_id": Indexed(np.arange(len(run.positions)), traj),
+        "t": Indexed(run.times, step),
+        "x": run.positions.ravel(),
+    })
     summary = {
         "n_traj": cfg["n_traj"],
         "n_flagged": int(np.sum(run.node_flags)),
@@ -538,6 +604,7 @@ def cmd_run(config_path: str) -> int:
         return EXIT_CONFIG
     started = _utc_now()
     run_dir = _new_run_dir(cfg["out"], cfg["kind"])
+    _WRITTEN[os.path.abspath(run_dir)] = {}
     try:
         results, code = _RUNNERS[cfg["kind"]](cfg, run_dir)
         results["exit_code"] = code
@@ -548,6 +615,8 @@ def cmd_run(config_path: str) -> int:
     except ValueError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        del _WRITTEN[os.path.abspath(run_dir)]
     print(run_dir)
     return code
 

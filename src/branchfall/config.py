@@ -12,15 +12,18 @@ import math
 
 import numpy as np
 
+from .branching import _check_qubits
 from .dynamics import (
     Potential,
     double_well_potential,
     free_potential,
     harmonic_potential,
 )
+from .ehrenfest import _snapshot_spacing
 from .mechanisms import _step_count
 from .pointer import PhasePartition, POVMSet, build_povm
 from .qstate import GridSpec
+from .reduction import _collapse_steps
 
 __all__ = [
     "ConfigError",
@@ -149,6 +152,29 @@ _WIDTHS = ("sigma_x", "povm_sigma_x", "r_c")
 # 15 s, and a leapt segment of 1e300 substeps would square the step's
 # unitary about 1,000 times, into inf.
 _GRW_MAX_SUBSTEPS = 1e6
+
+
+def _ehrenfest_records(cfg: dict) -> None:
+    """ehrenfest_residual's snapshot rule on the times evolve records (step
+    0, every record_every-th step and the last): on the first three and on
+    the last three, the only spacing that can differ."""
+    n_steps, every = cfg["n_steps"], cfg["record_every"]
+    steps = range(0, n_steps + 1, every)
+    last = [] if steps[-1] == n_steps else [n_steps]
+    try:
+        for ends in ((list(steps[:3]) + last)[:3], (list(steps[-3:]) + last)[-3:]):
+            _snapshot_spacing(np.array(ends) * cfg["dt"])
+    except ValueError as err:
+        raise ValueError(f"{err} (n_steps = {n_steps} recorded every {every} steps)") from err
+
+
+# Rules a kind's builders keep, run on the config before any run directory
+# exists: (kind, the key a failure names, the rule on the config)
+_BUILDER_RULES = (
+    ("ehrenfest", "n_steps", _ehrenfest_records),
+    ("explicit", "couplings", lambda cfg: _check_qubits(len(cfg["couplings"]))),
+    ("reduce", "tau_c", lambda cfg: _collapse_steps(cfg["tau_c"], cfg["dt"])),
+)
 
 SCHEMAS = {
     "evolve": {
@@ -316,6 +342,12 @@ def validate_config(raw: dict) -> dict:
     for key, ok, domain in domains:
         if not ok:
             raise ConfigError(f"bad value for key '{key}': {cfg[key]:g} is not {domain}")
+    for rule_kind, key, rule in _BUILDER_RULES:
+        if rule_kind == kind:
+            try:
+                rule(cfg)
+            except ValueError as err:
+                raise ConfigError(f"bad value for key '{key}': {err}") from err
     if "povm_sigma_x" in cfg and cfg["povm_sigma_x"] is None:
         cfg["povm_sigma_x"] = cfg.get("sigma_x", 1.0)
     width = cfg["x_max"] - cfg["x_min"]

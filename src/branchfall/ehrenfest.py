@@ -114,6 +114,18 @@ def marginal_widths(rho: DensityMatrix) -> Tuple[float, float]:
     return math.sqrt(max(vx, 0.0)), math.sqrt(max(vp, 0.0))
 
 
+def _snapshot_spacing(t: np.ndarray) -> float:
+    """The uniform spacing of at least three snapshot times, which centered
+    differences need; ValueError otherwise."""
+    if t.size < 3:
+        raise ValueError("need at least 3 snapshots for centered differences")
+    steps = np.diff(t)
+    h = float(steps[0])
+    if h <= 0.0 or np.any(np.abs(steps - h) > 1e-9 * max(abs(h), 1.0)):
+        raise ValueError("snapshots must sit on a uniform time grid")
+    return h
+
+
 def ehrenfest_residual(record: EvolutionRecord, potential: Potential) -> ResidualSeries:
     """Centered-difference check of d<P>/dt = -<V'(X)> on a recorded run.
 
@@ -122,12 +134,7 @@ def ehrenfest_residual(record: EvolutionRecord, potential: Potential) -> Residua
     the recorded series only, independent of how the run was stepped.
     """
     t = np.asarray(record.times, dtype=float)
-    if t.size < 3:
-        raise ValueError("need at least 3 snapshots for centered differences")
-    steps = np.diff(t)
-    h = float(steps[0])
-    if h <= 0.0 or np.any(np.abs(steps - h) > 1e-9 * max(abs(h), 1.0)):
-        raise ValueError("snapshots must sit on a uniform time grid")
+    h = _snapshot_spacing(t)
     force = np.asarray(record.mean_dvdx, dtype=float)
     dpdt = (record.mean_p[2:] - record.mean_p[:-2]) / (2.0 * h)
     raw = np.abs(dpdt + force[1:-1])

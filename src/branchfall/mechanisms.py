@@ -171,25 +171,45 @@ def _joint_columns(state: State) -> tuple[GridSpec, np.ndarray]:
     raise TypeError("state must be a WaveFunction or ExplicitModel")
 
 
-def _velocity_nodes(state: State) -> tuple[np.ndarray, np.ndarray]:
-    """Guidance velocity and probability density sampled at the grid nodes.
+# Most state columns one batched velocity-node transform takes: all the
+# snapshots of a wave function at once, one at a time for a large qubit model
+_NODE_COLUMNS = 4096
+
+
+def _velocity_nodes(states: Sequence[State]) -> tuple[np.ndarray, np.ndarray]:
+    """Guidance velocity and probability density sampled at the grid nodes,
+    one row per state.
 
     For an explicit model the current and density are summed over the
-    environment components: only branches overlapping at x contribute.
+    environment components: only branches overlapping at x contribute.  The
+    states' columns go through the derivative's fft/ifft together, up to
+    _NODE_COLUMNS at a time; each row equals the one its state gives alone.
     """
-    grid, cols = _joint_columns(state)
-    dcols = np.fft.ifft(1j * grid.p[:, None] * np.fft.fft(cols, axis=0), axis=0)
-    current = np.sum(np.imag(cols.conj() * dcols), axis=1)
-    density = np.sum(np.abs(cols) ** 2, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        velocity = np.where(density > 0, current / np.maximum(density, 1e-300), 0.0)
-    return velocity / grid.mass, density
+    grid, first = _joint_columns(states[0])
+    width = first.shape[1]
+    velocity = np.empty((len(states), grid.n_points))
+    density = np.empty((len(states), grid.n_points))
+    per = max(1, _NODE_COLUMNS // width)
+    for start in range(0, len(states), per):
+        pairs = [_joint_columns(state) for state in states[start:start + per]]
+        if any(g != grid or block.shape != first.shape for g, block in pairs):
+            raise ValueError("states must share one grid and one column count")
+        cols = np.concatenate([block for _, block in pairs], axis=1)
+        dcols = np.fft.ifft(1j * grid.p[:, None] * np.fft.fft(cols, axis=0), axis=0)
+        shape = (grid.n_points, len(pairs), width)
+        current = np.sum(np.imag(cols.conj() * dcols).reshape(shape), axis=2).T
+        dens = np.sum((np.abs(cols) ** 2).reshape(shape), axis=2).T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vel = np.where(dens > 0, current / np.maximum(dens, 1e-300), 0.0)
+        velocity[start:start + per] = vel / grid.mass
+        density[start:start + per] = dens
+    return velocity, density
 
 
 def bohm_velocity(state: State, x: float) -> float:
     """Guidance velocity at one point, linearly interpolated between nodes."""
     grid, _ = _joint_columns(state)
-    velocity, density = _velocity_nodes(state)
+    (velocity,), (density,) = _velocity_nodes([state])
     dens = float(np.interp(x, grid.x, density))
     if dens < DENSITY_FLOOR:
         raise NodeRegion(f"density {dens:.3e} below floor at x = {x:.6g}")
@@ -222,6 +242,11 @@ class BohmEnsemble:
 
 @dataclass
 class BohmRun:
+    """Guidance trajectories on the ODE time grid.  Its CSV rows run
+    trajectory by trajectory: row_index gives each row's trajectory and time
+    index, which the CLI hands its writer so that each id and time is
+    formatted once; as_columns expands the same rows into plain columns."""
+
     times: np.ndarray
     positions: np.ndarray  # (n_traj, n_times)
     node_flags: np.ndarray  # bool per trajectory
@@ -229,14 +254,16 @@ class BohmRun:
     occupancy: Optional[dict] = None  # checkpoint time -> (left, right) fractions
     crossings: Optional[int] = None
 
+    def row_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Trajectory and time index of each CSV row, trajectory by
+        trajectory: row i is positions.ravel()[i]."""
+        n_traj, n_times = self.positions.shape
+        return np.repeat(np.arange(n_traj), n_times), np.tile(np.arange(n_times), n_traj)
+
     def as_columns(self) -> dict:
         """traj_id, t, x columns in CSV order, one row per (trajectory, time)."""
-        n_traj, n_times = self.positions.shape
-        return {
-            "traj_id": np.repeat(np.arange(n_traj), n_times),
-            "t": np.tile(self.times, n_traj),
-            "x": self.positions.ravel(),
-        }
+        traj, step = self.row_index()
+        return {"traj_id": traj, "t": self.times[step], "x": self.positions.ravel()}
 
 
 def _ks_distance(samples: np.ndarray, grid: GridSpec, density: np.ndarray) -> float:
@@ -251,6 +278,11 @@ def _ks_distance(samples: np.ndarray, grid: GridSpec, density: np.ndarray) -> fl
     return float(np.max(np.maximum(np.abs(f - steps), np.abs(f - (steps - 1.0 / n)))))
 
 
+# ODE steps whose field node rows bohm_evolve builds in one batch: memory
+# stays at 2 * _FIELD_STEPS rows of each node table, whatever the step count
+_FIELD_STEPS = 64
+
+
 def bohm_evolve(
     ensemble: BohmEnsemble,
     snapshots: Sequence[State],
@@ -261,10 +293,14 @@ def bohm_evolve(
 ) -> BohmRun:
     """Integrate the ensemble through a precomputed state evolution.
 
-    The velocity field is sampled on the grid at every snapshot and
-    interpolated linearly in time and position; each configuration advances
-    by the explicit midpoint rule.  Trajectories that enter a density below
-    DENSITY_FLOOR are flagged and frozen, and the run continues; a
+    The velocity field is sampled on the grid at every snapshot (one
+    batched fft/ifft over all of them) and interpolated linearly in time
+    and position; each configuration advances by the explicit midpoint
+    rule.  The time-interpolated node rows of _FIELD_STEPS steps, at their
+    start and midpoint times, are built in one vectorised expression, and
+    np.interp reads them in position: the bits are those of one snapshot
+    and one field evaluation at a time.  Trajectories that enter a density
+    below DENSITY_FLOOR are flagged and frozen, and the run continues; a
     checkpoint that finds every trajectory flagged raises NodeRegion, as it
     has no sample to compare with the density.  With branch_split given,
     occupancy fractions left/right of the split are reported at each
@@ -284,19 +320,16 @@ def bohm_evolve(
         )
     grid, _ = _joint_columns(snapshots[0])
     x_nodes = grid.x  # GridSpec.x builds a fresh array per access
+    v_table, d_table = _velocity_nodes(snapshots)
 
-    v_table = np.empty((len(times), grid.n_points))
-    d_table = np.empty((len(times), grid.n_points))
-    for k, state in enumerate(snapshots):
-        v_table[k], d_table[k] = _velocity_nodes(state)
-
-    def field(t: float, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s = min(max((t - times[0]) / dt_snap, 0.0), len(times) - 1.0)
-        k = min(int(s), len(times) - 2)
-        w = s - k
-        v_nodes = (1.0 - w) * v_table[k] + w * v_table[k + 1]
-        d_nodes = (1.0 - w) * d_table[k] + w * d_table[k + 1]
-        return np.interp(q, x_nodes, v_nodes), np.interp(q, x_nodes, d_nodes)
+    def field_rows(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The node rows at times t, linear in time between snapshots."""
+        s = np.minimum(np.maximum((t - times[0]) / dt_snap, 0.0), len(times) - 1.0)
+        k = np.minimum(s.astype(int), len(times) - 2)
+        w = (s - k)[:, None]
+        v_rows = (1.0 - w) * v_table[k] + w * v_table[k + 1]
+        d_rows = (1.0 - w) * d_table[k] + w * d_table[k + 1]
+        return v_rows, d_rows
 
     n_steps = int(round((times[-1] - times[0]) / ode_dt))
     t_grid = times[0] + ode_dt * np.arange(n_steps + 1)
@@ -309,24 +342,29 @@ def bohm_evolve(
     crossings = 0
     prev_side = np.sign(q - branch_split) if branch_split is not None else None
 
-    for k in range(n_steps):
-        t = t_grid[k]
-        live = ~flags
-        v1, d1 = field(t, q)
-        newly = live & (d1 < DENSITY_FLOOR)
-        flags |= newly
-        live = ~flags
-        half = q + 0.5 * ode_dt * np.where(live, v1, 0.0)
-        v2, d2 = field(t + 0.5 * ode_dt, half)
-        newly = live & (d2 < DENSITY_FLOOR)
-        flags |= newly
-        live = ~flags
-        q = q + ode_dt * np.where(live, v2, 0.0)
-        out[:, k + 1] = q
-        if branch_split is not None:
-            side = np.sign(q - branch_split)
-            crossings += int(np.sum((side != prev_side) & live))
-            prev_side = side
+    # _FIELD_STEPS ODE steps at a time: the node rows at their start and
+    # midpoint times are built together
+    for first in range(0, n_steps, _FIELD_STEPS):
+        t = t_grid[first:min(first + _FIELD_STEPS, n_steps)]
+        v_rows, d_rows = field_rows(np.stack([t, t + 0.5 * ode_dt], axis=1).ravel())
+        rows = zip(v_rows[0::2], d_rows[0::2], v_rows[1::2], d_rows[1::2])
+        for k, (v_start, d_start, v_mid, d_mid) in enumerate(rows, start=first):
+            live = ~flags
+            v1, d1 = np.interp(q, x_nodes, v_start), np.interp(q, x_nodes, d_start)
+            newly = live & (d1 < DENSITY_FLOOR)
+            flags |= newly
+            live = ~flags
+            half = q + 0.5 * ode_dt * np.where(live, v1, 0.0)
+            v2, d2 = np.interp(half, x_nodes, v_mid), np.interp(half, x_nodes, d_mid)
+            newly = live & (d2 < DENSITY_FLOOR)
+            flags |= newly
+            live = ~flags
+            q = q + ode_dt * np.where(live, v2, 0.0)
+            out[:, k + 1] = q
+            if branch_split is not None:
+                side = np.sign(q - branch_split)
+                crossings += int(np.sum((side != prev_side) & live))
+                prev_side = side
 
     if checkpoints is None:
         idx = np.linspace(0, len(times) - 1, min(4, len(times))).astype(int)

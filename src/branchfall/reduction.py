@@ -278,6 +278,18 @@ class _PathJudge:
         return False
 
 
+def _collapse_steps(tau_c: float, dt: float) -> int:
+    """The collapse intervals of length dt within the horizon tau_c: at
+    least one, and a count a run can hold; ValueError otherwise."""
+    intervals = tau_c / dt + 1e-9
+    if not math.isfinite(intervals):
+        raise ValueError(f"tau_c / dt = {intervals:g} collapse intervals is not a count")
+    n_steps = int(math.floor(intervals))
+    if n_steps < 1:
+        raise ValueError("tau_c must cover at least one collapse interval")
+    return n_steps
+
+
 def verify_reduction(spec: ReductionSpec, rng_seed: int) -> ReductionReport:
     """Monte Carlo check that collapse trajectories shadow the Newtonian
     orbit within 2*delta for a whole horizon tau_c.
@@ -291,9 +303,7 @@ def verify_reduction(spec: ReductionSpec, rng_seed: int) -> ReductionReport:
     fraction.  Deterministic for a fixed seed.
     """
     infinite_margin = not (math.isfinite(spec.delta_z[0]) or math.isfinite(spec.delta_z[1]))
-    n_steps = int(math.floor(spec.tau_c / spec.dt + 1e-9))
-    if n_steps < 1:
-        raise ValueError("tau_c must cover at least one collapse interval")
+    n_steps = _collapse_steps(spec.tau_c, spec.dt)
     total_time = n_steps * spec.dt
 
     results = []

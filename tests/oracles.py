@@ -19,6 +19,9 @@ the package reads its momentum masses from.  The reference dense step and
 moment row work on the complex kernel, which the package steps and reads
 only in its packed real form; the moment row takes its momentum masses from
 the package's complex-kernel branch, held to the full transform above.
+The reference guidance integrator samples the velocity nodes one snapshot
+at a time and interpolates the node tables in time at every half step; the
+batched integrator must reproduce its trajectories bit for bit.
 """
 
 import math
@@ -28,6 +31,7 @@ from scipy.special import erf
 
 from branchfall import DensityMatrix, EscapeSampled, ExplosionGuard, mean_phase_point
 from branchfall.dynamics import Propagator
+from branchfall.mechanisms import DENSITY_FLOOR, _joint_columns, _ks_distance
 from branchfall.qstate import _momentum_masses
 
 
@@ -250,3 +254,71 @@ def operator_widths(rho):
         math.sqrt(max(sx - mx * mx, 0.0)),
         math.sqrt(max(sp - mp * mp, 0.0)),
     )
+
+
+def reference_velocity_nodes(state):
+    """Guidance velocity and density at the nodes of one state on its own."""
+    grid, cols = _joint_columns(state)
+    dcols = np.fft.ifft(1j * grid.p[:, None] * np.fft.fft(cols, axis=0), axis=0)
+    current = np.sum(np.imag(cols.conj() * dcols), axis=1)
+    density = np.sum(np.abs(cols) ** 2, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        velocity = np.where(density > 0, current / np.maximum(density, 1e-300), 0.0)
+    return velocity / grid.mass, density
+
+
+def reference_bohm_evolve(positions, snapshots, times, ode_dt, checkpoints, branch_split=None):
+    """Midpoint guidance steps with per-snapshot velocity nodes and a time
+    interpolation of the node tables at every field call.  Returns
+    (positions over time, node flags, KS distances, occupancy, crossings)."""
+    times = np.asarray(times, dtype=float)
+    dt_snap = times[1] - times[0]
+    grid, _ = _joint_columns(snapshots[0])
+    x_nodes = grid.x
+    v_table = np.empty((len(times), grid.n_points))
+    d_table = np.empty((len(times), grid.n_points))
+    for k, state in enumerate(snapshots):
+        v_table[k], d_table[k] = reference_velocity_nodes(state)
+
+    def field(t, q):
+        s = min(max((t - times[0]) / dt_snap, 0.0), len(times) - 1.0)
+        k = min(int(s), len(times) - 2)
+        w = s - k
+        v_nodes = (1.0 - w) * v_table[k] + w * v_table[k + 1]
+        d_nodes = (1.0 - w) * d_table[k] + w * d_table[k + 1]
+        return np.interp(q, x_nodes, v_nodes), np.interp(q, x_nodes, d_nodes)
+
+    n_steps = int(round((times[-1] - times[0]) / ode_dt))
+    t_grid = times[0] + ode_dt * np.arange(n_steps + 1)
+    q = np.asarray(positions, dtype=float).copy()
+    flags = np.zeros(len(q), dtype=bool)
+    out = np.empty((len(q), n_steps + 1))
+    out[:, 0] = q
+    crossings = 0
+    prev_side = np.sign(q - branch_split) if branch_split is not None else None
+    for k in range(n_steps):
+        t = t_grid[k]
+        live = ~flags
+        v1, d1 = field(t, q)
+        flags |= live & (d1 < DENSITY_FLOOR)
+        live = ~flags
+        half = q + 0.5 * ode_dt * np.where(live, v1, 0.0)
+        v2, d2 = field(t + 0.5 * ode_dt, half)
+        flags |= live & (d2 < DENSITY_FLOOR)
+        live = ~flags
+        q = q + ode_dt * np.where(live, v2, 0.0)
+        out[:, k + 1] = q
+        if branch_split is not None:
+            side = np.sign(q - branch_split)
+            crossings += int(np.sum((side != prev_side) & live))
+            prev_side = side
+    ks, occupancy = {}, {}
+    for t_ck in checkpoints:
+        k_ode = min(max(int(round((t_ck - times[0]) / ode_dt)), 0), n_steps)
+        k_snap = min(max(int(round((t_ck - times[0]) / dt_snap)), 0), len(times) - 1)
+        samples = out[~flags, k_ode]
+        ks[float(t_ck)] = _ks_distance(samples, grid, d_table[k_snap])
+        if branch_split is not None:
+            right = float(np.mean(samples > branch_split))
+            occupancy[float(t_ck)] = (1.0 - right, right)
+    return out, flags, ks, occupancy, crossings

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -39,6 +40,8 @@ from branchfall.config import (
     parse_config,
     validate_config,
 )
+from branchfall.dynamics import _SplitStep
+from branchfall.errors import ExplosionGuard
 from branchfall.qstate import PhasePoint
 from branchfall.reduction import PointResult, ReductionReport
 
@@ -114,6 +117,20 @@ dt_int = 0.05
 d_c = 1.5, 0.0
 epsilon = 0.05
 n_traj = 100
+out = {out}
+"""
+
+
+EXPLICIT_BODY = """\
+kind = explicit
+grid_n = 64
+x_min = -8
+x_max = 8
+q0 = 1.0
+sigma_x = 0.7071
+couplings = 0.3, 0.6
+dt = 0.01
+n_steps = 30
 out = {out}
 """
 
@@ -372,6 +389,82 @@ def test_keys_that_run_rejects_exit_2_at_validate(tmp_path, capsys, kind, key, v
     if kind == "ehrenfest":
         # an infinite margin or l_v leaves its bound open and stays valid
         assert validate_config(parse_config(body.replace(f"{key} = {value}", f"{key} = inf")))
+
+
+_RULE_BODIES = {
+    "ehrenfest": _CONTRACT_BODIES["ehrenfest"],
+    "reduce": REDUCE_BODY.replace("{dx}", "1.2").replace("{dp}", "3.5"),
+    "explicit": EXPLICIT_BODY,
+}
+
+
+def _with_keys(kind, keys, out):
+    lines = [ln for ln in _RULE_BODIES[kind].splitlines() if ln.split(" =")[0] not in keys]
+    return "\n".join(lines + [f"{k} = {v}" for k, v in keys.items()]).format(out=out) + "\n"
+
+
+_THIRTEEN = ", ".join(["0.1"] * 13)
+
+
+@pytest.mark.parametrize(
+    "kind, keys, key, message",
+    [
+        ("ehrenfest", {"n_steps": "1"}, "n_steps", "at least 3 snapshots"),
+        ("ehrenfest", {"n_steps": "4", "record_every": "4"}, "n_steps", "at least 3 snapshots"),
+        ("ehrenfest", {"n_steps": "60", "record_every": "7"}, "n_steps", "uniform time grid"),
+        ("reduce", {"tau_c": "0.5", "dt": "1.5"}, "tau_c", "at least one collapse interval"),
+        ("reduce", {"tau_c": "1e300", "dt": "1e-300"}, "tau_c", "is not a count"),
+        ("explicit", {"couplings": _THIRTEEN}, "couplings", "desk-scale cap of 12"),
+        ("explicit", {"couplings": ", ".join(["0.1"] * 30)}, "couplings", "desk-scale cap of 12"),
+    ],
+    ids=["one-step", "two-records", "uneven-records", "tau_c-below-dt", "tau_c-over-dt-overflows",
+         "13-qubits", "30-qubits"],
+)
+def test_builder_rules_exit_2_at_validate(tmp_path, capsys, kind, keys, key, message):
+    # validate runs the rule the builder keeps (ehrenfest_residual's
+    # snapshots, verify_reduction's collapse intervals, ExplicitModel's
+    # qubit cap); each passed validate before and exited 2 at run after the
+    # run directory existed (30 qubits exited 1 with a MemoryError, and
+    # tau_c / dt = inf with an OverflowError)
+    out = tmp_path / "runs"
+    cfg = write_cfg(tmp_path, "r.cfg", _with_keys(kind, keys, out))
+    for command in ("validate", "run"):
+        assert main([command, cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"bad value for key '{key}'" in err and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, keys",
+    [
+        ("ehrenfest", {"n_steps": "2"}),
+        ("ehrenfest", {"n_steps": "63", "record_every": "7"}),
+        ("ehrenfest", {"n_steps": "21", "record_every": "7"}),
+        ("ehrenfest", {"n_steps": "30000000000", "record_every": "3", "dt": "1e-6"}),
+        ("reduce", {"tau_c": "1.5", "dt": "1.5"}),
+        ("explicit", {"couplings": ", ".join(["0.1"] * 12)}),
+    ],
+)
+def test_configs_inside_the_builder_rules_still_validate(tmp_path, kind, keys):
+    # three or more uniformly spaced records, a horizon of one interval and
+    # 12 qubits are inside the rules; the 10^10 records of a huge step count
+    # are checked without listing them
+    assert validate_config(parse_config(_with_keys(kind, keys, tmp_path)))
+
+
+def test_qubit_cap_is_checked_before_the_joint_state_is_built():
+    # 30 qubits at N = 64 would need 64 * 2^30 amplitudes (1 TiB)
+    grid = make_grid(validate_config(parse_config(EXPLICIT_BODY.format(out="runs"))))
+    psi = coherent_state(grid, 0.0, 0.0, 0.7071)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="desk-scale cap of 12"):
+            ExplicitModel.from_wavefunction(psi, [0.1] * 30)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 _SIEVE_BODY = (
@@ -652,20 +745,6 @@ def test_rerun_payloads_byte_identical(tmp_path):
         assert blob_a == blob_b, f"{name} differs between identical runs"
 
 
-EXPLICIT_BODY = """\
-kind = explicit
-grid_n = 64
-x_min = -8
-x_max = 8
-q0 = 1.0
-sigma_x = 0.7071
-couplings = 0.3, 0.6
-dt = 0.01
-n_steps = 30
-out = {out}
-"""
-
-
 def test_explicit_purity_is_the_trace_of_rho_squared(tmp_path):
     # explicit.json reads the purity as sum |rho|^2 dx^2: Tr rho^2 of the
     # reduced kernel, without the N^3 product
@@ -745,12 +824,15 @@ def _recording(writer, written):
         SAMPLE_BODY,
         REDUCE_BODY.replace("{dx}", "1.2").replace("{dp}", "3.5"),
         EXPLICIT_BODY,
+        "kind = bohm\ngrid_n = 64\nx_min = -8\nx_max = 8\nq0 = 1.0\nsigma_x = 0.7071\n"
+        "total_time = 0.2\nn_traj = 20\nout = {out}\n",
     ],
-    ids=["evolve", "sample", "reduce", "explicit"],
+    ids=["evolve", "sample", "reduce", "explicit", "bohm"],
 )
 def test_every_payload_goes_through_a_writer(tmp_path, monkeypatch, body):
     # the writers hold the finite-output rule, so every file a run leaves
-    # must have come from one; the manifest goes through its tmp file
+    # must have come from one; the manifest goes through its tmp file, and
+    # its digests, taken as the writers wrote, are those of the files
     written = []
     for name in ("_write_csv", "_write_json"):
         monkeypatch.setattr(cli, name, _recording(getattr(cli, name), written))
@@ -762,6 +844,25 @@ def test_every_payload_goes_through_a_writer(tmp_path, monkeypatch, body):
     assert payloads and [e["name"] for e in manifest["files"]] == payloads
     assert sorted(os.listdir(run_dir)) == sorted(payloads + ["manifest.json"])
     assert written.count("manifest.json.tmp") == 1 and len(written) == len(payloads) + 1
+    for entry in manifest["files"]:
+        blob = Path(run_dir, entry["name"]).read_bytes()
+        assert entry["bytes"] == len(blob) and entry["sha256"] == hashlib.sha256(blob).hexdigest()
+    assert cli._WRITTEN == {}
+
+
+def test_a_file_no_writer_made_stops_the_manifest(tmp_path, monkeypatch):
+    # the manifest takes its digests from the writers, so a file that did
+    # not come through one cannot be listed
+    def runner(cfg, run_dir):
+        Path(run_dir, "stray.csv").write_text("t\n0\n")
+        return {}, cli.EXIT_OK
+
+    monkeypatch.setitem(cli._RUNNERS, "evolve", runner)
+    path = write_cfg(tmp_path, "e.cfg", EVOLVE_BODY.format(out=tmp_path / "runs"))
+    with pytest.raises(RuntimeError, match="stray.csv"):
+        main(["run", path])
+    assert cli._WRITTEN == {}
+    assert os.listdir(only_run_dir(tmp_path / "runs")) == ["stray.csv"]
 
 
 # ---------------------------------------------------------------- exit codes
@@ -868,6 +969,32 @@ def _repeated_cells(n_rows):
     }
 
 
+def _indexed_cells(n_rows):
+    """The bohm.csv layout as Indexed columns: 161 times tiled and the
+    trajectory ids repeated, across block edges, beside indexed signed
+    zeros, values below 1e-4 that %.17g writes in scientific notation,
+    integers, bools and text."""
+    n_times = 161
+    n_traj = -(-n_rows // n_times)
+    rng = np.random.default_rng(3)
+    return {
+        "traj_id": cli.Indexed(np.arange(n_traj), np.repeat(np.arange(n_traj), n_times)[:n_rows]),
+        "t": cli.Indexed(np.arange(n_times) * 0.0125, np.tile(np.arange(n_times), n_traj)[:n_rows]),
+        "z": cli.Indexed(np.array([-0.0, 0.0, 5e-5, -3e-300, 1e17, 0.1]), rng.integers(0, 6, n_rows)),
+        "n": cli.Indexed(np.array([0, -7, 2**62, 12]), rng.integers(0, 4, n_rows, dtype=np.uint16)),
+        "flag": cli.Indexed(np.array([True, False]), rng.integers(0, 2, n_rows)),
+        "h": cli.Indexed(["0/1", "", "a b"], rng.integers(0, 3, n_rows)),
+        "x": rng.normal(size=n_rows),
+    }
+
+
+def _expanded(column):
+    """A column's cell values row by row, as the per-cell writer reads them."""
+    if isinstance(column, cli.Indexed):
+        return [column.values[i] for i in column.index]
+    return column
+
+
 @pytest.mark.parametrize(
     "columns",
     [
@@ -887,14 +1014,70 @@ def _repeated_cells(n_rows):
         _repeated_cells(2 * cli._BLOCK_ROWS + 3),
         # numpy reads this list as text; its cells keep their own types
         {"h": ["0/1", 0.1, 3, True, -0.0], "n": [1, 2, 3, 4, 5]},
+        _indexed_cells(2 * cli._BLOCK_ROWS + 3),
+        # an index may leave values unused, and the values may be a list
+        {"t": cli.Indexed([0.5, 2.0, 1e-7], np.array([2, 2, 0])), "x": [1.0, 2.0, 3.0]},
+        {"t": cli.Indexed(np.array([0.5, 1.0]), np.empty(0, int)), "x": np.empty(0)},
     ],
     ids=["typed-arrays", "python-lists", "header-only", "several-blocks", "repeated-cells",
-         "mixed-list"],
+         "mixed-list", "indexed-blocks", "indexed-list", "indexed-no-rows"],
 )
 def test_columnar_writer_matches_per_cell_writer(tmp_path, columns):
     cli._write_csv(str(tmp_path / "new.csv"), columns)
-    reference_write_csv(str(tmp_path / "ref.csv"), list(columns), zip(*columns.values()))
+    rows = zip(*(_expanded(c) for c in columns.values()))
+    reference_write_csv(str(tmp_path / "ref.csv"), list(columns), rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "column, error",
+    [
+        (cli.Indexed(np.array([1.0, 2.0]), np.array([0, -1, 1])), "outside 0 ... 1"),
+        (cli.Indexed(np.array([1.0, 2.0]), np.array([0, 2])), "outside 0 ... 1"),
+        (cli.Indexed(np.empty(0), np.array([0])), r"outside 0 ... -1"),
+        (cli.Indexed(np.array([1.0, 2.0]), np.array([0.0, 1.0])), "1-D integer"),
+        (cli.Indexed(np.array([1.0, 2.0]), np.array([True, False])), "1-D integer"),
+        (cli.Indexed(np.array([1.0, 2.0]), np.array([[0, 1]])), "1-D integer"),
+        (cli.Indexed(np.array([1.0, 2.0]), np.array([0, 1, 1, 0])), "equal length"),
+        (cli.Indexed(np.array([1.0, np.inf]), np.array([0, 0])), "non-finite"),
+        (cli.Indexed(["a", "b\0"], np.array([0, 0])), "NUL"),
+    ],
+    ids=["negative", "past-the-end", "no-values", "float-index", "bool-index", "2-d-index",
+         "row-count", "unused-inf", "nul"],
+)
+def test_indexed_column_is_checked_before_the_file_opens(tmp_path, column, error):
+    # a negative index would wrap silently, and even an unused value must be finite
+    path = tmp_path / "bad.csv"
+    with pytest.raises((ValueError, ExplosionGuard), match=error):
+        cli._write_csv(str(path), {"c": column, "x": [1.0, 2.0, 3.0]})
+    assert not path.exists()
+
+
+def test_bohm_csv_is_the_columns_of_the_run(tmp_path):
+    # the wave_output bohm shape: the indexed columns of the run write the
+    # bytes of as_columns() written row by row
+    out = tmp_path / "runs"
+    body = (
+        "kind = bohm\nseed = 11\ngrid_n = 192\nx_min = -12\nx_max = 12\nq0 = 1.0\n"
+        "sigma_x = 0.7071\ntotal_time = 2.0\ndt = 0.05\node_dt = 0.0125\nn_traj = 500\n"
+        f"out = {out}\n"
+    )
+    path = write_cfg(tmp_path, "b.cfg", body)
+    cfg = load_config(path)
+    assert main(["run", path]) == 0
+    got = Path(only_run_dir(out), "bohm.csv").read_bytes()
+    grid = make_grid(cfg)
+    core = _SplitStep(grid, make_potential(cfg).values(grid), cfg["dt"])
+    snapshots = [coherent_state(grid, cfg["q0"], cfg["p0"], cfg["sigma_x"])]
+    for _ in range(40):
+        snapshots.append(WaveFunction(grid, core.run(snapshots[-1].amplitudes), validate=False))
+    run = bohm_evolve(
+        BohmEnsemble.from_state(snapshots[0], cfg["n_traj"], cfg["seed"]),
+        snapshots, np.arange(41) * cfg["dt"], cfg["ode_dt"],
+    )
+    cli._write_csv(str(tmp_path / "columns.csv"), run.as_columns())
+    assert got == (tmp_path / "columns.csv").read_bytes()
+    assert len(got.splitlines()) == 1 + 500 * 161
 
 
 def _g17_cells(values):

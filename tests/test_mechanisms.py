@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import reference_bohm_evolve, reference_velocity_nodes
 from scipy import stats
 
 from branchfall import (
@@ -11,6 +12,7 @@ from branchfall import (
     BranchTree,
     DensityMatrix,
     EmptyTree,
+    ExplicitModel,
     GridSpec,
     GRWParams,
     NodeRegion,
@@ -22,6 +24,7 @@ from branchfall import (
     build_povm,
     coherent_state,
     compatibility_score,
+    evolve_explicit,
     free_potential,
     grw_evolve,
     harmonic_potential,
@@ -333,3 +336,81 @@ def test_checkpoint_without_unflagged_trajectory_raises_node_region():
     ens = BohmEnsemble(np.array([-9.0, -9.0]), 0)
     with pytest.raises(NodeRegion, match="no unflagged trajectory"):
         bohm_evolve(ens, snaps, ts, ode_dt=0.0125)
+
+
+def _wave_snapshots(grid, psi, dt, n):
+    core = dynamics._SplitStep(grid, harmonic_potential(grid.mass, 1.0).values(grid), dt)
+    snaps = [psi]
+    for _ in range(n):
+        snaps.append(WaveFunction(grid, core.run(snaps[-1].amplitudes), validate=False))
+    return snaps, np.arange(n + 1) * dt
+
+
+def _explicit_snapshots(grid, psi, couplings, dt, n):
+    model = ExplicitModel.from_wavefunction(psi, couplings)
+    snaps = [model]
+    for _ in range(n):
+        model, _ = evolve_explicit(model, harmonic_potential(grid.mass, 1.0), dt, 1, None)
+        snaps.append(model)
+    return snaps, np.arange(n + 1) * dt
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["wave_output", "two_branch", "nodes", "explicit_k1", "explicit_k3"],
+)
+def test_bohm_evolve_matches_the_per_snapshot_reference_bitwise(case):
+    # the batched velocity nodes and node rows against the per-snapshot,
+    # per-call loop: same positions, flags, KS distances and occupancies
+    split = None
+    if case == "wave_output":
+        # the wave_output bohm shape: 41 snapshots, 160 ODE steps
+        grid = GridSpec(192, -12.0, 12.0, 1.0)
+        snaps, ts = _wave_snapshots(grid, coherent_state(grid, 1.0, 0.0, 0.7071), 0.05, 40)
+        positions = BohmEnsemble.from_state(snaps[0], 500, 11).positions
+        ode_dt, checkpoints = 0.0125, [0.0, 0.5, 1.3, 2.0]
+    elif case in ("two_branch", "nodes"):
+        grid = GridSpec(128, -10.0, 10.0, 2.0)
+        psi = two_lobe(grid)
+        snaps, ts = _wave_snapshots(grid, psi, 0.04, 25)
+        positions = BohmEnsemble.from_state(psi, 300, 5).positions
+        if case == "nodes":
+            # a third of the trajectories start where the density is nil
+            positions = np.concatenate([positions[:200], np.linspace(-9.5, 9.5, 100)])
+        ode_dt, checkpoints, split = 0.01, [0.0, 0.52, 1.0], 0.0
+    else:
+        grid = GridSpec(64, -8.0, 8.0, 1.0)
+        couplings = [0.4] if case == "explicit_k1" else [0.2, 0.5, 0.9]
+        snaps, ts = _explicit_snapshots(grid, coherent_state(grid, 1.0, 0.5, 0.7071), couplings, 0.05, 12)
+        positions = BohmEnsemble.from_state(snaps[0], 200, 3).positions
+        ode_dt, checkpoints = 0.0125, [0.0, 0.3, 0.6]
+    run = bohm_evolve(BohmEnsemble(positions, 0), snaps, ts, ode_dt, checkpoints, split)
+    out, flags, ks, occupancy, crossings = reference_bohm_evolve(
+        positions, snaps, ts, ode_dt, checkpoints, split
+    )
+    assert np.array_equal(run.positions, out) and np.array_equal(run.node_flags, flags)
+    assert run.ks_distances == ks
+    if split is not None:
+        assert run.occupancy == occupancy and run.crossings == crossings
+    if case == "nodes":
+        assert 0 < flags.sum() < len(flags)
+
+
+def test_velocity_nodes_in_batches_match_one_state_at_a_time(monkeypatch):
+    grid = GridSpec(64, -8.0, 8.0, 1.0)
+    snaps, _ = _explicit_snapshots(grid, coherent_state(grid, 1.0, 0.5, 0.7071), [0.2, 0.5, 0.9], 0.05, 6)
+    # 8 columns per state: batches of 2, 2, 2 and 1 states
+    monkeypatch.setattr(mechanisms, "_NODE_COLUMNS", 16)
+    velocity, density = mechanisms._velocity_nodes(snaps)
+    for k, state in enumerate(snaps):
+        v, d = reference_velocity_nodes(state)
+        assert np.array_equal(velocity[k], v) and np.array_equal(density[k], d)
+
+
+def test_velocity_nodes_reject_states_of_another_shape():
+    grid = GridSpec(64, -8.0, 8.0, 1.0)
+    psi = coherent_state(grid, 0.0, 0.0, 0.7071)
+    with pytest.raises(ValueError, match="one column count"):
+        mechanisms._velocity_nodes([psi, ExplicitModel.from_wavefunction(psi, [0.3])])
+    with pytest.raises(ValueError, match="one grid"):
+        mechanisms._velocity_nodes([psi, coherent_state(GridSpec(64, -8.0, 8.0, 2.0), 0.0, 0.0, 0.7071)])
