@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import Potential, Propagator, _evolve_kernel, _SplitStep
-from .errors import EmptyTree, EscapeMass, EscapeSampled, ExplosionGuard
+from .errors import EmptyTree, EscapeMass, EscapeSampled, ExplosionGuard, RuleError
 from .pointer import POVMSet, _clip_weights
 from .qstate import DensityMatrix, GridSpec, PhasePoint, WaveFunction, _Factor, mean_phase_point
 
@@ -389,10 +389,18 @@ def mixture_consistency(tree: BranchTree, reference: DensityMatrix) -> float:
 # --- explicit system (x) qubit-environment model ---------------------------
 
 
-def _check_qubits(k: int) -> None:
-    """The desk-scale cap: an ExplicitModel holds n_points * 2^k amplitudes."""
+def _check_qubits(couplings, env_energies=None) -> None:
+    """An ExplicitModel's qubits: at most 12 (it holds n_points * 2^k
+    amplitudes), finite couplings, and finite env_energies, one per qubit."""
+    k = len(couplings)
     if k > 12:
-        raise ValueError(f"k = {k} exceeds the desk-scale cap of 12")
+        raise RuleError("couplings", f"k = {k} exceeds the desk-scale cap of 12")
+    if not np.all(np.isfinite(couplings)):
+        raise RuleError("couplings", "couplings must be finite")
+    if env_energies is not None and np.shape(env_energies) != (k,):
+        raise RuleError("env_energies", "env_energies must match the number of qubits")
+    if env_energies is not None and not np.all(np.isfinite(env_energies)):
+        raise RuleError("env_energies", "env_energies must be finite")
 
 
 @dataclass
@@ -413,19 +421,12 @@ class ExplicitModel:
 
     def __post_init__(self) -> None:
         self.couplings = np.atleast_1d(np.asarray(self.couplings, dtype=float))
-        k = self.k
-        _check_qubits(k)
-        if not np.all(np.isfinite(self.couplings)):
-            raise ValueError("couplings must be finite")
-        self.state = np.asarray(self.state, dtype=np.complex128)
-        if self.state.shape != (self.grid.n_points, 2**k):
-            raise ValueError(f"state must have shape (n_points, 2^{k})")
         if self.env_energies is not None:
             self.env_energies = np.asarray(self.env_energies, dtype=float)
-            if self.env_energies.shape != (k,):
-                raise ValueError("env_energies must match the number of qubits")
-            if not np.all(np.isfinite(self.env_energies)):
-                raise ValueError("env_energies must be finite")
+        _check_qubits(self.couplings, self.env_energies)
+        self.state = np.asarray(self.state, dtype=np.complex128)
+        if self.state.shape != (self.grid.n_points, 2**self.k):
+            raise ValueError(f"state must have shape (n_points, 2^{self.k})")
         # a non-finite amplitude makes the norm nan or inf
         nrm = self.norm_squared()
         if not math.isfinite(nrm) or abs(nrm - 1.0) > 1e-8:
@@ -442,7 +443,7 @@ class ExplicitModel:
     def from_wavefunction(cls, psi: WaveFunction, couplings, env_energies=None):
         """System state (x) environment in the uniform superposition |+>^k."""
         couplings = np.atleast_1d(np.asarray(couplings, dtype=float))
-        _check_qubits(len(couplings))  # before the n_points x 2^k block exists
+        _check_qubits(couplings, env_energies)  # before the n_points x 2^k block exists
         b = 2 ** len(couplings)
         joint = np.repeat(psi.amplitudes[:, None], b, axis=1) / math.sqrt(b)
         return cls(psi.grid, couplings, joint, env_energies)

@@ -3,7 +3,9 @@
 The file format is one `key = value` pair per line; blank lines and lines
 starting with # are skipped.  Every experiment kind declares its full key
 set below; unknown keys are rejected by name so typos cannot silently fall
-back to defaults.
+back to defaults.  A value's rules live once: casters type it, the rules the
+builders keep run through _BUILDER_RULES, and only the rules no builder
+holds (work caps, the seed, a finite potential) are written here.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from .dynamics import (
     free_potential,
     harmonic_potential,
 )
-from .ehrenfest import _snapshot_spacing
+from .ehrenfest import _check_margins, _snapshot_spacing
+from .errors import RuleError
 from .mechanisms import _step_count
-from .pointer import PhasePartition, POVMSet, build_povm
-from .qstate import GridSpec
-from .reduction import _collapse_steps
+from .pointer import PhasePartition, POVMSet, _check_on_grid, _sieve_widths, build_povm
+from .qstate import GridSpec, _check_width
+from .reduction import _check_spec
 
 __all__ = [
     "ConfigError",
@@ -84,14 +87,6 @@ def _rate(s: str) -> float:
     return value
 
 
-def _grid_points(s: str) -> int:
-    """A grid size: an integer in [8, 512], the range GridSpec accepts."""
-    value = int(s)
-    if not 8 <= value <= 512:
-        raise ValueError(f"expected a grid size in [8, 512], got {value}")
-    return value
-
-
 def _count(s: str) -> int:
     """A number of steps or trajectories: an integer of at least one."""
     value = int(s)
@@ -114,7 +109,7 @@ _BASE = {
 }
 
 _GRID = {
-    "grid_n": (_grid_points, 128),
+    "grid_n": (int, 128),
     "x_min": (_finite, -10.0),
     "x_max": (_finite, 10.0),
     "mass": (_positive, 1.0),
@@ -143,10 +138,6 @@ _WINDOW = {
     "povm_sigma_x": (_positive, None),
 }
 
-# Lengths that may not exceed the grid's width x_max - x_min: a packet,
-# POVM or GRW width beyond it is meaningless, and at 1e300 the runs overflow.
-_WIDTHS = ("sigma_x", "povm_sigma_x", "r_c")
-
 # Most substeps total_time / dt_int a grw run may declare.  A hit-free
 # segment may span all of them: at dt_int = 1e-300 a stepped run ran past
 # 15 s, and a leapt segment of 1e300 substeps would square the step's
@@ -154,7 +145,7 @@ _WIDTHS = ("sigma_x", "povm_sigma_x", "r_c")
 _GRW_MAX_SUBSTEPS = 1e6
 
 
-def _ehrenfest_records(cfg: dict) -> None:
+def _ehrenfest_records(cfg: dict, grid: GridSpec) -> None:
     """ehrenfest_residual's snapshot rule on the times evolve records (step
     0, every record_every-th step and the last): on the first three and on
     the last three, the only spacing that can differ."""
@@ -165,16 +156,22 @@ def _ehrenfest_records(cfg: dict) -> None:
         for ends in ((list(steps[:3]) + last)[:3], (list(steps[-3:]) + last)[-3:]):
             _snapshot_spacing(np.array(ends) * cfg["dt"])
     except ValueError as err:
-        raise ValueError(f"{err} (n_steps = {n_steps} recorded every {every} steps)") from err
+        message = f"{err} (n_steps = {n_steps} recorded every {every} steps)"
+        raise RuleError("n_steps", message) from err
 
 
-# Rules a kind's builders keep, run on the config before any run directory
-# exists: (kind, the key a failure names, the rule on the config)
-_BUILDER_RULES = (
-    ("ehrenfest", "n_steps", _ehrenfest_records),
-    ("explicit", "couplings", lambda cfg: _check_qubits(len(cfg["couplings"]))),
-    ("reduce", "tau_c", lambda cfg: _collapse_steps(cfg["tau_c"], cfg["dt"])),
-)
+def _widths(cfg: dict, grid: GridSpec) -> None:
+    for key in ("sigma_x", "povm_sigma_x", "r_c"):
+        if key in cfg:
+            _check_width(grid, cfg[key], key)
+
+
+def _partition(cfg: dict) -> PhasePartition:
+    return PhasePartition(
+        (cfg["window_x_lo"], cfg["window_x_hi"]), (cfg["window_p_lo"], cfg["window_p_hi"]),
+        cfg["cells_x"], cfg["cells_p"],
+    )
+
 
 SCHEMAS = {
     "evolve": {
@@ -260,6 +257,29 @@ SCHEMAS = {
     },
 }
 
+# The rules a kind's builders keep, run on the typed config and its grid
+# before any run directory exists: (kinds, rule).  A RuleError names the
+# builder argument, and _FIELD_KEYS the key that sets it, where they differ.
+_BUILDER_RULES = (
+    (tuple(SCHEMAS), _widths),
+    (("branch", "sample", "reduce"), lambda cfg, grid: _check_on_grid(grid, _partition(cfg))),
+    (("sieve",), lambda cfg, grid: _sieve_widths(grid, cfg["sigma_list"])),
+    (("explicit",), lambda cfg, grid: _check_qubits(cfg["couplings"], cfg["env_energies"])),
+    (("ehrenfest",), _ehrenfest_records),
+    (("ehrenfest",), lambda cfg, grid: _check_margins(cfg["delta_x"], cfg["delta_p"], cfg["l_v"])),
+    (("reduce",), lambda cfg, grid: _check_spec(
+        *(cfg[key] for key in ("delta_x", "delta_p", "l_v", "tau_c", "dt", "epsilon", "n_traj"))
+    )),
+    # bohm.csv and the KS distances share the snapshot times
+    (("bohm",), lambda cfg, grid: _step_count(cfg["total_time"], cfg["dt"], "total_time", "dt")),
+    (("bohm",), lambda cfg, grid: _step_count(cfg["dt"], cfg["ode_dt"], "dt", "ode_dt")),
+)
+_FIELD_KEYS = {
+    "n_points": "grid_n", "n_x": "cells_x", "n_p": "cells_p",
+    "x_window[0]": "window_x_lo", "x_window[1]": "window_x_hi",
+    "p_window[0]": "window_p_lo", "p_window[1]": "window_p_hi",
+}
+
 
 def parse_config(text: str) -> dict:
     """Raw key -> string-value mapping; no typing or schema checks yet."""
@@ -281,7 +301,9 @@ def parse_config(text: str) -> dict:
 
 
 def validate_config(raw: dict) -> dict:
-    """Type every value against the kind's schema; reject unknowns by name."""
+    """Type every value against the kind's schema and reject unknown keys by
+    name, then run the kind's builder rules and the config-only caps; each
+    rejection is a ConfigError naming one key."""
     kind = raw.get("kind")
     if kind is None:
         raise ConfigError("missing required key 'kind'")
@@ -306,14 +328,6 @@ def validate_config(raw: dict) -> dict:
             raise ConfigError(f"missing required key '{key}' for kind '{kind}'")
         else:
             cfg[key] = default
-    if kind == "bohm":
-        # bohm.csv and the KS distances must share the snapshot times
-        for span, step in (("total_time", "dt"), ("dt", "ode_dt")):
-            if _step_count(cfg[span], cfg[step]) is None:
-                raise ConfigError(
-                    f"bad value for key '{step}': {span} = {cfg[span]:g} is not a "
-                    f"whole number of {step} = {cfg[step]:g} steps"
-                )
     if kind == "grw":
         if cfg["hit_rate"] * cfg["total_time"] > 1e4:
             # each hit keeps two N-point copies of the state
@@ -323,69 +337,18 @@ def validate_config(raw: dict) -> dict:
                 f"bad value for key 'dt_int': total_time / dt_int = "
                 f"{cfg['total_time'] / cfg['dt_int']:g} substeps exceeds {_GRW_MAX_SUBSTEPS:g}"
             )
-    # domains the run would reject only after its directory exists
-    domains = [("seed", cfg["seed"] >= 0, "at least 0")]
-    if "cells_x" in cfg:
-        for axis in ("x", "p"):
-            lo = cfg[f"window_{axis}_lo"]
-            domains.append((f"window_{axis}_hi", cfg[f"window_{axis}_hi"] > lo, f"above {lo:g}"))
-    if kind in ("ehrenfest", "reduce"):
-        # classicality margins and the anharmonic length cap; inf leaves a
-        # bound open
-        domains += [(key, cfg[key] > 0.0, "positive") for key in ("delta_x", "delta_p", "l_v")]
-    if kind == "reduce":
-        # ReductionSpec's domains
-        domains += [
-            ("epsilon", 0.0 < cfg["epsilon"] < 1.0, "in (0, 1)"),
-            ("n_traj", cfg["n_traj"] >= 100, "at least 100"),
-        ]
-    for key, ok, domain in domains:
-        if not ok:
-            raise ConfigError(f"bad value for key '{key}': {cfg[key]:g} is not {domain}")
-    for rule_kind, key, rule in _BUILDER_RULES:
-        if rule_kind == kind:
-            try:
-                rule(cfg)
-            except ValueError as err:
-                raise ConfigError(f"bad value for key '{key}': {err}") from err
+    if cfg["seed"] < 0:
+        raise ConfigError(f"bad value for key 'seed': {cfg['seed']} is not at least 0")
     if "povm_sigma_x" in cfg and cfg["povm_sigma_x"] is None:
         cfg["povm_sigma_x"] = cfg.get("sigma_x", 1.0)
-    width = cfg["x_max"] - cfg["x_min"]
-    if not 0.0 < width < math.inf:
-        raise ConfigError(
-            f"bad value for key 'x_max': the grid width x_max - x_min = {width:g} "
-            "is not a positive finite number"
-        )
-    for key in _WIDTHS:
-        if key in cfg and cfg[key] > width:
-            raise ConfigError(
-                f"bad value for key '{key}': {cfg[key]:g} exceeds the grid width "
-                f"x_max - x_min = {width:g}"
-            )
-    # packet widths the grid must resolve, as coherent_state and build_povm
-    # require, and the GRW hit width (r_c**2 = 0 would divide by zero)
-    grid = make_grid(cfg)
-    dx = grid.dx
-    packets = [(key, cfg[key]) for key in ("sigma_x", "povm_sigma_x", "r_c") if key in cfg]
-    packets += [("sigma_list", value) for value in cfg.get("sigma_list", ())]
-    for key, value in packets:
-        if value < 2.0 * dx:
-            raise ConfigError(
-                f"bad value for key '{key}': {value:g} is below 2 dx = {2.0 * dx:g}, "
-                "under-resolved on the grid"
-            )
-    if "cells_x" in cfg:
-        # the partition against the grid and the momentum grid, as
-        # build_povm requires
-        p_domain = f"within the momentum grid's +-pi/dx = +-{grid.p_max:g}"
-        for key, ok, domain in (
-            ("window_x_lo", cfg["window_x_lo"] >= grid.x_min, f"at least x_min = {grid.x_min:g}"),
-            ("window_x_hi", cfg["window_x_hi"] <= grid.x_max, f"at most x_max = {grid.x_max:g}"),
-            ("window_p_lo", abs(cfg["window_p_lo"]) <= grid.p_max, p_domain),
-            ("window_p_hi", abs(cfg["window_p_hi"]) <= grid.p_max, p_domain),
-        ):
-            if not ok:
-                raise ConfigError(f"bad value for key '{key}': {cfg[key]:g} is not {domain}")
+    try:
+        grid = make_grid(cfg)
+        for kinds, rule in _BUILDER_RULES:
+            if kind in kinds:
+                rule(cfg, grid)
+    except RuleError as err:
+        key = _FIELD_KEYS.get(err.field, err.field)
+        raise ConfigError(f"bad value for key '{key}': {err}") from err
     # the potential and its slope on the grid, which every kind steps by or
     # integrates: at omega = 1e155 the harmonic V(x) overflows to inf
     potential = make_potential(cfg)
@@ -425,10 +388,4 @@ def make_potential(cfg: dict) -> Potential:
 
 
 def make_povm(cfg: dict, grid: GridSpec) -> POVMSet:
-    partition = PhasePartition(
-        (cfg["window_x_lo"], cfg["window_x_hi"]),
-        (cfg["window_p_lo"], cfg["window_p_hi"]),
-        cfg["cells_x"],
-        cfg["cells_p"],
-    )
-    return build_povm(grid, partition, cfg["povm_sigma_x"])
+    return build_povm(grid, _partition(cfg), cfg["povm_sigma_x"])

@@ -13,6 +13,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .dynamics import EvolutionRecord, Potential
+from .errors import RuleError
 from .qstate import DensityMatrix
 
 __all__ = [
@@ -144,6 +145,14 @@ def ehrenfest_residual(record: EvolutionRecord, potential: Potential) -> Residua
     return ResidualSeries(times=t[1:-1], raw=raw, relative=relative, newton_gap=gap)
 
 
+def _check_margins(delta_x: float, delta_p: float, l_v: float) -> None:
+    """Positive margins and l_v (inf leaves a bound open): at or below zero
+    every width breaks its bound at once, a horizon T = 0 read as a result."""
+    for name, value in (("delta_x", delta_x), ("delta_p", delta_p), ("l_v", l_v)):
+        if not value > 0.0:
+            raise RuleError(name, f"{name} must be positive, got {value:g}")
+
+
 def classicality_horizon(
     widths: WidthSeries,
     delta_z: Tuple[float, float],
@@ -156,6 +165,7 @@ def classicality_horizon(
     both bounds; otherwise the first offending snapshot time and which
     component tripped ("x", "p", or "both").
     """
+    _check_margins(*delta_z, l_v)
     t = widths.times
     if t.size > 1 and np.any(np.diff(t) <= 0.0):
         raise ValueError("width series times must be strictly increasing")

@@ -12,6 +12,7 @@ __all__ = [
     "ExplosionGuard",
     "EmptyTree",
     "NodeRegion",
+    "RuleError",
 ]
 
 
@@ -57,3 +58,11 @@ class EmptyTree(BranchfallError):
 
 class NodeRegion(BranchfallError):
     """A guidance-equation particle entered a region of vanishing probability density."""
+
+
+class RuleError(ValueError):
+    """An argument outside a builder's rule; field names the argument."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field

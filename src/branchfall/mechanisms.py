@@ -18,7 +18,7 @@ import numpy as np
 
 from .branching import BranchTree, ExplicitModel
 from .dynamics import Potential, _leap_path, _SplitStep
-from .errors import EmptyTree, NodeRegion
+from .errors import EmptyTree, NodeRegion, RuleError
 from .qstate import GridSpec, WaveFunction
 
 __all__ = [
@@ -153,14 +153,15 @@ State = Union[WaveFunction, ExplicitModel]
 DENSITY_FLOOR = 1e-12
 
 
-def _step_count(span: float, step: float) -> Optional[int]:
-    """How many steps of size step make up span, or None unless that is a
-    whole number of at least one, to a relative 1e-9."""
+def _step_count(span: float, step: float, span_name: str = "span", step_name: str = "step") -> int:
+    """How many steps of size step make up span: a whole number of at least
+    one, to a relative 1e-9; RuleError naming the step otherwise."""
     n = span / step
-    if not math.isfinite(n):
-        return None
-    whole = round(n)
-    return whole if whole >= 1 and abs(n - whole) <= 1e-9 * n else None
+    whole = round(n) if math.isfinite(n) else 0
+    if whole < 1 or abs(n - whole) > 1e-9 * n:
+        raise RuleError(step_name, f"{span_name} = {span:g} is not a whole number of "
+                        f"{step_name} = {step:g} steps")
+    return whole
 
 
 def _joint_columns(state: State) -> tuple[GridSpec, np.ndarray]:
@@ -313,11 +314,8 @@ def bohm_evolve(
     dt_snap = times[1] - times[0]
     if not np.allclose(np.diff(times), dt_snap, rtol=0, atol=1e-9 * max(dt_snap, 1.0)):
         raise ValueError("snapshot times must be uniformly spaced")
-    if _step_count(float(dt_snap), ode_dt) is None:
-        # positions and densities would be compared at different times
-        raise ValueError(
-            f"snapshot spacing {dt_snap:g} is not a whole number of ode_dt = {ode_dt:g} steps"
-        )
+    # positions and densities would be compared at different times
+    _step_count(float(dt_snap), ode_dt, "snapshot spacing", "ode_dt")
     grid, _ = _joint_columns(snapshots[0])
     x_nodes = grid.x  # GridSpec.x builds a fresh array per access
     v_table, d_table = _velocity_nodes(snapshots)

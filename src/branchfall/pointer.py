@@ -25,8 +25,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import Potential, Propagator, _evolve_on
-from .errors import PositivityError, WindowTooSmall
-from .qstate import DensityMatrix, GridSpec, PhasePoint, coherent_state
+from .errors import PositivityError, RuleError, WindowTooSmall
+from .qstate import DensityMatrix, GridSpec, PhasePoint, _check_width, coherent_state
 
 __all__ = [
     "PhasePartition",
@@ -53,14 +53,15 @@ class PhasePartition:
     n_p: int
 
     def __post_init__(self) -> None:
-        if self.x_window[1] <= self.x_window[0] or self.p_window[1] <= self.p_window[0]:
-            raise ValueError("windows must be ordered (lo, hi)")
+        for name, (lo, hi) in (("x_window", self.x_window), ("p_window", self.p_window)):
+            if not hi > lo:
+                raise RuleError(f"{name}[1]", f"{name} must be ordered (lo, hi)")
         if self.n_x < 1 or self.n_p < 1:
             raise ValueError("need at least one cell per axis")
-        if self.d_x * self.d_p < 1.0 - 1e-9:
-            raise ValueError(
-                f"cell volume {self.d_x * self.d_p:.4g} below the floor of 1"
-            )
+        volume = self.d_x * self.d_p
+        if volume < 1.0 - 1e-9:
+            finer = "n_x" if self.d_x <= self.d_p else "n_p"
+            raise RuleError(finer, f"cell volume d_x * d_p = {volume:.4g} below the floor of 1")
 
     @property
     def d_x(self) -> float:
@@ -218,6 +219,19 @@ def _clip_weights(weights: np.ndarray, escape: float) -> tuple[np.ndarray, float
     return np.clip(weights, 0.0, None), max(escape, 0.0)
 
 
+def _check_on_grid(grid: GridSpec, partition: PhasePartition) -> None:
+    """The partition's rule on a grid: its x-window inside [x_min, x_max],
+    its p-window within the momentum grid's +-pi/dx."""
+    (x_lo, x_hi), (p_lo, p_hi) = partition.x_window, partition.p_window
+    for field, inside in (
+        ("x_window[0]", x_lo >= grid.x_min), ("x_window[1]", x_hi <= grid.x_max),
+        ("p_window[0]", abs(p_lo) <= grid.p_max), ("p_window[1]", abs(p_hi) <= grid.p_max),
+    ):
+        if not inside:
+            raise RuleError(field, f"partition {field} outside the grid: x in [{grid.x_min:g}, "
+                            f"{grid.x_max:g}], |p| <= pi/dx = {grid.p_max:g}")
+
+
 def build_povm(
     grid: GridSpec,
     partition: PhasePartition,
@@ -239,10 +253,8 @@ def build_povm(
     acts at more than 0.1 (operator norm) on a probe coherent state parked
     at the window center.
     """
-    if sigma_x <= 0:
-        raise ValueError("sigma_x must be positive")
-    if sigma_x < 2.0 * grid.dx:
-        raise ValueError(f"sigma_x = {sigma_x:.4g} under-resolved: dx = {grid.dx:.4g}")
+    _check_width(grid, sigma_x)
+    _check_on_grid(grid, partition)
     if quadrature is None:
         # ~1.7 nodes per coherent width resolves the oscillatory P factor
         sigma_p = 0.5 / sigma_x
@@ -252,10 +264,6 @@ def build_povm(
         nq, npp = quadrature
     if nq < 2 or npp < 2:
         raise ValueError("quadrature must be at least (2, 2)")
-    if partition.x_window[0] < grid.x_min or partition.x_window[1] > grid.x_max:
-        raise ValueError("partition x_window must lie inside the grid window")
-    if max(abs(partition.p_window[0]), abs(partition.p_window[1])) > grid.p_max:
-        raise ValueError("partition p_window exceeds the momentum grid")
 
     q_rule, p_rule = _cell_rule(nq, rule), _cell_rule(npp, rule)
     n = grid.n_points
@@ -266,9 +274,8 @@ def build_povm(
         q1, q2, _, _ = partition.cell_bounds(partition.index(i, 0))
         qn, qw = q_rule(q1, q2)
         env = _envelopes(grid, qn, sigma_x)
+        # a node inside the grid window, of width at least 2 dx, has support
         norm_sq = np.sum(env * env, axis=1) * grid.dx
-        if np.any(norm_sq <= 0):
-            raise ValueError(f"a packet at q in {qn} has no support on the grid")
         # |packet|^2 is free of p: one real Gram matrix G per strip of
         # cells sharing this q-interval, with scale folded into its weights
         gram = (env * (qw * scale / norm_sq)[:, None]).T @ env
@@ -393,6 +400,16 @@ class SieveResult:
         }
 
 
+def _sieve_widths(grid: GridSpec, sigma_list: Sequence[float]) -> np.ndarray:
+    """sigma_list as an array of at least one width, each meeting _check_width."""
+    widths = np.asarray(list(sigma_list), dtype=float)
+    if widths.size == 0:
+        raise RuleError("sigma_list", "sigma_list must be nonempty")
+    for sigma in widths.tolist():
+        _check_width(grid, sigma, "sigma_list")
+    return widths
+
+
 def predictability_sieve(
     grid: GridSpec,
     potential: Potential,
@@ -410,9 +427,7 @@ def predictability_sieve(
     """
     if horizon <= 0 or dt <= 0:
         raise ValueError("horizon and dt must be positive")
-    widths = np.asarray(list(sigma_list), dtype=float)
-    if widths.size == 0:
-        raise ValueError("sigma_list must be nonempty")
+    widths = _sieve_widths(grid, sigma_list)
     n_steps = max(1, int(round(horizon / dt)))
     cadence = record_every or max(1, n_steps // 200)
 

@@ -30,6 +30,7 @@ from .errors import (
     NonHermitianState,
     PositivityError,
     PositivityWarning,
+    RuleError,
 )
 
 __all__ = [
@@ -62,7 +63,7 @@ class GridSpec:
         give the fastest transforms.
     x_min, x_max : float
         Position window; the grid covers [x_min, x_max) with spacing
-        dx = (x_max - x_min) / n_points.
+        dx = (x_max - x_min) / n_points, and its width must be finite.
     mass : float
         Particle mass M > 0.
     """
@@ -74,11 +75,11 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         if not 8 <= self.n_points <= 512:
-            raise ValueError(f"n_points must be in [8, 512], got {self.n_points}")
-        if not self.x_max > self.x_min:
-            raise ValueError("x_max must exceed x_min")
+            raise RuleError("n_points", f"n_points must be in [8, 512], got {self.n_points}")
+        if not 0.0 < self.length < math.inf:
+            raise RuleError("x_max", "x_max must exceed x_min by a finite width")
         if not self.mass > 0:
-            raise ValueError("mass must be positive")
+            raise RuleError("mass", "mass must be positive")
 
     @property
     def dx(self) -> float:
@@ -323,20 +324,24 @@ def _momentum_masses(kernel: np.ndarray, dx: float) -> np.ndarray:
 State = Union[WaveFunction, DensityMatrix]
 
 
+def _check_width(grid: GridSpec, width: float, name: str = "sigma_x") -> None:
+    """The rule for a packet, POVM or hit width on a grid: at least 2 dx,
+    so that the grid resolves it, and at most the grid width."""
+    if not width >= 2.0 * grid.dx:
+        raise RuleError(name, f"{name} = {width:.4g} under-resolved: grid dx = {grid.dx:.4g}")
+    if width > grid.length:
+        raise RuleError(name, f"{name} = {width:.4g} exceeds the grid width {grid.length:.4g}")
+
+
 def coherent_state(grid: GridSpec, q: float, p: float, sigma_x: float) -> WaveFunction:
     """Gaussian packet centered at (q, p) with position spread sigma_x.
 
     The packet is a minimum-uncertainty state: Var(X) = sigma_x^2 and
     Var(P) = 1 / (4 sigma_x^2).  Raises BoundaryViolation if more than
     TAIL_TOL of the analytic mass lies outside the position window or
-    beyond the momentum grid's reach.
+    beyond the momentum grid's reach.  sigma_x must meet _check_width.
     """
-    if sigma_x <= 0:
-        raise ValueError("sigma_x must be positive")
-    if sigma_x < 2.0 * grid.dx:
-        raise ValueError(
-            f"sigma_x = {sigma_x:.4g} under-resolved: grid dx = {grid.dx:.4g}"
-        )
+    _check_width(grid, sigma_x)
     tail_x = 0.5 * (
         math.erfc((grid.x_max - q) / (sigma_x * math.sqrt(2.0)))
         + math.erfc((q - grid.x_min) / (sigma_x * math.sqrt(2.0)))

@@ -18,8 +18,8 @@ import numpy as np
 
 from .branching import BornSampler
 from .dynamics import Potential, Propagator, _evolve_on
-from .ehrenfest import WidthSeries, classicality_horizon
-from .errors import EscapeSampled, WindowTooSmall
+from .ehrenfest import WidthSeries, _check_margins, classicality_horizon
+from .errors import EscapeSampled, RuleError, WindowTooSmall
 from .pointer import POVMSet
 from .qstate import (
     GridSpec,
@@ -102,6 +102,18 @@ def within_margin(z: PhasePoint, z_ref: PhasePoint, delta_z) -> bool:
     return True
 
 
+def _check_spec(delta_x, delta_p, l_v, tau_c, dt, epsilon, n_traj) -> None:
+    """ReductionSpec's rules on what a config sets, checked without a POVM:
+    _check_margins, _collapse_steps, epsilon in (0, 1) and at least 100
+    trajectories."""
+    _check_margins(delta_x, delta_p, l_v)
+    _collapse_steps(tau_c, dt)
+    if not 0.0 < epsilon < 1.0:
+        raise RuleError("epsilon", f"epsilon must lie strictly between 0 and 1, got {epsilon:g}")
+    if n_traj < 100:
+        raise RuleError("n_traj", f"n_traj must be at least 100, got {n_traj}")
+
+
 @dataclass(frozen=True)
 class ReductionSpec:
     """Everything the verifier needs: margins, horizon, initial points,
@@ -127,20 +139,11 @@ class ReductionSpec:
     l_v: float = math.inf
 
     def __post_init__(self):
-        if not (self.delta_z[0] > 0.0 and self.delta_z[1] > 0.0):
-            raise ValueError("delta_z components must be positive")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie strictly between 0 and 1")
-        if self.n_traj < 100:
-            raise ValueError("n_traj must be at least 100")
-        if self.tau_c <= 0.0:
-            raise ValueError("tau_c must be positive")
         if self.dt <= 0.0 or self.dt_int <= 0.0:
             raise ValueError("dt and dt_int must be positive")
+        _check_spec(*self.delta_z, self.l_v, self.tau_c, self.dt, self.epsilon, self.n_traj)
         if len(self.d_c) == 0:
             raise ValueError("d_c must contain at least one initial point")
-        if not self.l_v > 0.0:
-            raise ValueError("l_v must be positive")
         object.__setattr__(self, "d_c", tuple(self.d_c))
 
     def digest(self) -> str:
@@ -283,10 +286,10 @@ def _collapse_steps(tau_c: float, dt: float) -> int:
     least one, and a count a run can hold; ValueError otherwise."""
     intervals = tau_c / dt + 1e-9
     if not math.isfinite(intervals):
-        raise ValueError(f"tau_c / dt = {intervals:g} collapse intervals is not a count")
+        raise RuleError("tau_c", f"tau_c / dt = {intervals:g} collapse intervals is not a count")
     n_steps = int(math.floor(intervals))
     if n_steps < 1:
-        raise ValueError("tau_c must cover at least one collapse interval")
+        raise RuleError("tau_c", "tau_c must cover at least one collapse interval")
     return n_steps
 
 

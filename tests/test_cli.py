@@ -391,10 +391,18 @@ def test_keys_that_run_rejects_exit_2_at_validate(tmp_path, capsys, kind, key, v
         assert validate_config(parse_config(body.replace(f"{key} = {value}", f"{key} = inf")))
 
 
+_SIEVE_BODY = (
+    "kind = sieve\nseed = 1\ngrid_n = 64\nx_min = -8\nx_max = 8\n"
+    "lambda = 0.2\nsigma_list = 0.6, 0.7071, 1.1\nhorizon = 0.5\nout = {out}\n"
+)
+
+
 _RULE_BODIES = {
     "ehrenfest": _CONTRACT_BODIES["ehrenfest"],
     "reduce": REDUCE_BODY.replace("{dx}", "1.2").replace("{dp}", "3.5"),
     "explicit": EXPLICIT_BODY,
+    "sample": SAMPLE_BODY,
+    "sieve": _SIEVE_BODY,
 }
 
 
@@ -416,15 +424,24 @@ _THIRTEEN = ", ".join(["0.1"] * 13)
         ("reduce", {"tau_c": "1e300", "dt": "1e-300"}, "tau_c", "is not a count"),
         ("explicit", {"couplings": _THIRTEEN}, "couplings", "desk-scale cap of 12"),
         ("explicit", {"couplings": ", ".join(["0.1"] * 30)}, "couplings", "desk-scale cap of 12"),
+        ("sample", {"cells_x": "40", "cells_p": "40"}, "cells_x", "below the floor of 1"),
+        ("sample", {"cells_p": "600"}, "cells_p", "below the floor of 1"),
+        ("explicit", {"env_energies": "0.5"}, "env_energies", "match the number of qubits"),
+        ("explicit", {"env_energies": "0.5, inf"}, "env_energies", "env_energies must be finite"),
+        ("explicit", {"couplings": "0.3, inf"}, "couplings", "couplings must be finite"),
+        ("sieve", {"sigma_list": ","}, "sigma_list", "sigma_list must be nonempty"),
     ],
     ids=["one-step", "two-records", "uneven-records", "tau_c-below-dt", "tau_c-over-dt-overflows",
-         "13-qubits", "30-qubits"],
+         "13-qubits", "30-qubits", "cell-volume", "cell-volume-on-p",
+         "one-env-energy-for-two-qubits",
+         "infinite-env-energy", "infinite-coupling", "empty-sigma_list"],
 )
 def test_builder_rules_exit_2_at_validate(tmp_path, capsys, kind, keys, key, message):
     # validate runs the rule the builder keeps (ehrenfest_residual's
     # snapshots, verify_reduction's collapse intervals, ExplicitModel's
-    # qubit cap); each passed validate before and exited 2 at run after the
-    # run directory existed (30 qubits exited 1 with a MemoryError, and
+    # qubits, PhasePartition's cell volume, predictability_sieve's widths);
+    # each passed validate before and exited 2 at run after the run
+    # directory existed (30 qubits exited 1 with a MemoryError, and
     # tau_c / dt = inf with an OverflowError)
     out = tmp_path / "runs"
     cfg = write_cfg(tmp_path, "r.cfg", _with_keys(kind, keys, out))
@@ -444,12 +461,15 @@ def test_builder_rules_exit_2_at_validate(tmp_path, capsys, kind, keys, key, mes
         ("ehrenfest", {"n_steps": "30000000000", "record_every": "3", "dt": "1e-6"}),
         ("reduce", {"tau_c": "1.5", "dt": "1.5"}),
         ("explicit", {"couplings": ", ".join(["0.1"] * 12)}),
+        ("sample", {"cells_x": "8", "cells_p": "12"}),
+        ("explicit", {"env_energies": "0.5, -0.25"}),
     ],
 )
 def test_configs_inside_the_builder_rules_still_validate(tmp_path, kind, keys):
-    # three or more uniformly spaced records, a horizon of one interval and
-    # 12 qubits are inside the rules; the 10^10 records of a huge step count
-    # are checked without listing them
+    # three or more uniformly spaced records, a horizon of one interval,
+    # 12 qubits, cells of volume d_x * d_p = 1 exactly and one finite
+    # env_energy per qubit are inside the rules; the 10^10 records of a
+    # huge step count are checked without listing them
     assert validate_config(parse_config(_with_keys(kind, keys, tmp_path)))
 
 
@@ -465,12 +485,6 @@ def test_qubit_cap_is_checked_before_the_joint_state_is_built():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
-
-
-_SIEVE_BODY = (
-    "kind = sieve\nseed = 1\ngrid_n = 64\nx_min = -8\nx_max = 8\n"
-    "lambda = 0.2\nsigma_list = 0.6, 0.7071, 1.1\nhorizon = 0.5\nout = {out}\n"
-)
 
 
 @pytest.mark.parametrize(

@@ -209,6 +209,20 @@ def test_horizon_reports_component():
         classicality_horizon(WidthSeries(times[::-1].copy(), flat, flat), (1.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "delta_z, l_v, field",
+    [((0.0, 1.0), math.inf, "delta_x"), ((1.0, -1.0), math.inf, "delta_p"),
+     ((1.0, 1.0), 0.0, "l_v"), ((1.0, 1.0), math.nan, "l_v")],
+)
+def test_horizon_rejects_margins_that_are_not_positive(delta_z, l_v, field):
+    # a margin or l_v at or below zero read as a horizon of T = 0
+    times = np.arange(5, dtype=float)
+    flat = np.full(5, 0.1)
+    with pytest.raises(ValueError, match=f"{field} must be positive") as err:
+        classicality_horizon(WidthSeries(times, flat, flat), delta_z, l_v)
+    assert err.value.field == field
+
+
 def test_width_series_validation():
     with pytest.raises(ValueError):
         WidthSeries(np.arange(3.0), np.array([0.1, -0.2, 0.1]), np.full(3, 0.1))

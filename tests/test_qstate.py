@@ -50,6 +50,23 @@ def test_gridspec_rejects_bad_input():
         GridSpec(64, -1.0, 1.0, mass=0.0)
 
 
+@pytest.mark.parametrize("x_min, x_max", [(-math.inf, 0.0), (0.0, math.inf), (-1e308, 1e308)])
+def test_gridspec_rejects_a_window_of_infinite_width(x_min, x_max):
+    # each was accepted with dx = inf, and every array on the grid was nan
+    with pytest.raises(ValueError, match="finite width") as err:
+        GridSpec(64, x_min, x_max)
+    assert err.value.field == "x_max"
+    assert GridSpec(64, -1e307, 1e307).dx == pytest.approx(2e307 / 64)
+
+
+def test_packet_wider_than_the_grid_rejected(grid):
+    # one rule with the under-resolved floor: a packet, POVM or hit width
+    # is at most the grid width x_max - x_min (16 here)
+    with pytest.raises(ValueError, match="exceeds the grid width") as err:
+        coherent_state(grid, 0.0, 0.0, 16.5)
+    assert err.value.field == "sigma_x"
+
+
 def test_coherent_moments_against_quadrature(grid):
     # independent check: integrate the analytic Gaussian density
     q0, p0, s = 2.0, 3.0, 0.7

@@ -141,6 +141,31 @@ def test_spec_validation(povm):
             ReductionSpec(**{**good, **bad})
 
 
+@pytest.mark.parametrize(
+    "bad, field",
+    [
+        ({"delta_z": (0.0, 1.0)}, "delta_x"),
+        ({"delta_z": (1.0, -2.0)}, "delta_p"),
+        ({"delta_z": (math.nan, 1.0)}, "delta_x"),
+        ({"epsilon": 0.0}, "epsilon"),
+        ({"epsilon": 1.0}, "epsilon"),
+        ({"n_traj": 99}, "n_traj"),
+        ({"l_v": -1.0}, "l_v"),
+    ],
+)
+def test_spec_keeps_its_config_rules(povm, bad, field):
+    # the rules validate runs through _check_spec hold for a library caller
+    # who builds the spec without a config, and name the field they reject
+    good = dict(
+        delta_z=(1.0, 1.0), tau_c=1.5, d_c=(PhasePoint(1.5, 0.0),),
+        epsilon=0.05, n_traj=100, dt=0.5, dt_int=0.02,
+        potential=HARM4, lambda_rate=0.5, povm=povm, sigma_x=SIGMA,
+    )
+    with pytest.raises(ValueError, match=f"{field} must") as err:
+        ReductionSpec(**{**good, **bad})
+    assert err.value.field == field
+
+
 @pytest.mark.parametrize("l_v", [-1.0, 0.0, math.nan])
 def test_spec_rejects_l_v_that_is_not_positive(povm, l_v):
     # l_v caps the horizon's position bound; at or below zero every width
