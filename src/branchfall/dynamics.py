@@ -97,8 +97,7 @@ _FFT_MAX_PRIME = 19
 # (medians of 7 interleaved rounds, one BLAS thread).  At N = 315 and 512 the
 # ratio at r = 16 was 0.57 and 0.26, so the bound hands off early there.
 # The benchmark's recorded chains reach M0^2 r = 1690 (N = 256) and 2025
-# (N = 512), and its N = 512 branch root sits on the bound (M0 = 52, r = 1);
-# reduce's horizon chain (N = 288, M0 = 144) never enters the factored form.
+# (N = 512), and its N = 512 branch root sits on the bound (M0 = 52, r = 1).
 _FACTOR_MAX_BLOCK = 13 * 13 * 16
 
 # GRW free flight by powers of the step (_SplitStep.leap) in place of

@@ -19,7 +19,7 @@ import numpy as np
 from .branching import BornSampler
 from .dynamics import Potential, Propagator, _evolve_on
 from .ehrenfest import WidthSeries, _check_margins, classicality_horizon
-from .errors import EscapeSampled, RuleError, WindowTooSmall
+from .errors import BoundaryViolation, EscapeSampled, RuleError, WindowTooSmall
 from .pointer import POVMSet
 from .qstate import (
     GridSpec,
@@ -41,6 +41,13 @@ __all__ = [
 # classical nodes per collapse interval inside verify_reduction; keeps
 # omega*dt_cl < 0.1 for any force scale the quantum substep can resolve
 _CL_NODES_PER_COLLAPSE = 50
+
+# Most collapse intervals tau_c / dt a reduce run may declare.  Each one
+# costs 50 classical nodes (three float arrays) and 5 density steps of the
+# horizon chain before any trajectory is drawn: at 1e4 intervals the orbit
+# alone took 1.3 s; at 1e6 a run was still going past 10 s, and at 1e300
+# the orbit's arrays failed to allocate after the run directory existed.
+_MAX_COLLAPSE_INTERVALS = 10_000
 
 
 @dataclass(frozen=True)
@@ -227,26 +234,35 @@ def _orbit_window_check(spec: ReductionSpec, traj: ClassicalTrajectory) -> None:
 def _measured_horizon(spec: ReductionSpec, z0: PhasePoint, total_time: float) -> float:
     """Width horizon of the collapse-free evolution from z0's packet.
 
-    Runs on an x-widened copy of the grid (same spacing, so the momentum
-    range is preserved) because the unmonitored state spreads far beyond
-    what the collapse trajectories ever occupy.  One propagator steps the
-    whole horizon as one chain at a fifth of the collapse interval (widths
-    move on dynamical timescales, so dt_int-fine stepping would buy
-    nothing), and the horizon is the first bound crossing of its widths.
+    One propagator steps the whole horizon as one guarded chain at a fifth
+    of the collapse interval (widths move on dynamical timescales, so
+    dt_int-fine stepping would buy nothing), and the horizon is the first
+    bound crossing of its widths.  The chain runs on the run's own grid.
+    The unmonitored state can spread far beyond what the collapse
+    trajectories ever occupy: only if its mass reaches the edge
+    (BoundaryViolation) does the chain run again on an x-widened copy of
+    the grid: 3x up to N = 170 and 2x up to N = 256, at the same spacing,
+    so the momentum range is preserved.  A BoundaryViolation there, or on
+    a grid of more than 256 points, which has no wider copy, propagates.
     """
     grid = spec.povm.grid
-    factor = max(1, min(3, 512 // grid.n_points))
+    grids = [grid]
+    factor = min(3, 512 // grid.n_points)
     if factor > 1:
         half = 0.5 * (grid.x_max - grid.x_min) * factor
         mid = 0.5 * (grid.x_max + grid.x_min)
-        wide = GridSpec(grid.n_points * factor, mid - half, mid + half, grid.mass)
-    else:
-        wide = grid
-    state = coherent_state(wide, z0.q, z0.p, spec.sigma_x)
+        grids.append(GridSpec(grid.n_points * factor, mid - half, mid + half, grid.mass))
     n_sub = 5
     n_intervals = max(1, int(round(total_time / spec.dt)))
-    prop = Propagator(wide, spec.potential, spec.lambda_rate, spec.dt / n_sub)
-    rec = _evolve_on(prop, state, n_sub * n_intervals)
+    for on in grids:
+        prop = Propagator(on, spec.potential, spec.lambda_rate, spec.dt / n_sub)
+        try:
+            state = coherent_state(on, z0.q, z0.p, spec.sigma_x)
+            rec = _evolve_on(prop, state, n_sub * n_intervals)
+            break
+        except BoundaryViolation:
+            if on is grids[-1]:
+                raise
     return classicality_horizon(WidthSeries.from_record(rec), spec.delta_z, spec.l_v).time
 
 
@@ -283,13 +299,19 @@ class _PathJudge:
 
 def _collapse_steps(tau_c: float, dt: float) -> int:
     """The collapse intervals of length dt within the horizon tau_c: at
-    least one, and a count a run can hold; ValueError otherwise."""
+    least one and at most _MAX_COLLAPSE_INTERVALS; RuleError otherwise."""
     intervals = tau_c / dt + 1e-9
     if not math.isfinite(intervals):
         raise RuleError("tau_c", f"tau_c / dt = {intervals:g} collapse intervals is not a count")
     n_steps = int(math.floor(intervals))
     if n_steps < 1:
         raise RuleError("tau_c", "tau_c must cover at least one collapse interval")
+    if n_steps > _MAX_COLLAPSE_INTERVALS:
+        raise RuleError(
+            "tau_c",
+            f"tau_c / dt = {intervals:g} collapse intervals exceeds the cap of "
+            f"{_MAX_COLLAPSE_INTERVALS}",
+        )
     return n_steps
 
 

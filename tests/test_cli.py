@@ -430,11 +430,15 @@ _THIRTEEN = ", ".join(["0.1"] * 13)
         ("explicit", {"env_energies": "0.5, inf"}, "env_energies", "env_energies must be finite"),
         ("explicit", {"couplings": "0.3, inf"}, "couplings", "couplings must be finite"),
         ("sieve", {"sigma_list": ","}, "sigma_list", "sigma_list must be nonempty"),
+        ("reduce", {"tau_c": "1.5e6", "dt": "1.5"}, "tau_c", "exceeds the cap of 10000"),
+        ("reduce", {"tau_c": "1e300", "dt": "1.5"}, "tau_c", "exceeds the cap of 10000"),
+        ("reduce", {"tau_c": "15001.5", "dt": "1.5"}, "tau_c", "exceeds the cap of 10000"),
     ],
     ids=["one-step", "two-records", "uneven-records", "tau_c-below-dt", "tau_c-over-dt-overflows",
          "13-qubits", "30-qubits", "cell-volume", "cell-volume-on-p",
          "one-env-energy-for-two-qubits",
-         "infinite-env-energy", "infinite-coupling", "empty-sigma_list"],
+         "infinite-env-energy", "infinite-coupling", "empty-sigma_list",
+         "1e6-collapse-intervals", "1e300-over-dt", "one-interval-over-the-cap"],
 )
 def test_builder_rules_exit_2_at_validate(tmp_path, capsys, kind, keys, key, message):
     # validate runs the rule the builder keeps (ehrenfest_residual's
@@ -442,7 +446,9 @@ def test_builder_rules_exit_2_at_validate(tmp_path, capsys, kind, keys, key, mes
     # qubits, PhasePartition's cell volume, predictability_sieve's widths);
     # each passed validate before and exited 2 at run after the run
     # directory existed (30 qubits exited 1 with a MemoryError, and
-    # tau_c / dt = inf with an OverflowError)
+    # tau_c / dt = inf with an OverflowError; 1e6 collapse intervals were
+    # still running at 10 s, and 1e300 / 1.5 exited 2 at run when the
+    # classical orbit's arrays could not be allocated)
     out = tmp_path / "runs"
     cfg = write_cfg(tmp_path, "r.cfg", _with_keys(kind, keys, out))
     for command in ("validate", "run"):
@@ -463,13 +469,14 @@ def test_builder_rules_exit_2_at_validate(tmp_path, capsys, kind, keys, key, mes
         ("explicit", {"couplings": ", ".join(["0.1"] * 12)}),
         ("sample", {"cells_x": "8", "cells_p": "12"}),
         ("explicit", {"env_energies": "0.5, -0.25"}),
+        ("reduce", {"tau_c": "15000", "dt": "1.5"}),
     ],
 )
 def test_configs_inside_the_builder_rules_still_validate(tmp_path, kind, keys):
-    # three or more uniformly spaced records, a horizon of one interval,
-    # 12 qubits, cells of volume d_x * d_p = 1 exactly and one finite
-    # env_energy per qubit are inside the rules; the 10^10 records of a
-    # huge step count are checked without listing them
+    # three or more uniformly spaced records, a horizon of one interval or
+    # of 10,000 (the cap), 12 qubits, cells of volume d_x * d_p = 1 exactly
+    # and one finite env_energy per qubit are inside the rules; the 10^10
+    # records of a huge step count are checked without listing them
     assert validate_config(parse_config(_with_keys(kind, keys, tmp_path)))
 
 

@@ -441,9 +441,10 @@ def test_factored_chain_matches_dense_oracle(n_points, lam, pot, monkeypatch):
 
 
 def test_factored_chain_hands_off_once(monkeypatch):
-    # reduce's horizon chain (N = 288 on |x| <= 30, Lambda = 0.25, step 0.3)
-    # has M0 = 144: a wave function there takes no factored step and gives
-    # the bits of its density matrix's chain
+    # reduce's horizon chain on its widened grid (N = 288 on |x| <= 30,
+    # Lambda = 0.25, step 0.3), which it runs only when the run's own grid
+    # trips the edge guard, has M0 = 144: a wave function there takes no
+    # factored step and gives the bits of its density matrix's chain
     factored, packs = [], []
     step_factor = Propagator.step_factor
 

@@ -1,5 +1,6 @@
 """Classical comparison dynamics and the trajectory tracking verifier."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from branchfall import dynamics, reduction
 from branchfall.dynamics import Potential, evolve, free_potential, harmonic_potential
-from branchfall.errors import WindowTooSmall
+from branchfall.ehrenfest import WidthSeries, classicality_horizon
+from branchfall.errors import BoundaryViolation, WindowTooSmall
 from branchfall.pointer import PhasePartition, build_povm
 from branchfall.qstate import (
     DensityMatrix,
@@ -262,9 +264,9 @@ def test_escape_draw_counts_as_violation():
     assert all(t in (0.5, 1.0, 1.5) for t in r.violations)
 
 
-def test_measured_horizon_steps_one_propagator_per_z0(povm, monkeypatch):
-    spec = _spec(povm, (1.2, 3.5))
-    z0 = spec.d_c[0]
+def _record_horizon_chains(monkeypatch):
+    """Lists that fill with the grid size of every Propagator built and with
+    every record _measured_horizon's chains return."""
     builds, chains = [], []
     init, evolve_on = dynamics.Propagator.__init__, reduction._evolve_on
 
@@ -279,15 +281,116 @@ def test_measured_horizon_steps_one_propagator_per_z0(povm, monkeypatch):
 
     monkeypatch.setattr(dynamics.Propagator, "__init__", counting_init)
     monkeypatch.setattr(reduction, "_evolve_on", recording_evolve_on)
+    return builds, chains
+
+
+def _horizon_chain(grid, spec, z0, n_intervals):
+    """The horizon's chain on grid, built here: 5 substeps per interval."""
+    state = coherent_state(grid, z0.q, z0.p, spec.sigma_x)
+    return evolve(state, spec.potential, spec.lambda_rate, spec.dt / 5, 5 * n_intervals)
+
+
+def _horizon_of(rec, spec):
+    return classicality_horizon(WidthSeries.from_record(rec), spec.delta_z, spec.l_v).time
+
+
+def test_measured_horizon_steps_one_propagator_per_z0(povm, monkeypatch):
+    spec = _spec(povm, (1.2, 3.5))
+    z0 = spec.d_c[0]
+    builds, chains = _record_horizon_chains(monkeypatch)
     assert math.isinf(reduction._measured_horizon(spec, z0, 1.5))
     # one build and one chain of 5 substeps per collapse interval over the
-    # three intervals of the horizon
-    assert builds == [288] and len(chains) == 1
+    # three intervals of the horizon, on the run's own grid: its mass never
+    # reaches the edge, so no widened grid is built
+    assert builds == [96] and len(chains) == 1
     (rec,) = chains
-    # the same bits as one evolve() over the whole horizon on the widened grid
-    wide = rec.final.grid
-    state = coherent_state(wide, z0.q, z0.p, spec.sigma_x).to_density()
-    alone = evolve(state, spec.potential, spec.lambda_rate, spec.dt / 5, 15)
+    # the same bits as one evolve() over the whole horizon on the run's grid
+    assert rec.final.grid == spec.povm.grid
+    alone = _horizon_chain(spec.povm.grid, spec, z0, 3)
     for name in ("times", "var_x", "var_p"):
         assert np.array_equal(getattr(rec, name), getattr(alone, name))
     assert np.array_equal(rec.final.elements, alone.final.elements)
+
+
+def _light_spec(mass, tau_c):
+    # a slow, light packet on a 96-point +-10 grid: its collapse-free state
+    # outgrows the grid within the horizon
+    grid = GridSpec(96, -10.0, 10.0, mass)
+    return ReductionSpec(
+        delta_z=(1.5, 0.7), tau_c=tau_c, d_c=(PhasePoint(1.0, 0.0),),
+        epsilon=0.01, n_traj=100, dt=1.5, dt_int=0.05,
+        potential=harmonic_potential(mass, 0.05), lambda_rate=0.25,
+        povm=build_povm(grid, PhasePartition((-6.0, 6.0), (-12.0, 12.0), 1, 3), 0.8),
+        sigma_x=0.8,
+    )
+
+
+def test_measured_horizon_falls_back_to_the_widened_grid(monkeypatch):
+    # at mass 2 the run-grid chain leaves 7.5e-8 of the mass at the edge at
+    # t = 3 and raises; the chain reruns on the 288-point +-30 copy of the
+    # grid, where it stays inside, as the horizon always ran before
+    spec = _light_spec(2.0, 3.0)
+    z0 = spec.d_c[0]
+    with pytest.raises(BoundaryViolation):
+        _horizon_chain(spec.povm.grid, spec, z0, 2)
+    builds, chains = _record_horizon_chains(monkeypatch)
+    horizon = reduction._measured_horizon(spec, z0, 3.0)
+    assert builds == [96, 288] and len(chains) == 1
+    (rec,) = chains
+    wide = GridSpec(288, -30.0, 30.0, 2.0)
+    alone = _horizon_chain(wide, spec, z0, 2)
+    assert rec.final.grid == wide
+    for name in ("times", "var_x", "var_p"):
+        assert np.array_equal(getattr(rec, name), getattr(alone, name))
+    assert math.isinf(horizon) and math.isinf(_horizon_of(alone, spec))
+
+
+def test_measured_horizon_raises_when_both_grids_trip(monkeypatch):
+    # at mass 1 over four intervals the packet reaches the edge of the
+    # widened grid too (t = 4.8), and the violation propagates
+    spec = _light_spec(1.0, 6.0)
+    builds, _ = _record_horizon_chains(monkeypatch)
+    with pytest.raises(BoundaryViolation, match="t = 4.8"):
+        reduction._measured_horizon(spec, spec.d_c[0], 6.0)
+    assert builds == [96, 288]
+
+
+_ACCEPTANCE_GRID = GridSpec(96, -10.0, 10.0, 4.0)
+
+
+@pytest.mark.parametrize(
+    "grid, potential, lam, dt, sigma, z0, tau, deltas",
+    [
+        (GRID, HARM4, 0.5, 0.5, SIGMA, (1.5, 0.0), 1.5,
+         [(1.2, 3.5), (0.25, 0.8), (0.5, 1.6), (1.0, 1.0), (0.25, 0.5)]),
+        (GRID, HARM4, 0.5, 0.5, SIGMA, (1.5, 0.0), 0.5, [(1.2, 3.5), (1.5, 1.5)]),
+        (_ACCEPTANCE_GRID, harmonic_potential(4.0, 0.25), 0.25, 1.5, 0.8, (1.0, 0.0), 4.6,
+         [(1.5, 0.7)]),
+        (_ACCEPTANCE_GRID, harmonic_potential(4.0, 0.25), 0.25, 1.5, 0.8, (0.707, -0.707), 4.6,
+         [(1.5, 0.7)]),
+    ],
+    ids=["test-reduction", "cli", "acceptance-z0-1", "acceptance-z0-2"],
+)
+def test_measured_horizon_on_the_run_grid_matches_the_widened_grid(
+    grid, potential, lam, dt, sigma, z0, tau, deltas
+):
+    # the tier-1 reduce specs: their collapse-free states stay far from the
+    # run grid's edge, so the run-grid chain's widths are those of the
+    # widened grid's chain up to roundoff, and every horizon is the same
+    # the partition plays no part in the horizon; this one fits both grids
+    povm = build_povm(grid, PhasePartition((-5.6, 5.6), (-12.0, 12.0), 1, 1), sigma)
+    z0 = PhasePoint(*z0)
+    n_intervals = reduction._collapse_steps(tau, dt)
+    wide = GridSpec(288, 3 * grid.x_min, 3 * grid.x_max, grid.mass)
+    spec = ReductionSpec(
+        delta_z=deltas[0], tau_c=tau, d_c=(z0,), epsilon=0.05, n_traj=100, dt=dt,
+        dt_int=0.05, potential=potential, lambda_rate=lam, povm=povm, sigma_x=sigma,
+    )
+    on_run, on_wide = (_horizon_chain(g, spec, z0, n_intervals) for g in (grid, wide))
+    for name in ("var_x", "var_p"):
+        gap = np.abs(np.sqrt(getattr(on_run, name)) - np.sqrt(getattr(on_wide, name)))
+        assert np.max(gap) < 1e-10
+    for delta in deltas:
+        spec = dataclasses.replace(spec, delta_z=delta)
+        horizon = reduction._measured_horizon(spec, z0, n_intervals * dt)
+        assert horizon == _horizon_of(on_run, spec) == _horizon_of(on_wide, spec)
