@@ -196,7 +196,7 @@ def _weigh(
 def _collapse(grid: GridSpec, proj: np.ndarray, lam: np.ndarray, weight: float) -> DensityMatrix:
     """Lueders child Pi rho Pi / w of rho = V diag(lam) V^H, from proj = Pi V
     and the cell weight w > 0, held as the factor (lam / w, Pi V)."""
-    return DensityMatrix._from_factor(grid, _Factor(lam / weight, proj.T))
+    return DensityMatrix._of(grid, _Factor(lam / weight, proj.T))
 
 
 def branch_step(

@@ -491,7 +491,7 @@ def _run_explicit(cfg, run_dir):
         "env_overlaps": report.env_overlaps,
         "consistency_ratios": report.consistency_ratios,
         # Tr rho^2 of the Hermitian kernel, in O(N^2)
-        "purity": float(np.sum(np.abs(reduced.elements) ** 2) * grid.dx**2),
+        "purity": reduced._squares() * grid.dx**2,
     }
     _write_json(os.path.join(run_dir, "explicit.json"), payload, _INDENTED)
     return {"k": model.k}, EXIT_OK

@@ -20,33 +20,33 @@ the crossover of _leap_path, GRW's free flight is leapt, so there a
 wave-function step is not a run() call but part of a product.  It also
 steps a density kernel in place of a block of states, with the congruence
 K rho K^dagger applied as one real 2-D transform pair.  The Propagator
-steps a Hermitian kernel A + iB packed as the one real array R = A + B,
-whose symmetric and antisymmetric parts unpack it exactly Hermitian.  On
-grids of _FFT_MIN_N points or more whose prime factors are at most
-_FFT_MAX_PRIME (_fft_path) it keeps no dense matrix and steps R with the
-core's rfft2/irfft2, half the cost of complex transforms, O(N^2 log N) in
-place of O(N^3); on every other grid it builds the Strang unitary U as a
-dense matrix and packs X = U R U^dagger as Re X - (Im X)^T.
-This module is the only one that steps a state.  Every density state
-steps through one guarded loop, _chain, as a _Factor or as R, with one
-entry rule: a state whose factor passes Propagator.factored(rank) enters
-as that factor, any other as its kernel, packed once (DensityMatrix._kernel:
-a factor is expanded afresh and not kept); a WaveFunction enters as its
-rank-1 to_density().  A factor rho = V diag(lam) V^H stays one through
-every step, guard and moment row with no N x N array (the low-rank
-integrator of Le Bris & Rouchon, Phys. Rev. A 87, 022125, 2013): the
-unitary is one run() on the r rows of V^T, and each half dephasing
-D = sum_m d_m d_m^T, factored once per propagator, maps V to the block
-[d_m o v_k sqrt(lam_k)], recompressed through the eigenpairs of its Gram
-matrix.  Before each step the chain checks M0^2 r,
+steps a Hermitian kernel A + iB packed as the one real array R = A + B
+(qstate._pack_kernel).  On grids of _FFT_MIN_N points or more whose prime
+factors are at most _FFT_MAX_PRIME (_fft_path) it keeps no dense matrix and
+steps R with the core's rfft2/irfft2, half the cost of complex transforms,
+O(N^2 log N) in place of O(N^3); on every other grid it builds the Strang
+unitary U as a dense matrix and packs X = U R U^dagger as Re X - (Im X)^T.
+This module is the only one that steps a density state (wave functions
+are stepped by the core's run() and leap() elsewhere too).  Every density
+state steps through one guarded loop, _chain, as a _Factor or as R, with
+one entry rule: a state whose factor passes Propagator.factored(rank)
+enters as that factor, any other as its kernel, packed once; a
+WaveFunction enters as its rank-1 to_density().  A factor
+rho = V diag(lam) V^H stays one through every step, guard and moment row
+with no N x N array (the low-rank integrator of Le Bris & Rouchon, Phys.
+Rev. A 87, 022125, 2013): the unitary is one run() on the r rows of V^T,
+and each half dephasing D = sum_m d_m d_m^T, factored once per propagator,
+maps V to the block [d_m o v_k sqrt(lam_k)], recompressed through the
+eigenpairs of its Gram matrix.  Before each step the chain checks M0^2 r,
 M0 the closed-form term count of D's expansion: past _FACTOR_MAX_BLOCK, the
 crossover measured at N = 256 (r = 16 at M0 = 13), it expands once to the
 packed kernel.  The dense step writes its temporaries into two work arrays
-the propagator owns, so each step allocates only its result.  evolve, the
-sieve and the measured horizon record rows from the chain (_evolve_on);
-each collapse interval of branch_step and BornSampler runs it to its last
-form (_evolve_kernel); _state_of makes the state of a last form for both.
-Every form, the entry form too, passes one guard on the diagonal density,
+the propagator owns, so each step allocates only its result.  The chain
+hands out each form as a DensityMatrix, whose readers in qstate read the
+form.  evolve, the sieve and the measured horizon record rows from the
+chain (_evolve_on); each collapse interval of branch_step and BornSampler
+takes the kernel of its last state for one use (_evolve_kernel).  Every
+state, the entry state too, passes one guard on the diagonal density,
 labelled t = k dt: finite unit trace and at most EDGE_TOL of the mass in
 the outer two cells on either side, where it would wrap around the grid.
 """
@@ -54,14 +54,14 @@ the outer two cells on either side, where it would wrap around the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .errors import BoundaryViolation, ExplosionGuard
-from .qstate import DensityMatrix, GridSpec, WaveFunction, _Factor, _momentum_masses
+from .qstate import DensityMatrix, GridSpec, WaveFunction, _Factor, _pack_kernel
 
 __all__ = [
     "Potential",
@@ -312,28 +312,6 @@ class _SplitStep:
         return self._kinetic(packed)
 
 
-def _pack_kernel(elements: np.ndarray) -> np.ndarray:
-    """The real array R = A + B of the Hermitian part A + iB of a kernel.
-
-    R = (P + Q^T) / 2 with P = Re + Im and Q = Re - Im, so a kernel with
-    roundoff asymmetry packs its Hermitian part, and an exactly Hermitian
-    one packs to the same bits as Re + Im.
-    """
-    packed = elements.real + elements.imag
-    packed += (elements.real - elements.imag).T
-    packed *= 0.5
-    return packed
-
-
-def _unpack_kernel(packed: np.ndarray) -> np.ndarray:
-    """The exactly Hermitian kernel (R + R^T)/2 + i (R - R^T)/2."""
-    out = np.empty(packed.shape, dtype=np.complex128)
-    np.add(packed, packed.T, out=out.real)
-    np.subtract(packed, packed.T, out=out.imag)
-    out *= 0.5
-    return out
-
-
 class Propagator:
     """Precomputed one-step map on density kernels for a fixed (grid,
     potential, lambda_rate, dt); it steps kernels only, and a wave function
@@ -510,17 +488,9 @@ class Propagator:
         return _Factor(lam[keep], rows)
 
 
-def _density(form) -> np.ndarray:
-    """diag rho of either form a chain steps: a _Factor, or the packed R
-    (diag R = diag Re rho)."""
-    if isinstance(form, _Factor):
-        return form.density()
-    return np.diagonal(form).real
-
-
 def _check_density(dens: np.ndarray, dx: float, where: str) -> None:
     """The invariants of every density step, on the diagonal density of
-    any form (see _density).
+    the step's state.
 
     Raises ExplosionGuard on a non-finite trace or trace drift beyond 1e-6,
     and BoundaryViolation once more than EDGE_TOL of the mass sits in the
@@ -537,10 +507,10 @@ def _check_density(dens: np.ndarray, dx: float, where: str) -> None:
 
 
 def _chain(prop: Propagator, state: DensityMatrix, n_steps: int):
-    """Yield (k, form), the form of state after k = 0 ... n_steps guarded
-    steps: its factor while step_factor keeps one (it hands off at most
-    once to the packed kernel), else its packed kernel.  Every step
-    returns a fresh form, so the state is never written."""
+    """Yield (k, rho), the state after k = 0 ... n_steps guarded steps, held
+    as its factor while step_factor keeps one (it hands off at most once to
+    the packed kernel), else as its packed kernel R.  Every step returns a
+    fresh form, so no yielded state is ever written."""
     form = state.factor
     if form is None or not prop.factored(form.rank):
         form = _pack_kernel(state._kernel())
@@ -548,24 +518,17 @@ def _chain(prop: Propagator, state: DensityMatrix, n_steps: int):
         if k:
             step = prop.step_factor if isinstance(form, _Factor) else prop.step_elements
             form = step(form)
-        _check_density(_density(form), prop.grid.dx, f"t = {k * prop.dt:.6g}")
-        yield k, form
-
-
-def _state_of(grid: GridSpec, form) -> DensityMatrix:
-    """The state of a chain's form: a _Factor held as the state's factor
-    (its kernel built on the first read of elements), or R unpacked."""
-    if isinstance(form, _Factor):
-        return DensityMatrix._from_factor(grid, form)
-    return DensityMatrix(grid, _unpack_kernel(form), validate=False)
+        rho = DensityMatrix._of(prop.grid, form)
+        _check_density(rho.position_density(), prop.grid.dx, f"t = {k * prop.dt:.6g}")
+        yield k, rho
 
 
 def _evolve_kernel(prop: Propagator, state: DensityMatrix, n_steps: int) -> np.ndarray:
     """The exactly Hermitian kernel of state after n_steps of _chain, held
     by no state; only the current form is alive."""
-    for _, form in _chain(prop, state, n_steps):
+    for _, rho in _chain(prop, state, n_steps):
         pass
-    return _state_of(prop.grid, form)._kernel()
+    return rho._kernel()
 
 
 @dataclass
@@ -574,9 +537,9 @@ class EvolutionRecord:
 
     All arrays share the length of times.  mean_dvdx is <V'(X)>, recorded so
     force-law residuals can be formed without storing state snapshots.
-    final is the state at the last time, either given or built on its first
-    read by _state_of from packed_final, the grid and the chain's last
-    form.  Callers that read only the moment series build no final kernel.
+    final is the DensityMatrix at the last time; evolve's is the chain's
+    last state, in the form it stepped in, so callers that read only the
+    moment series build no final kernel.
     """
 
     times: np.ndarray
@@ -589,21 +552,11 @@ class EvolutionRecord:
     mean_dvdx: np.ndarray
     dt: float
     lambda_rate: float
-    # final left out arrives as its default, the cached property below
-    final: InitVar[DensityMatrix]
-    packed_final: Optional[tuple[GridSpec, object]] = field(default=None, repr=False)
+    final: DensityMatrix
 
-    def __post_init__(self, final) -> None:
-        if isinstance(final, DensityMatrix):
-            self.__dict__["final"] = final
-        elif not isinstance(final, cached_property) or self.packed_final is None:
-            raise TypeError("EvolutionRecord needs final, a DensityMatrix, or packed_final")
-
-    @cached_property
-    def final(self) -> DensityMatrix:
-        grid, form = self.packed_final
-        self.packed_final = None
-        return _state_of(grid, form)
+    def __post_init__(self) -> None:
+        if not isinstance(self.final, DensityMatrix):
+            raise TypeError("EvolutionRecord needs final, a DensityMatrix")
 
     def as_columns(self) -> dict:
         """Column dict in CSV order (diagnostic extras excluded)."""
@@ -618,21 +571,16 @@ class EvolutionRecord:
         }
 
 
-def _moment_row(form, grid: GridSpec, dv_vals: np.ndarray):
-    """Moments of either form a chain steps.  On the packed R the purity
-    is sum R^2 dx^2: the cross term between R's symmetric and antisymmetric
-    parts sums to zero."""
-    dx = grid.dx
-    dens = _density(form)
-    if isinstance(form, _Factor):
-        mom, squares = form.momentum_masses(dx), form.squares()
-    else:
-        mom, squares = _momentum_masses(form, dx), np.vdot(form, form)
+def _moment_row(rho: DensityMatrix, dv_vals: np.ndarray):
+    """Moments of a chain's state, read from its form."""
+    grid, dx = rho.grid, rho.grid.dx
+    dens = rho.position_density()
+    mom = rho.momentum_masses()
     mean_x = float(np.sum(grid.x * dens) * dx)
     mean_x2 = float(np.sum(grid.x**2 * dens) * dx)
     mean_p = float(np.sum(grid.p * mom))
     mean_p2 = float(np.sum(grid.p**2 * mom))
-    purity = float(squares * dx * dx)
+    purity = rho._squares() * dx * dx
     mean_dv = float(np.sum(dv_vals * dens) * dx)
     return mean_x, mean_p, mean_x2, mean_p2, purity, mean_dv
 
@@ -652,7 +600,7 @@ def evolve(
     BoundaryViolation once more than EDGE_TOL of the mass sits in the
     outermost two grid cells on either side.  A state steps as a low-rank
     factor where _chain's entry rule allows it, else as its kernel; the
-    final kernel is built on the first read of the record's final.
+    final kernel is built on the first read of the record's final.elements.
     """
     return _evolve_on(
         Propagator(state.grid, potential, lambda_rate, dt), state, n_steps, record_every
@@ -669,7 +617,7 @@ def _evolve_on(
     states with one (grid, potential, lambda_rate, dt) build it once.
 
     The state steps through _chain, a WaveFunction as its to_density(),
-    and each recorded row reads the current form.
+    and each recorded row reads the current state.
     """
     if n_steps < 1 or record_every < 1:
         raise ValueError("n_steps and record_every must be >= 1")
@@ -679,9 +627,9 @@ def _evolve_on(
     dv_vals = prop.potential.derivative_values(grid)
 
     rows, times = [], []
-    for k, form in _chain(prop, state, n_steps):
+    for k, rho in _chain(prop, state, n_steps):
         if k % record_every == 0 or k == n_steps:
-            mx, mp, mx2, mp2, pur, mdv = _moment_row(form, grid, dv_vals)
+            mx, mp, mx2, mp2, pur, mdv = _moment_row(rho, dv_vals)
             if not (math.isfinite(mx2) and math.isfinite(mp2)):
                 raise ExplosionGuard(f"non-finite moments at t = {k * dt:.6g}")
             times.append(k * dt)
@@ -700,5 +648,5 @@ def _evolve_on(
         mean_dvdx=mdv,
         dt=dt,
         lambda_rate=prop.lambda_rate,
-        packed_final=(grid, form),
+        final=rho,
     )

@@ -19,7 +19,7 @@ import numpy as np
 from .branching import BranchTree, ExplicitModel
 from .dynamics import Potential, _leap_path, _SplitStep
 from .errors import EmptyTree, NodeRegion, RuleError
-from .qstate import GridSpec, WaveFunction
+from .qstate import GridSpec, WaveFunction, _check_width
 
 __all__ = [
     "GRWParams",
@@ -95,9 +95,11 @@ def grw_evolve(
     of U, built for this run only; the two agree to roundoff.  Hit centers
     follow the density (|psi|^2 convolved with a Gaussian of variance
     r_c^2/2); the state is multiplied by the corresponding Gaussian and
-    renormalized.  Everything is deterministic for a fixed seed.
+    renormalized.  Everything is deterministic for a fixed seed.  r_c must
+    meet qstate._check_width on the grid.
     """
     grid = psi.grid
+    _check_width(grid, params.r_c, "r_c")
     x = grid.x
     v_vals = potential.values(grid)
     core = _SplitStep(grid, v_vals, dt_int)
@@ -217,12 +219,16 @@ def bohm_velocity(state: State, x: float) -> float:
     return float(np.interp(x, grid.x, velocity))
 
 
+def _node_cdf(grid: GridSpec, density: np.ndarray) -> np.ndarray:
+    """The trapezoid CDF of a density at the grid nodes, ending at 1."""
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * grid.dx)])
+    return cdf / cdf[-1]
+
+
 def sample_positions(state: State, n: int, rng) -> np.ndarray:
     """Draw n positions from |psi|^2 via the piecewise-linear node CDF."""
     grid, cols = _joint_columns(state)
-    density = np.sum(np.abs(cols) ** 2, axis=1)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * grid.dx)])
-    cdf = cdf / cdf[-1]
+    cdf = _node_cdf(grid, np.sum(np.abs(cols) ** 2, axis=1))
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     u = rng.random(n)
     return np.interp(u, cdf, grid.x)
@@ -268,12 +274,8 @@ class BohmRun:
 
 
 def _ks_distance(samples: np.ndarray, grid: GridSpec, density: np.ndarray) -> float:
-    cdf_nodes = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * grid.dx)]
-    )
-    cdf_nodes = cdf_nodes / cdf_nodes[-1]
     xs = np.sort(samples)
-    f = np.interp(xs, grid.x, cdf_nodes)
+    f = np.interp(xs, grid.x, _node_cdf(grid, density))
     n = len(xs)
     steps = np.arange(1, n + 1) / n
     return float(np.max(np.maximum(np.abs(f - steps), np.abs(f - (steps - 1.0 / n)))))

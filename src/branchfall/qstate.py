@@ -6,13 +6,14 @@ are normalized so that sum(|psi|^2) * dx = 1; density matrices are position
 kernels rho(x, x') with sum(diag) * dx = 1.  All observable values returned
 by this module are plain floats.
 
-A DensityMatrix is either an N x N kernel or a low-rank factor
-rho = V diag(lam) V^H (_Factor).  Pure states (from_pure, to_density) are
-factors of rank 1, and the Lueders children of the branch module are
-factors of the rank of their parent's evolved kernel.  A factor's position
-density, momentum masses, expectations and purity read (lam, V) in O(N r),
-with one FFT of the r rows; its N x N kernel, elements, is built on the
-first read of elements and kept.
+A DensityMatrix is a given N x N kernel, a low-rank factor
+rho = V diag(lam) V^H (_Factor) or the packed real kernel R = Re rho + Im rho
+(_pack_kernel) that the density chain of the dynamics module steps.  Pure
+states (from_pure, to_density) are factors of rank 1, and the Lueders
+children of the branch module are factors of the rank of their parent's
+evolved kernel.  Every readout reads the form: a factor's in O(N r), with
+one FFT of the r rows, R's in O(N^2), with one FFT; the N x N kernel,
+elements, is built on the first read of elements and kept beside the form.
 """
 
 from __future__ import annotations
@@ -221,14 +222,16 @@ class DensityMatrix:
 
     A state given as elements is that N x N kernel.  A pure state
     (from_pure, WaveFunction.to_density) and a Lueders child of the branch
-    module are held as a low-rank factor instead: factor is then a _Factor,
-    every readout below reads it, and elements is built from it on first
-    read and kept.  factor is None for a state given as elements.
+    module are held as a _Factor, factor, and a state of the density chain
+    as its packed kernel R, _packed, instead (each None otherwise): every
+    readout below reads that form, and elements is built from it on first
+    read and kept.
     """
 
     def __init__(self, grid: GridSpec, elements: np.ndarray, validate: bool = True):
         self.grid = grid
         self.factor: Optional[_Factor] = None
+        self._packed: Optional[np.ndarray] = None
         self._elements = np.asarray(elements, dtype=np.complex128)
         n = grid.n_points
         if self._elements.shape != (n, n):
@@ -242,27 +245,34 @@ class DensityMatrix:
                 raise ValueError(f"trace is {tr!r}, expected 1")
 
     @classmethod
-    def _from_factor(cls, grid: GridSpec, factor: _Factor) -> "DensityMatrix":
-        """The state of a factor; its kernel is built on the first read of
-        elements."""
+    def _of(cls, grid: GridSpec, form: Union[_Factor, np.ndarray]) -> "DensityMatrix":
+        """The state of a _Factor or of a packed real kernel R, unchecked;
+        its complex kernel is built on the first read of elements."""
         rho = cls.__new__(cls)
-        rho.grid, rho.factor, rho._elements = grid, factor, None
+        rho.grid, rho._elements = grid, None
+        rho.factor = form if isinstance(form, _Factor) else None
+        rho._packed = None if rho.factor is not None else form
         return rho
 
     @property
     def elements(self) -> np.ndarray:
         if self._elements is None:
-            self._elements = self.factor.expand()
+            self._elements = self._kernel()
         return self._elements
 
     def _kernel(self) -> np.ndarray:
         """The N x N kernel for one use: elements if given or already built,
-        else a fresh expansion of the factor that the state does not keep."""
-        return self.factor.expand() if self._elements is None else self._elements
+        else a fresh expansion of the factor or unpacking of R that the
+        state does not keep."""
+        if self._elements is not None:
+            return self._elements
+        if self.factor is not None:
+            return self.factor.expand()
+        return _unpack_kernel(self._packed)
 
     @classmethod
     def from_pure(cls, psi: WaveFunction) -> "DensityMatrix":
-        return cls._from_factor(psi.grid, _Pure(psi.amplitudes))
+        return cls._of(psi.grid, _Pure(psi.amplitudes))
 
     @classmethod
     def from_mixture(cls, weights, states) -> "DensityMatrix":
@@ -281,28 +291,66 @@ class DensityMatrix:
     def trace(self) -> float:
         if self.factor is not None:
             return float(self.factor.mass() * self.grid.dx)
-        return float(np.real(np.trace(self._elements)) * self.grid.dx)
+        return float(np.sum(self.position_density()) * self.grid.dx)
 
     def position_density(self) -> np.ndarray:
+        """diag rho; diag R has the bits of (R_ii + R_ii) / 2 unpacked."""
         if self.factor is not None:
             return self.factor.density()
+        if self._packed is not None:
+            return np.diagonal(self._packed).copy()
         return np.real(np.diag(self._elements)).copy()
 
     def momentum_masses(self) -> np.ndarray:
         """Probability mass on each FFT momentum node (sums to the trace)."""
         if self.factor is not None:
             return self.factor.momentum_masses(self.grid.dx)
-        return _momentum_masses(self._elements, self.grid.dx)
+        packed = self._packed if self._packed is not None else _pack_kernel(self._elements)
+        return _momentum_masses(packed, self.grid.dx)
+
+    def _squares(self) -> float:
+        """sum |rho_ij|^2; on R, sum R^2 (the cross term between R's
+        symmetric and antisymmetric parts sums to zero)."""
+        if self.factor is not None:
+            return self.factor.squares()
+        if self._packed is not None:
+            return float(np.vdot(self._packed, self._packed))
+        return float(np.sum(np.abs(self._elements) ** 2))
 
     def copy(self) -> "DensityMatrix":
-        if self.factor is not None:
-            return DensityMatrix._from_factor(self.grid, self.factor)
+        """A state of the same form, sharing a factor or R (no step writes
+        one); no kernel is built."""
+        form = self.factor if self.factor is not None else self._packed
+        if form is not None:
+            return DensityMatrix._of(self.grid, form)
         return DensityMatrix(self.grid, self._elements.copy(), validate=False)
 
 
-def _momentum_masses(kernel: np.ndarray, dx: float) -> np.ndarray:
-    """Momentum masses of a complex density kernel rho, or of its packed
-    real form R = Re rho + Im rho.
+def _pack_kernel(elements: np.ndarray) -> np.ndarray:
+    """The real array R = A + B of the Hermitian part A + iB of a kernel.
+
+    R = (P + Q^T) / 2 with P = Re + Im and Q = Re - Im, so a kernel with
+    roundoff asymmetry packs its Hermitian part, and an exactly Hermitian
+    one packs to the same bits as Re + Im.
+    """
+    packed = elements.real + elements.imag
+    packed += (elements.real - elements.imag).T
+    packed *= 0.5
+    return packed
+
+
+def _unpack_kernel(packed: np.ndarray) -> np.ndarray:
+    """The exactly Hermitian kernel (R + R^T)/2 + i (R - R^T)/2."""
+    out = np.empty(packed.shape, dtype=np.complex128)
+    np.add(packed, packed.T, out=out.real)
+    np.subtract(packed, packed.T, out=out.imag)
+    out *= 0.5
+    return out
+
+
+def _momentum_masses(packed: np.ndarray, dx: float) -> np.ndarray:
+    """Momentum masses of a density kernel rho from its packed real form
+    R = Re rho + Im rho.
 
     The diagonal of F rho F^dagger is the transform of the wrapped
     autocorrelation c(d) = sum_x rho((x + d) mod n, x), so the masses
@@ -310,15 +358,14 @@ def _momentum_masses(kernel: np.ndarray, dx: float) -> np.ndarray:
     mass_k = (dx / n) Re FFT[c]_k.  On R the gather gives s = Re c + Im c,
     with Re c even and Im c odd in d, so Re FFT[c] = Re FFT[s] - Im FFT[s].
     """
-    n = kernel.shape[0]
+    n = packed.shape[0]
     # read from column r on, row r of this block is row r of the kernel
-    # rolled left by r + 1, so its column sums are c(n - 1), ..., c(0)
-    block = np.concatenate((kernel[:, 1:], kernel), axis=1)
+    # rolled left by r + 1, so its column sums are s(n - 1), ..., s(0)
+    block = np.concatenate((packed[:, 1:], packed), axis=1)
     step = block.itemsize
     rolled = as_strided(block, (n, n), (2 * n * step, step), writeable=False)
     ft = np.fft.fft(rolled.sum(axis=0)[::-1])
-    masses = ft.real if np.iscomplexobj(kernel) else ft.real - ft.imag
-    return masses * (dx / n)
+    return (ft.real - ft.imag) * (dx / n)
 
 
 State = Union[WaveFunction, DensityMatrix]
@@ -394,8 +441,8 @@ def _expect_density(rho: DensityMatrix, observable: Observable) -> float:
             raise ValueError(f"unknown observable {observable!r}")
     else:
         vals = _resolve_diagonal(grid, observable)
-    if rho.factor is None:
-        # a raw kernel may have a complex diagonal; a factor's is real
+    if rho.factor is None and rho._packed is None:
+        # a given kernel may have a complex diagonal; a factor's and R's are real
         imag = np.sum(vals * np.diag(rho.elements).imag) * grid.dx
         if abs(imag) > 1e-6:
             raise NonHermitianState(f"expectation has imaginary part {imag:.3e}")
@@ -439,13 +486,12 @@ def purity_and_entropy(rho: DensityMatrix) -> tuple[float, float, float]:
     Eigenvalues below 1e-14 are dropped from the log sum.
     """
     dx = rho.grid.dx
+    purity = rho._squares() * dx * dx
     if rho.factor is None:
-        purity = float(np.sum(np.abs(rho.elements) ** 2) * dx * dx)
-        lam = np.linalg.eigvalsh(rho.elements * dx)
+        lam = np.linalg.eigvalsh(rho._kernel() * dx)
     else:
         # with V = Q T (thin QR), rho = Q (T diag(lam) T^H) Q^H: its nonzero
         # eigenvalues are those of the r x r middle matrix
-        purity = rho.factor.squares() * dx * dx
         tri = np.linalg.qr(rho.factor.rows.T, mode="r")
         lam = np.linalg.eigvalsh((tri * rho.factor.lam) @ tri.conj().T * dx)
     lam = lam[lam > 1e-14]

@@ -18,7 +18,8 @@ to the kernel's first index, so neither builds the wrapped autocorrelation
 the package reads its momentum masses from.  The reference dense step and
 moment row work on the complex kernel, which the package steps and reads
 only in its packed real form; the moment row takes its momentum masses from
-the package's complex-kernel branch, held to the full transform above.
+the package's given-kernel state, which packs the kernel for the call and
+is held to the full transform above.
 The reference guidance integrator samples the velocity nodes one snapshot
 at a time and interpolates the node tables in time at every half step; the
 batched integrator must reproduce its trajectories bit for bit.
@@ -32,7 +33,6 @@ from scipy.special import erf
 from branchfall import DensityMatrix, EscapeSampled, ExplosionGuard, mean_phase_point
 from branchfall.dynamics import Propagator
 from branchfall.mechanisms import DENSITY_FLOOR, _joint_columns, _ks_distance
-from branchfall.qstate import _momentum_masses
 
 
 def closed_form_cell(x, dx, sigma, q1, q2, p1, p2):
@@ -169,12 +169,12 @@ def reference_trajectory(rho0, potential, lambda_rate, povm, dt, n_steps, rng_se
 def reference_moment_row(kernel, grid, dv_vals):
     """(mean_x, mean_p, mean_x2, mean_p2, purity, mean_dvdx) of a complex
     kernel: the row a chain's packed or factored form must match.  The
-    momentum masses are the complex-kernel branch of _momentum_masses,
+    momentum masses are those of the kernel given as a DensityMatrix,
     which test_momentum_masses_match_full_transform holds to the full
     transform; the purity is sum |rho|^2 dx^2."""
     dx = grid.dx
     dens = np.diagonal(kernel).real
-    mom = _momentum_masses(kernel, dx)
+    mom = DensityMatrix(grid, kernel, validate=False).momentum_masses()
     return (
         float(np.sum(grid.x * dens) * dx),
         float(np.sum(grid.p * mom)),

@@ -47,7 +47,7 @@ from branchfall import (
     verify_reduction,
 )
 from branchfall.cli import main as cli_main
-from branchfall.dynamics import Propagator, _pack_kernel, _state_of
+from branchfall.dynamics import Propagator, _pack_kernel
 
 
 def report(label, ok, detail):
@@ -283,7 +283,7 @@ def test_branch_mixture_tracks_unconditioned_density():
     prop = Propagator(grid, free_potential(), lam, 0.008)
     for _ in range(100):
         ref = prop.step_elements(ref)
-    dev_mixed = mixture_consistency(tree, _state_of(grid, ref))
+    dev_mixed = mixture_consistency(tree, DensityMatrix._of(grid, ref))
 
     # control: +-p superposition inside one x cell, no dephasing; splitting
     # it erases the position fringes the collapse-free evolution keeps
@@ -295,7 +295,7 @@ def test_branch_mixture_tracks_unconditioned_density():
     prop_c = Propagator(grid, free_potential(), 0.0, 0.002)
     for _ in range(50):
         ref_c = prop_c.step_elements(ref_c)
-    dev_coherent = mixture_consistency(tree_c, _state_of(grid, ref_c))
+    dev_coherent = mixture_consistency(tree_c, DensityMatrix._of(grid, ref_c))
 
     ok = dev_mixed < 0.05 and dev_coherent > 0.05
     report(
@@ -452,7 +452,8 @@ def test_guidance_trajectories_equivariant_and_branch_locked():
 
 
 def test_localization_hits_poisson_timed_and_born_weighted():
-    heavy = GridSpec(128, -10.0, 10.0, 1.0e9)
+    # 2 dx = 0.156 resolves the first-hit runs' r_c = 0.3
+    heavy = GridSpec(256, -10.0, 10.0, 1.0e9)
     lam, total = 1.5, 2.0
     psi = coherent_state(heavy, 0.0, 0.0, 0.5)
     hit_counts = np.array([

@@ -40,7 +40,7 @@ from branchfall import (
     superorthogonality_overlap,
 )
 from branchfall import branching, dynamics
-from branchfall.dynamics import Propagator, _evolve_kernel, _state_of
+from branchfall.dynamics import Propagator, _evolve_kernel
 from oracles import reference_collapse, reference_strang, reference_trajectory
 
 
@@ -252,7 +252,7 @@ def test_mixture_consistency_single_cell_is_identity():
     prop = Propagator(grid, free_potential(), 0.8, 0.002)
     for _ in range(100):
         ref = prop.step_elements(ref)
-    dev = mixture_consistency(out, _state_of(grid, ref))
+    dev = mixture_consistency(out, DensityMatrix._of(grid, ref))
     assert len(out.leaves) == 1
     assert dev < 1e-10
 
@@ -267,7 +267,7 @@ def test_mixture_consistency_decohered_state(wide_povm_2x1):
     prop = Propagator(WIDE, free_potential(), lam, 0.008)
     for _ in range(100):
         ref = prop.step_elements(ref)
-    dev = mixture_consistency(tree, _state_of(WIDE, ref))
+    dev = mixture_consistency(tree, DensityMatrix._of(WIDE, ref))
     assert dev < 0.05
 
 
@@ -283,7 +283,7 @@ def test_mixture_consistency_interference_control():
     prop = Propagator(GRID, free_potential(), 0.0, 0.002)
     for _ in range(50):
         ref = prop.step_elements(ref)
-    dev = mixture_consistency(out, _state_of(GRID, ref))
+    dev = mixture_consistency(out, DensityMatrix._of(GRID, ref))
     weights = sorted(leaf.weight_sq for leaf in out.leaves)
     assert weights == pytest.approx([0.5, 0.5], abs=0.01)
     assert dev > 0.05
@@ -385,6 +385,7 @@ def _sample_against_reference(args, dt_int, runs, stop=None):
     return outcomes
 
 
+@pytest.mark.blas_order
 def test_born_sampler_matches_reference_multi_step(wide_povm_3x3):
     # packet near a cell corner: the collapses spread over several cells
     rho = DensityMatrix.from_pure(coherent_state(WIDE, 3.0, 2.0, 1.0))
@@ -397,6 +398,7 @@ def test_born_sampler_matches_reference_multi_step(wide_povm_3x3):
     assert len(histories) >= 3 and all(len(h) == 3 for h in histories)
 
 
+@pytest.mark.blas_order
 def test_born_sampler_matches_reference_on_escape(povm_3x3):
     rho = DensityMatrix.from_pure(coherent_state(GRID, 0.0, 5.8, 1.0))
     args = (rho, free_potential(), 0.0, povm_3x3, 0.05)
@@ -405,6 +407,7 @@ def test_born_sampler_matches_reference_on_escape(povm_3x3):
     assert kinds == {"ok", "escape"}
 
 
+@pytest.mark.blas_order
 def test_born_sampler_matches_reference_with_stop_hook(wide_povm_3x3):
     rho = DensityMatrix.from_pure(coherent_state(WIDE, 3.0, 2.0, 1.0))
     args = (rho, harmonic_potential(1.0, 1.0), 0.3, wide_povm_3x3, 0.3)
@@ -526,6 +529,7 @@ def _check_against_dense_collapse(povm, el):
     return lam
 
 
+@pytest.mark.blas_order
 def test_factored_collapse_matches_dense_lueders(bench_shape):
     shape, povm, rho = bench_shape
     prop, n_sub = branching._interval_propagator(
@@ -534,10 +538,11 @@ def test_factored_collapse_matches_dense_lueders(bench_shape):
     el = dynamics._pack_kernel(rho.elements)
     for _ in range(n_sub):
         el = prop.step_elements(el)
-    lam = _check_against_dense_collapse(povm, _state_of(prop.grid, el).elements)
+    lam = _check_against_dense_collapse(povm, DensityMatrix._of(prop.grid, el).elements)
     assert len(lam) < shape["grid"].n_points / 2
 
 
+@pytest.mark.blas_order
 def test_wide_root_hands_off_after_one_factored_substep(monkeypatch):
     # the wide-grid branch root: M0^2 r = 52^2 sits on the bound at r = 1,
     # so the packet takes one factored substep, then its rank outgrows the
@@ -578,6 +583,7 @@ def bench_leaves(bench_shape):
     return shape, povm, rho, tree, _evolve_kernel(prop, rho, n_sub)
 
 
+@pytest.mark.blas_order
 def test_branch_leaves_expand_to_the_collapse_bits(bench_leaves):
     # a leaf holds (lam / w, Pi V) and builds its kernel on the first read,
     # with the bits of the dense product the children were stored as
@@ -592,6 +598,7 @@ def test_branch_leaves_expand_to_the_collapse_bits(bench_leaves):
         assert np.array_equal(leaf.state.elements, ref)
 
 
+@pytest.mark.blas_order
 def test_factor_readouts_match_the_expanded_kernel(bench_leaves):
     # the root packet (rank 1) and every leaf read from (lam, V) against the
     # same state's expanded kernel, to the bounds of
@@ -651,6 +658,7 @@ def test_branch_step_holds_one_live_kernel(prune):
     assert peak <= povm.operators.nbytes + factors + 16 * grid.n_points**2 * 16
 
 
+@pytest.mark.blas_order
 def test_full_rank_mixed_kernel_takes_the_full_eigh(monkeypatch):
     # a random mixture under a Gaussian envelope: more than 32 eigenvalues
     # above N eps |lam|_max, so the sketch doubles to k = N = 64
@@ -812,6 +820,7 @@ def run_blocks(monkeypatch):
     return blocks
 
 
+@pytest.mark.blas_order
 def test_explicit_distinct_rows_equal_rows_stepped_alone(run_blocks):
     model = mixed_rows_model(GRID)
     pot = harmonic_potential(1.0, 1.0)
@@ -824,6 +833,7 @@ def test_explicit_distinct_rows_equal_rows_stepped_alone(run_blocks):
         assert np.array_equal(out.state[:, b], core.run(rows[b : b + 1], 7)[0])
 
 
+@pytest.mark.blas_order
 def test_decoherence_functional_distinct_rows_equal_rows_stepped_alone(povm_2x1):
     model = mixed_rows_model(GRID)
     projs = [povm_2x1.operators[0], povm_2x1.operators[1]]
@@ -842,6 +852,7 @@ def test_decoherence_functional_distinct_rows_equal_rows_stepped_alone(povm_2x1)
     assert np.all(np.diag(report.consistency_ratios) == 1.0)
 
 
+@pytest.mark.blas_order
 def test_evolve_explicit_steps_37_of_256_rows(run_blocks):
     # couplings 0.1 ... 0.8 give 37 shifts s_b = 0.1 m (m = -36, -34, ..., 36)
     # over 256 rows; their sums spell them in 105 bit patterns
@@ -854,6 +865,7 @@ def test_evolve_explicit_steps_37_of_256_rows(run_blocks):
 
 
 @pytest.mark.parametrize("dt, n", [(0.01, 3), (0.01, 100), (-0.05, 40)])
+@pytest.mark.blas_order
 def test_grouped_rows_stay_within_the_phase_bound(dt, n):
     # each row of a group steps under its first row's phase row, off by at
     # most tol max|x|, so its state stays within tol max|x| |t| of the row
@@ -878,6 +890,7 @@ def near_zero_model(couplings):
     return ExplicitModel.from_wavefunction(coherent_state(GRID, 0.0, 0.0, 0.8), couplings)
 
 
+@pytest.mark.blas_order
 def test_shifts_just_over_tol_apart_stay_separate(run_blocks):
     # couplings (1, 1 - d) give the exact shifts +-(2 - d) and +-d, and
     # tol = 2 k eps (2 - d) = 2^-49 - 2^-100: at d = 2^-50 the pair +-d lies
@@ -888,6 +901,7 @@ def test_shifts_just_over_tol_apart_stay_separate(run_blocks):
     assert run_blocks == [(4, GRID.n_points), (3, GRID.n_points)]
 
 
+@pytest.mark.blas_order
 def test_shifts_spaced_under_tol_form_no_group_wider_than_tol(run_blocks):
     # couplings (1, 1, c, 2c) with c = 2^-50 give, exactly, three clusters
     # of four shifts (-2, 0 and 2, each offset by -3c, -c, c and 3c) spaced

@@ -33,9 +33,9 @@ from branchfall.dynamics import (
     free_potential,
     harmonic_potential,
 )
-from branchfall import dynamics
-from branchfall.dynamics import _pack_kernel, _SplitStep, _state_of, _unpack_kernel
-from branchfall.qstate import _momentum_masses
+from branchfall import dynamics, qstate
+from branchfall.dynamics import _pack_kernel, _SplitStep
+from branchfall.qstate import _unpack_kernel
 from oracles import (
     reference_dense_step,
     reference_moment_row,
@@ -88,7 +88,7 @@ def test_step_preserves_trace_hermiticity_positivity():
         el = _pack_kernel(rho.elements)
         for _ in range(100):
             el = prop.step_elements(el)
-        el = _state_of(prop.grid, el).elements
+        el = DensityMatrix._of(prop.grid, el).elements
         assert np.max(np.abs(el - el.conj().T)) == 0.0
         assert np.real(np.trace(el)) * grid.dx == pytest.approx(1.0, abs=1e-12)
         # dephasing is a Schur product with a Gaussian kernel: positivity survives
@@ -112,7 +112,7 @@ def test_leapfrog_moment_identities_per_step():
         rho = coherent_state(grid, 1.2, -0.5, 0.7).to_density()
         m, w, dt = 2.0, 1.3, 0.02
         prop = Propagator(grid, harmonic_potential(m, w), 0.5, dt)
-        out = _state_of(grid, prop.step_elements(_pack_kernel(rho.elements)))
+        out = DensityMatrix._of(grid, prop.step_elements(_pack_kernel(rho.elements)))
         x0, p0 = expectation(rho, "x"), expectation(rho, "p")
         x1, p1 = expectation(out, "x"), expectation(out, "p")
         x_mid = x0 + 0.5 * dt * p0 / m
@@ -257,6 +257,7 @@ def test_propagator_unitary_matches_column_build(n_points, dt):
         assert np.array_equal(u, reference_unitary(grid, pot, dt))
 
 
+@pytest.mark.blas_order
 def test_propagator_unitary_is_the_cores_dense_step():
     # the construction the Propagator held before the core did: run() on
     # the identity, transposed into a C-ordered copy
@@ -371,7 +372,7 @@ def test_fft_step_matches_dense_reference(n_points, lam, dt, pot):
         el, wave = prop.step_elements(el), prop.core.run(wave)
         ref = dense_step(ref)
         ref_wave = u @ ref_wave
-    el = _state_of(prop.grid, el).elements
+    el = DensityMatrix._of(prop.grid, el).elements
     assert np.max(np.abs(el - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.max(np.abs(wave - ref_wave)) <= 1e-13 * np.max(np.abs(ref_wave))
     # either step leaves the kernel exactly Hermitian
@@ -379,14 +380,15 @@ def test_fft_step_matches_dense_reference(n_points, lam, dt, pot):
 
 
 def _evolve_recording_rows(monkeypatch, psi, pot, lam):
-    """evolve(psi) for 10 steps of 0.01, with the form and the moment row
-    (mean_x, mean_p, mean_x2, mean_p2, purity, mean_dvdx) of every record."""
+    """evolve(psi) for 10 steps of 0.01, with the type of the state's form
+    and the moment row (mean_x, mean_p, mean_x2, mean_p2, purity,
+    mean_dvdx) of every record."""
     forms, rows = [], []
     moment_row = dynamics._moment_row
 
-    def spy(form, *args):
-        forms.append(type(form))
-        rows.append(moment_row(form, *args))
+    def spy(rho, *args):
+        forms.append(type(rho.factor if rho.factor is not None else rho._packed))
+        rows.append(moment_row(rho, *args))
         return rows[-1]
 
     monkeypatch.setattr(dynamics, "_moment_row", spy)
@@ -407,7 +409,7 @@ def _assert_matches_dense_oracle(rec, rows, psi, pot, lam):
     for k, (mx, mp, mx2, mp2, pur, mdv) in enumerate(rows):
         if k:
             ref = dense_step(ref)
-        mass = _momentum_masses(ref, grid.dx)
+        mass = DensityMatrix(grid, ref, validate=False).momentum_masses()
         floor = 4 * np.finfo(float).eps * mass.max()
         wx, wp, wx2, wp2, wpur, wdv = reference_moment_row(ref, grid, dv)
         for got, want in ((mx, wx), (mx2, wx2), (pur, wpur), (mdv, wdv)):
@@ -428,6 +430,7 @@ def _assert_matches_dense_oracle(rec, rows, psi, pot, lam):
     [free_potential(), harmonic_potential(1.5, 0.7), double_well_potential(0.05, 3.0)],
     ids=lambda p: p.name,
 )
+@pytest.mark.blas_order
 def test_factored_chain_matches_dense_oracle(n_points, lam, pot, monkeypatch):
     grid = GridSpec(n_points, -12.0, 12.0, mass=1.5)
     psi = _cat(grid)
@@ -440,6 +443,7 @@ def test_factored_chain_matches_dense_oracle(n_points, lam, pot, monkeypatch):
     _assert_matches_dense_oracle(rec, rows, psi, pot, lam)
 
 
+@pytest.mark.blas_order
 def test_factored_chain_hands_off_once(monkeypatch):
     # reduce's horizon chain on its widened grid (N = 288 on |x| <= 30,
     # Lambda = 0.25, step 0.3), which it runs only when the run's own grid
@@ -499,17 +503,18 @@ def test_fft_step_evolves_the_hermitian_part_of_a_noisy_kernel(n_points):
     noisy = _noisy_cat(grid)
     _, dense_step = _dense_step(grid, pot, 0.2, 0.01)
     prop = Propagator(grid, pot, 0.2, 0.01)
-    out = _state_of(prop.grid, prop.step_elements(_pack_kernel(noisy))).elements
+    out = DensityMatrix._of(prop.grid, prop.step_elements(_pack_kernel(noisy))).elements
     ref = dense_step(el)
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.array_equal(out, out.conj().T)
 
 
 @pytest.mark.parametrize("n_points", [256, 315, 512])
+@pytest.mark.blas_order
 def test_moment_row_reads_the_packed_kernel(n_points):
-    # the row read from R = Re rho + Im rho is the complex kernel's row: a
-    # stepped kernel against its unpacked form, and the noisy kernel
-    # against its Hermitian part
+    # the row read from the state of R = Re rho + Im rho is the complex
+    # kernel's row: a stepped kernel against its unpacked form, and the
+    # noisy kernel against its Hermitian part
     grid = GridSpec(n_points, -12.0, 12.0, mass=1.5)
     pot = double_well_potential(0.05, 3.0)
     prop = Propagator(grid, pot, 0.2, 0.01)
@@ -519,15 +524,16 @@ def test_moment_row_reads_the_packed_kernel(n_points):
         packed = prop.step_elements(packed)
     noisy = _noisy_cat(grid)
     pairs = [
-        (packed, _state_of(prop.grid, packed).elements),
+        (packed, _unpack_kernel(packed)),
         (_pack_kernel(noisy), 0.5 * (noisy + noisy.conj().T)),
     ]
     for kernel, ref in pairs:
         assert kernel.dtype == np.float64 and ref.dtype == np.complex128
-        mass = _momentum_masses(ref, grid.dx)
+        rho = DensityMatrix._of(grid, kernel)
+        mass = DensityMatrix(grid, ref, validate=False).momentum_masses()
         floor = 4 * np.finfo(float).eps * mass.max()
-        assert np.max(np.abs(_momentum_masses(kernel, grid.dx) - mass)) <= floor
-        mx, mp, mx2, mp2, pur, mdv = dynamics._moment_row(kernel, grid, dv)
+        assert np.max(np.abs(rho.momentum_masses() - mass)) <= floor
+        mx, mp, mx2, mp2, pur, mdv = dynamics._moment_row(rho, dv)
         wx, wp, wx2, wp2, wpur, wdv = reference_moment_row(ref, grid, dv)
         for got, want in ((mx, wx), (mx2, wx2), (pur, wpur), (mdv, wdv)):
             assert abs(got - want) <= 1e-13 * abs(want)
@@ -538,6 +544,7 @@ def test_moment_row_reads_the_packed_kernel(n_points):
 
 
 @pytest.mark.parametrize("n_points", [128, 256, 512])
+@pytest.mark.blas_order
 def test_wave_and_density_share_one_chain(n_points):
     # a WaveFunction enters the chain as its to_density(), so both give the
     # same bits: as the dense-path kernel at N = 128, as the factor from 256
@@ -555,14 +562,15 @@ def test_wave_and_density_share_one_chain(n_points):
 @pytest.mark.parametrize("n_points", [128, 256])
 def test_density_chains_pack_once_and_unpack_once(n_points, monkeypatch):
     # a DensityMatrix given as a kernel: its evolve and one branch_step leaf
-    # each pack the kernel once and unpack it once on either stepper,
-    # evolve's on the read of final.  A WaveFunction on the FFT path
-    # (N = 256) steps as a factor: no packed kernel and no step_elements;
-    # on the dense path (N = 128) its rank-1 density enters as its kernel
+    # each pack the kernel once (the chain's entry, in dynamics) and unpack
+    # it once (in qstate) on either stepper, evolve's on the read of
+    # final.elements.  A WaveFunction on the FFT path (N = 256) steps as a
+    # factor: no packed kernel and no step_elements; on the dense path
+    # (N = 128) its rank-1 density enters as its kernel
     calls = {"pack": 0, "unpack": 0, "step": 0}
 
-    def counting(name):
-        real = getattr(dynamics, f"_{name}_kernel")
+    def counting(module, name):
+        real = getattr(module, f"_{name}_kernel")
 
         def count(kernel):
             calls[name] += 1
@@ -570,8 +578,8 @@ def test_density_chains_pack_once_and_unpack_once(n_points, monkeypatch):
 
         return count
 
-    for name in ("pack", "unpack"):
-        monkeypatch.setattr(dynamics, f"_{name}_kernel", counting(name))
+    for module, name in ((dynamics, "pack"), (qstate, "unpack")):
+        monkeypatch.setattr(module, f"_{name}_kernel", counting(module, name))
     step = Propagator.step_elements
 
     def counting_step(self, kernel):
@@ -585,13 +593,15 @@ def test_density_chains_pack_once_and_unpack_once(n_points, monkeypatch):
     rec = evolve(rho, harmonic_potential(1.0, 1.0), 0.2, dt=0.01, n_steps=7, record_every=2)
     assert calls == {"pack": 1, "unpack": 0, "step": 7}
     rec.final
+    assert calls == {"pack": 1, "unpack": 0, "step": 7}
+    rec.final.elements
     assert calls == {"pack": 1, "unpack": 1, "step": 7}
     povm = build_povm(grid, PhasePartition((-7.0, 7.0), (-6.0, 6.0), 2, 1), sigma_x=0.8)
     tree = BranchTree.from_state(rho, povm, dt=0.03)
     assert len(branch_step(tree, free_potential(), 0.2, dt_int=0.01).leaves) == 2
     assert calls == {"pack": 2, "unpack": 2, "step": 10}
     rec = evolve(psi, harmonic_potential(1.0, 1.0), 0.2, dt=0.01, n_steps=7, record_every=2)
-    rec.final
+    rec.final.elements
     kernel = int(not dynamics._fft_path(n_points))
     assert calls == {"pack": 2 + kernel, "unpack": 2 + kernel, "step": 10 + 7 * kernel}
     with pytest.raises(TypeError, match="packed real kernel"):
@@ -616,6 +626,7 @@ def test_fft_propagator_holds_one_table_and_the_dephasing_kernel():
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5])
+@pytest.mark.blas_order
 def test_dense_step_allocates_only_its_result(lam):
     # N = 128 is on the dense path: past its first step the propagator's two
     # work arrays hold every complex temporary, so a 20-step chain of packed

@@ -52,11 +52,15 @@ def test_record_needs_a_final_state():
     rec = _fake_record([0.0, 0.1])
     assert rec.final.grid is GRID
     fields = {f.name: getattr(rec, f.name) for f in dataclasses.fields(rec)}
-    fields.pop("packed_final")
-    with pytest.raises(TypeError, match="needs final"):
+    # final is the last field, so the positional order is unchanged
+    assert list(fields)[-1] == "final"
+    assert EvolutionRecord(*fields.values()).final is rec.final
+    fields.pop("final")
+    with pytest.raises(TypeError, match="'final'"):
         EvolutionRecord(**fields)
-    with pytest.raises(TypeError, match="needs final"):
-        EvolutionRecord(**fields, final=rec.final.elements)
+    for bad in (None, rec.final.elements):
+        with pytest.raises(TypeError, match="needs final"):
+            EvolutionRecord(**fields, final=bad)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.1, 1.0])

@@ -35,6 +35,10 @@ from branchfall.mechanisms import sample_positions
 
 GRID = GridSpec(128, -10.0, 10.0, 1.0)
 HEAVY = GridSpec(128, -10.0, 10.0, 1.0e9)
+# HEAVY's window at half the spacing: 2 dx = 0.156 resolves the hit widths
+# r_c = 0.2 and 0.3, which HEAVY's 2 dx = 0.3125 does not (grw_evolve
+# checks r_c by qstate._check_width)
+FINE = GridSpec(256, -10.0, 10.0, 1.0e9)
 
 
 def normalized(amps, grid):
@@ -55,6 +59,15 @@ def test_grw_params_validation():
     assert GRWParams(0.0, 1.0).hit_rate == 0.0
 
 
+@pytest.mark.parametrize("r_c", [0.3, 25.0], ids=["under-2dx", "over-width"])
+def test_grw_rejects_an_unresolved_or_too_wide_hit(r_c):
+    # the rule validate applies to r_c: at least 2 dx (0.3125 on HEAVY) and
+    # at most the grid width (20)
+    with pytest.raises(ValueError, match="r_c") as err:
+        grw_evolve(two_lobe(HEAVY), free_potential(), GRWParams(2.0, r_c), 1.0, rng_seed=1)
+    assert err.value.field == "r_c"
+
+
 def test_zero_rate_matches_unitary_evolution():
     psi = coherent_state(GRID, 1.0, 0.5, 0.8)
     pot = harmonic_potential(1.0, 1.0)
@@ -68,7 +81,7 @@ def test_zero_rate_matches_unitary_evolution():
 
 
 def test_grw_deterministic_given_seed():
-    psi = two_lobe(HEAVY)
+    psi = two_lobe(FINE)
     params = GRWParams(2.0, 0.3)
     a = grw_evolve(psi, free_potential(), params, 2.0, rng_seed=9, dt_int=0.05)
     b = grw_evolve(psi, free_potential(), params, 2.0, rng_seed=9, dt_int=0.05)
@@ -109,10 +122,10 @@ def test_leapt_free_flight_matches_stepping(monkeypatch):
 
 
 def test_short_run_steps_without_dense_step(monkeypatch):
-    # S = 60 substeps at N = 128 is under the crossover: the run steps as
+    # S = 60 substeps at N = 256 is under the crossover: the run steps as
     # before and builds neither the dense step nor its squares
-    psi = two_lobe(HEAVY)
-    assert not dynamics._leap_path(HEAVY.n_points, 3.0 / 0.05)
+    psi = two_lobe(FINE)
+    assert not dynamics._leap_path(FINE.n_points, 3.0 / 0.05)
     cores = _recorded_cores(monkeypatch)
     run = grw_evolve(psi, free_potential(), GRWParams(2.0, 0.3), 3.0, rng_seed=4, dt_int=0.05)
     assert run.hits and cores
@@ -122,7 +135,7 @@ def test_short_run_steps_without_dense_step(monkeypatch):
 
 
 def test_first_hit_follows_born_weights():
-    psi = two_lobe(HEAVY, weight_left=0.7)
+    psi = two_lobe(FINE, weight_left=0.7)
     params = GRWParams(2.0, 0.3)
     sides = []
     for seed in range(2000):
@@ -168,14 +181,18 @@ def test_hit_counts_are_poisson():
     assert chi.pvalue > 0.01
 
 
-@pytest.fixture(scope="module")
-def lobe_tree():
-    psi = two_lobe(HEAVY)
+def _lobe_tree(grid):
+    psi = two_lobe(grid)
     part = PhasePartition((-9.0, 9.0), (-6.0, 6.0), 2, 1)
-    povm = build_povm(HEAVY, part, sigma_x=0.5)
-    rho = DensityMatrix(HEAVY, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+    povm = build_povm(grid, part, sigma_x=0.5)
+    rho = DensityMatrix(grid, np.outer(psi.amplitudes, psi.amplitudes.conj()))
     tree = BranchTree.from_state(rho, povm, dt=0.1, prune_epsilon=1e-4)
     return branch_step(tree, free_potential(), 0.05, dt_int=0.01)
+
+
+@pytest.fixture(scope="module")
+def lobe_tree():
+    return _lobe_tree(HEAVY)
 
 
 def test_compatibility_score_on_leaf_packet(lobe_tree):
@@ -188,10 +205,10 @@ def test_compatibility_score_on_leaf_packet(lobe_tree):
     assert score == pytest.approx(0.99751, abs=1e-3)
 
 
-def test_compatibility_score_reports_subcell_hits(lobe_tree):
-    psi = two_lobe(HEAVY)
+def test_compatibility_score_reports_subcell_hits():
+    psi = two_lobe(FINE)
     run = grw_evolve(psi, free_potential(), GRWParams(3.0, 0.2), 1.0, rng_seed=8, dt_int=0.05)
-    history, score = compatibility_score(run.hits[0].post_state, lobe_tree)
+    history, score = compatibility_score(run.hits[0].post_state, _lobe_tree(FINE))
     # sub-cell localization: reported, not asserted against a target
     assert history in {(0,), (1,)}
     assert 0.05 < score < 0.95

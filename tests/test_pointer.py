@@ -17,7 +17,7 @@ from branchfall import (
     check_positivity,
     coherent_state,
 )
-from branchfall import dynamics, pointer
+from branchfall import pointer, qstate
 from branchfall.dynamics import evolve, free_potential, harmonic_potential
 from branchfall.pointer import (
     PhasePartition,
@@ -359,28 +359,30 @@ def test_sieve_steps_every_width_with_one_propagator(monkeypatch):
 
 def test_sieve_unpacks_no_final_kernel(monkeypatch):
     # the sieve reads only S_lin; a chain's record unpacks its final kernel
-    # on the first read of final, once, and evolve's record does the same
+    # on the first read of final.elements, once, and evolve's record does
+    # the same
     grid = GridSpec(256, -12.0, 12.0, mass=1.0)
     args = (grid, harmonic_potential(1.0, 1.0), 0.2)
     unpacks = []
-    unpack = dynamics._unpack_kernel
+    unpack = qstate._unpack_kernel
 
     def counting_unpack(kernel):
         unpacks.append(kernel.shape)
         return unpack(kernel)
 
-    monkeypatch.setattr(dynamics, "_unpack_kernel", counting_unpack)
+    monkeypatch.setattr(qstate, "_unpack_kernel", counting_unpack)
     predictability_sieve(*args, [0.7071, 1.0], PhasePoint(1.0, 0.0), 0.02, dt=0.01)
     assert unpacks == []
     # a kernel, so the chain steps the packed kernel, not the packet's factor
     rho = DensityMatrix(grid, coherent_state(grid, 1.0, 0.0, 0.7071).to_density().elements)
     rec = pointer._evolve_on(pointer.Propagator(*args, 0.01), rho, 2)
+    rec.final
     assert unpacks == []
-    final = rec.final
-    assert rec.final is final and unpacks == [(256, 256)]
+    final = rec.final.elements
+    assert rec.final.elements is final and unpacks == [(256, 256)]
     alone = evolve(rho, *args[1:], 0.01, 2)
     assert unpacks == [(256, 256)]
-    assert np.array_equal(alone.final.elements, final.elements)
+    assert np.array_equal(alone.final.elements, final)
     assert unpacks == [(256, 256)] * 2
 
 

@@ -23,7 +23,9 @@ from branchfall import (
     purity_and_entropy,
     variance,
 )
-from branchfall.dynamics import evolve, harmonic_potential
+from branchfall import qstate
+from branchfall.dynamics import Propagator, evolve, harmonic_potential
+from branchfall.qstate import _pack_kernel, _unpack_kernel
 from oracles import reference_momentum_masses
 
 
@@ -259,3 +261,74 @@ def test_momentum_masses_match_full_transform(n):
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref), name
         for pw in (grid.p, grid.p**2):
             assert np.sum(pw * got) == pytest.approx(np.sum(pw * ref), rel=1e-12), name
+
+
+def _packed_mixture(grid, n_steps=3):
+    """A packed kernel R of the density chain: the mixture of
+    _oracle_kernels after n_steps dense or FFT steps."""
+    rho = _oracle_kernels(grid)["mixture"]
+    prop = Propagator(grid, harmonic_potential(1.0, 1.0), 0.5, 0.05)
+    packed = _pack_kernel(rho.elements)
+    for _ in range(n_steps):
+        packed = prop.step_elements(packed)
+    return packed
+
+
+@pytest.mark.parametrize("n", [96, 97, 256])
+def test_packed_state_reads_its_unpacked_kernel(n):
+    # a state of R reads R itself: trace and density bitwise those of the
+    # unpacked kernel, momentum masses and purity within the bounds of
+    # test_moment_row_reads_the_packed_kernel, and no kernel is kept
+    grid = GridSpec(n, -10.0, 10.0, 1.0)
+    packed = _packed_mixture(grid)
+    rho = DensityMatrix._of(grid, packed)
+    ref = DensityMatrix(grid, _unpack_kernel(packed), validate=False)
+    assert rho.trace() == ref.trace()
+    assert np.array_equal(rho.position_density(), ref.position_density())
+    mass = ref.momentum_masses()
+    assert np.max(np.abs(rho.momentum_masses() - mass)) <= 4 * np.finfo(float).eps * mass.max()
+    got, want = purity_and_entropy(rho), purity_and_entropy(ref)
+    assert abs(got[0] - want[0]) <= 1e-13 * want[0]
+    assert got[2] == want[2]
+    assert rho._elements is None and rho._packed is packed
+    assert np.array_equal(rho.elements, ref.elements)
+    assert rho.elements is rho.elements and rho._packed is packed
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_record_final_builds_one_kernel_on_reading_elements(n, monkeypatch):
+    # evolve's final is the chain's last state: R on the dense path
+    # (N = 128), the factor on the FFT path (N = 256); reading it builds no
+    # kernel, reading its elements builds exactly one
+    builds = []
+    unpack, expand = qstate._unpack_kernel, qstate._Factor.expand
+    monkeypatch.setattr(qstate, "_unpack_kernel", lambda r: builds.append(1) or unpack(r))
+    monkeypatch.setattr(qstate._Factor, "expand", lambda f: builds.append(1) or expand(f))
+    grid = GridSpec(n, -10.0, 10.0, 1.0)
+    psi = coherent_state(grid, 1.0, 0.5, 0.8)
+    rec = evolve(psi, harmonic_potential(1.0, 1.0), 0.2, dt=0.01, n_steps=4)
+    final = rec.final
+    assert (final.factor is None) == (n == 128) and (final._packed is None) == (n == 256)
+    final.trace(), final.position_density(), final.momentum_masses(), final.copy()
+    assert builds == [] and final._elements is None
+    kernel = final.elements
+    assert final.elements is kernel and rec.final.elements is kernel and builds == [1]
+
+
+def test_copy_keeps_the_form():
+    # a factor whose elements were read and a state of R copy as their form
+    # and build no kernel; a given kernel copies its elements
+    grid = GridSpec(128, -10.0, 10.0, 1.0)
+    rho = coherent_state(grid, 1.0, 0.5, 0.8).to_density()
+    rho.elements
+    twin = rho.copy()
+    assert twin.factor is rho.factor and twin._elements is None
+    packed = _packed_mixture(grid)
+    state = DensityMatrix._of(grid, packed)
+    state.elements
+    twin = state.copy()
+    assert twin._packed is packed and twin.factor is None and twin._elements is None
+    given = DensityMatrix(grid, state.elements)
+    twin = given.copy()
+    assert twin.factor is None and twin._packed is None
+    assert np.array_equal(twin.elements, given.elements) and twin.elements is not given.elements

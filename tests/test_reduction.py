@@ -294,6 +294,7 @@ def _horizon_of(rec, spec):
     return classicality_horizon(WidthSeries.from_record(rec), spec.delta_z, spec.l_v).time
 
 
+@pytest.mark.blas_order
 def test_measured_horizon_steps_one_propagator_per_z0(povm, monkeypatch):
     spec = _spec(povm, (1.2, 3.5))
     z0 = spec.d_c[0]
@@ -325,6 +326,7 @@ def _light_spec(mass, tau_c):
     )
 
 
+@pytest.mark.blas_order
 def test_measured_horizon_falls_back_to_the_widened_grid(monkeypatch):
     # at mass 2 the run-grid chain leaves 7.5e-8 of the mass at the edge at
     # t = 3 and raises; the chain reruns on the 288-point +-30 copy of the
@@ -345,6 +347,7 @@ def test_measured_horizon_falls_back_to_the_widened_grid(monkeypatch):
     assert math.isinf(horizon) and math.isinf(_horizon_of(alone, spec))
 
 
+@pytest.mark.blas_order
 def test_measured_horizon_raises_when_both_grids_trip(monkeypatch):
     # at mass 1 over four intervals the packet reaches the edge of the
     # widened grid too (t = 4.8), and the violation propagates
@@ -371,6 +374,7 @@ _ACCEPTANCE_GRID = GridSpec(96, -10.0, 10.0, 4.0)
     ],
     ids=["test-reduction", "cli", "acceptance-z0-1", "acceptance-z0-2"],
 )
+@pytest.mark.blas_order
 def test_measured_horizon_on_the_run_grid_matches_the_widened_grid(
     grid, potential, lam, dt, sigma, z0, tau, deltas
 ):
