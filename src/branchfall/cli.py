@@ -29,12 +29,12 @@ import numpy as np
 from . import __version__
 from .branching import BornSampler, BranchTree, ExplicitModel, branch_step, evolve_explicit
 from .config import ConfigError, load_config, make_grid, make_potential, make_povm
-from .dynamics import _SplitStep, evolve
+from .dynamics import evolve
 from .ehrenfest import WidthSeries, classicality_horizon, ehrenfest_residual
 from .errors import BranchfallError, EscapeSampled, ExplosionGuard
-from .mechanisms import BohmEnsemble, GRWParams, _step_count, bohm_evolve, grw_evolve
+from .mechanisms import BohmEnsemble, GRWParams, bohm_evolve, bohm_snapshots, grw_evolve
 from .pointer import predictability_sieve
-from .qstate import PhasePoint, WaveFunction, coherent_state
+from .qstate import PhasePoint, coherent_state
 from .reduction import ReductionSpec, verify_reduction
 
 EXIT_OK = 0
@@ -391,13 +391,18 @@ def _packet(cfg, grid):
     return coherent_state(grid, cfg["q0"], cfg["p0"], cfg["sigma_x"])
 
 
-def _run_evolve(cfg, run_dir):
-    grid = make_grid(cfg)
+def _evolve_csv(cfg, run_dir, potential):
+    """The run's evolve() record, written to evolve.csv."""
     rec = evolve(
-        _packet(cfg, grid), make_potential(cfg), cfg["lambda"],
+        _packet(cfg, make_grid(cfg)), potential, cfg["lambda"],
         cfg["dt"], cfg["n_steps"], cfg["record_every"],
     )
     _write_csv(os.path.join(run_dir, "evolve.csv"), rec.as_columns())
+    return rec
+
+
+def _run_evolve(cfg, run_dir):
+    rec = _evolve_csv(cfg, run_dir, make_potential(cfg))
     return {"rows": len(rec.times), "final_purity": float(rec.purity[-1])}, EXIT_OK
 
 
@@ -514,16 +519,9 @@ def _run_grw(cfg, run_dir):
 
 
 def _run_bohm(cfg, run_dir):
-    grid = make_grid(cfg)
-    potential = make_potential(cfg)
-    n_snap = _step_count(cfg["total_time"], cfg["dt"])
-    psi = _packet(cfg, grid)
-    core = _SplitStep(grid, potential.values(grid), cfg["dt"])
-    snapshots = [psi]
-    for _ in range(n_snap):
-        psi = WaveFunction(grid, core.run(psi.amplitudes), validate=False)
-        snapshots.append(psi)
-    times = np.arange(n_snap + 1) * cfg["dt"]
+    snapshots, times = bohm_snapshots(
+        _packet(cfg, make_grid(cfg)), make_potential(cfg), cfg["total_time"], cfg["dt"]
+    )
     ensemble = BohmEnsemble.from_state(snapshots[0], cfg["n_traj"], cfg["seed"])
     run = bohm_evolve(ensemble, snapshots, times, cfg["ode_dt"], cfg["checkpoints"])
     # each trajectory id and time is formatted once, not once per row
@@ -543,13 +541,8 @@ def _run_bohm(cfg, run_dir):
 
 
 def _run_ehrenfest(cfg, run_dir):
-    grid = make_grid(cfg)
     potential = make_potential(cfg)
-    rec = evolve(
-        _packet(cfg, grid), potential, cfg["lambda"],
-        cfg["dt"], cfg["n_steps"], cfg["record_every"],
-    )
-    _write_csv(os.path.join(run_dir, "evolve.csv"), rec.as_columns())
+    rec = _evolve_csv(cfg, run_dir, potential)
     _write_csv(
         os.path.join(run_dir, "residual.csv"),
         ehrenfest_residual(rec, potential).as_columns(),

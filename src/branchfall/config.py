@@ -23,7 +23,7 @@ from .dynamics import (
 )
 from .ehrenfest import _check_margins, _snapshot_spacing
 from .errors import RuleError
-from .mechanisms import _step_count
+from .mechanisms import _ode_steps, _snapshot_count
 from .pointer import PhasePartition, POVMSet, _check_on_grid, _sieve_widths, build_povm
 from .qstate import GridSpec, _check_width
 from .reduction import _check_spec
@@ -271,8 +271,8 @@ _BUILDER_RULES = (
         *(cfg[key] for key in ("delta_x", "delta_p", "l_v", "tau_c", "dt", "epsilon", "n_traj"))
     )),
     # bohm.csv and the KS distances share the snapshot times
-    (("bohm",), lambda cfg, grid: _step_count(cfg["total_time"], cfg["dt"], "total_time", "dt")),
-    (("bohm",), lambda cfg, grid: _step_count(cfg["dt"], cfg["ode_dt"], "dt", "ode_dt")),
+    (("bohm",), lambda cfg, grid: _snapshot_count(cfg["total_time"], cfg["dt"])),
+    (("bohm",), lambda cfg, grid: _ode_steps(cfg["total_time"], cfg["dt"], cfg["ode_dt"], "dt")),
 )
 _FIELD_KEYS = {
     "n_points": "grid_n", "n_x": "cells_x", "n_p": "cells_p",

@@ -572,16 +572,10 @@ class EvolutionRecord:
 
 
 def _moment_row(rho: DensityMatrix, dv_vals: np.ndarray):
-    """Moments of a chain's state, read from its form."""
-    grid, dx = rho.grid, rho.grid.dx
-    dens = rho.position_density()
-    mom = rho.momentum_masses()
-    mean_x = float(np.sum(grid.x * dens) * dx)
-    mean_x2 = float(np.sum(grid.x**2 * dens) * dx)
-    mean_p = float(np.sum(grid.p * mom))
-    mean_p2 = float(np.sum(grid.p**2 * mom))
-    purity = rho._squares() * dx * dx
-    mean_dv = float(np.sum(dv_vals * dens) * dx)
+    """Moments of a chain's state, read from its form: <X>, <P>, <X^2>,
+    <P^2>, purity and <V'>."""
+    mean_x, mean_p, mean_x2, mean_p2, mean_dv = rho._moments(dv_vals)
+    purity = rho._squares() * rho.grid.dx * rho.grid.dx
     return mean_x, mean_p, mean_x2, mean_p2, purity, mean_dv
 
 

@@ -101,18 +101,12 @@ class HorizonResult:
 
 
 def marginal_widths(rho: DensityMatrix) -> Tuple[float, float]:
-    """(delta_x, delta_p) from the marginal distributions themselves.
-
-    Histogram moments of <x|rho|x> and of the FFT momentum-node masses.
+    """(delta_x, delta_p) from the marginal distributions themselves:
+    sqrt(<X^2> - <X>^2) and sqrt(<P^2> - <P>^2) of <x|rho|x> and of the FFT
+    momentum-node masses.
     """
-    grid = rho.grid
-    wx = rho.position_density() * grid.dx
-    mx = float(np.sum(grid.x * wx))
-    vx = float(np.sum((grid.x - mx) ** 2 * wx))
-    wp = rho.momentum_masses()
-    mp = float(np.sum(grid.p * wp))
-    vp = float(np.sum((grid.p - mp) ** 2 * wp))
-    return math.sqrt(max(vx, 0.0)), math.sqrt(max(vp, 0.0))
+    mx, mp, mx2, mp2 = rho._moments()
+    return math.sqrt(max(mx2 - mx * mx, 0.0)), math.sqrt(max(mp2 - mp * mp, 0.0))
 
 
 def _snapshot_spacing(t: np.ndarray) -> float:
@@ -196,5 +190,4 @@ def dephasing_force_trace(rho: DensityMatrix) -> float:
     """
     grid = rho.grid
     sep = grid.x[:, None] - grid.x[None, :]
-    kern = DensityMatrix(grid, sep**2 * rho.elements, validate=False)
-    return float(np.sum(grid.p * kern.momentum_masses()))
+    return DensityMatrix(grid, sep**2 * rho.elements, validate=False)._moments()[1]

@@ -30,6 +30,7 @@ __all__ = [
     "BohmEnsemble",
     "BohmRun",
     "bohm_velocity",
+    "bohm_snapshots",
     "bohm_evolve",
     "sample_positions",
 ]
@@ -164,6 +165,55 @@ def _step_count(span: float, step: float, span_name: str = "span", step_name: st
         raise RuleError(step_name, f"{span_name} = {span:g} is not a whole number of "
                         f"{step_name} = {step:g} steps")
     return whole
+
+
+# Most snapshots, total_time / dt, and most ODE steps, total_time / ode_dt,
+# a bohm run may declare.  Each snapshot keeps N amplitudes and two N-point
+# node rows for the whole run, and each ODE step writes one bohm.csv row per
+# trajectory.  On 512 points with 10 trajectories, 4096 snapshots took 0.7 s
+# and peaked at 232 MB (10^4 took 2.2 s and 346 MB); on 128 points, 10^4 ODE
+# steps of the default 1000 trajectories took 0.9 s and 124 MB before their
+# 10^7 rows were written.  At total_time = 1e300 the snapshot loop never
+# ended, and at ode_dt = 1e-300 the step grid failed to allocate.
+_MAX_SNAPSHOTS = 4096
+_MAX_ODE_STEPS = 10_000
+
+
+def _snapshot_count(total_time: float, dt: float) -> int:
+    """The snapshot steps dt in total_time: a whole number (_step_count) of
+    at most _MAX_SNAPSHOTS; RuleError otherwise."""
+    n_snap = _step_count(total_time, dt, "total_time", "dt")
+    if n_snap > _MAX_SNAPSHOTS:
+        raise RuleError(
+            "total_time",
+            f"total_time / dt = {total_time / dt:g} snapshots exceeds the cap of {_MAX_SNAPSHOTS}",
+        )
+    return n_snap
+
+
+def _ode_steps(span: float, spacing: float, ode_dt: float, spacing_name: str) -> int:
+    """The ODE steps ode_dt in span, with snapshots spacing apart: a whole
+    number per spacing (_step_count) and at most _MAX_ODE_STEPS over span;
+    RuleError naming ode_dt otherwise."""
+    _step_count(spacing, ode_dt, spacing_name, "ode_dt")
+    n_steps = span / ode_dt
+    if not n_steps < _MAX_ODE_STEPS + 0.5:
+        raise RuleError(
+            "ode_dt", f"{n_steps:g} ODE steps of ode_dt exceeds the cap of {_MAX_ODE_STEPS}"
+        )
+    return int(round(n_steps))
+
+
+def bohm_snapshots(psi: WaveFunction, potential: Potential, total_time: float, dt: float):
+    """The states psi(k dt), k = 0 ... total_time / dt, that bohm_evolve reads,
+    stepped by one split-step core of dt, and their times; total_time must be
+    a whole number of at most _MAX_SNAPSHOTS steps dt (RuleError otherwise)."""
+    n_snap, grid = _snapshot_count(total_time, dt), psi.grid
+    core = _SplitStep(grid, potential.values(grid), dt)
+    snapshots = [psi]
+    for _ in range(n_snap):
+        snapshots.append(WaveFunction(grid, core.run(snapshots[-1].amplitudes), validate=False))
+    return snapshots, np.arange(n_snap + 1) * dt
 
 
 def _joint_columns(state: State) -> tuple[GridSpec, np.ndarray]:
@@ -308,7 +358,8 @@ def bohm_evolve(
     has no sample to compare with the density.  With branch_split given,
     occupancy fractions left/right of the split are reported at each
     checkpoint along with the number of trajectories that changed sides
-    during the run.
+    during the run.  The snapshot spacing must be a whole number of ode_dt
+    steps, at most _MAX_ODE_STEPS over the run (RuleError otherwise).
     """
     times = np.asarray(snapshot_times, dtype=float)
     if len(snapshots) != len(times) or len(times) < 2:
@@ -317,7 +368,7 @@ def bohm_evolve(
     if not np.allclose(np.diff(times), dt_snap, rtol=0, atol=1e-9 * max(dt_snap, 1.0)):
         raise ValueError("snapshot times must be uniformly spaced")
     # positions and densities would be compared at different times
-    _step_count(float(dt_snap), ode_dt, "snapshot spacing", "ode_dt")
+    n_steps = _ode_steps(times[-1] - times[0], float(dt_snap), ode_dt, "snapshot spacing")
     grid, _ = _joint_columns(snapshots[0])
     x_nodes = grid.x  # GridSpec.x builds a fresh array per access
     v_table, d_table = _velocity_nodes(snapshots)
@@ -331,7 +382,6 @@ def bohm_evolve(
         d_rows = (1.0 - w) * d_table[k] + w * d_table[k + 1]
         return v_rows, d_rows
 
-    n_steps = int(round((times[-1] - times[0]) / ode_dt))
     t_grid = times[0] + ode_dt * np.arange(n_steps + 1)
     q = ensemble.positions.astype(float).copy()
     n_traj = len(q)

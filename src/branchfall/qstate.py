@@ -147,12 +147,11 @@ class WaveFunction:
         return complex(np.vdot(self.amplitudes, other.amplitudes) * self.grid.dx)
 
     def position_density(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+        return self.to_density().position_density()
 
     def momentum_masses(self) -> np.ndarray:
         """Probability mass on each FFT momentum node (sums to 1)."""
-        ft = np.fft.fft(self.amplitudes)
-        return np.abs(ft) ** 2 * (self.grid.dx / self.grid.n_points)
+        return self.to_density().momentum_masses()
 
     def to_density(self) -> "DensityMatrix":
         return DensityMatrix.from_pure(self)
@@ -308,6 +307,25 @@ class DensityMatrix:
         packed = self._packed if self._packed is not None else _pack_kernel(self._elements)
         return _momentum_masses(packed, self.grid.dx)
 
+    def _moments(self, *diagonals: np.ndarray) -> tuple[float, ...]:
+        """(<X>, <P>, <X^2>, <P^2>, then <D> for each diagonal observable D
+        given as its grid values), from one read each of the density, the
+        masses, grid.x and grid.p.  NonHermitianState if a given kernel's
+        complex diagonal lends a position moment an imaginary part > 1e-6."""
+        grid, dx = self.grid, self.grid.dx
+        dens = self.position_density()
+        mom = self.momentum_masses()
+        x, p = grid.x, grid.p
+        diagonals = (x, x**2, *diagonals)
+        if self.factor is None and self._packed is None:
+            imag_diag = np.diag(self._elements).imag
+            for vals in diagonals:
+                imag = np.sum(vals * imag_diag) * dx
+                if abs(imag) > 1e-6:
+                    raise NonHermitianState(f"expectation has imaginary part {imag:.3e}")
+        mean_x, mean_x2, *rest = (float(np.sum(vals * dens) * dx) for vals in diagonals)
+        return (mean_x, float(np.sum(p * mom)), mean_x2, float(np.sum(p**2 * mom)), *rest)
+
     def _squares(self) -> float:
         """sum |rho_ij|^2; on R, sum R^2 (the cross term between R's
         symmetric and antisymmetric parts sums to zero)."""
@@ -424,29 +442,11 @@ def _resolve_diagonal(grid: GridSpec, observable: Observable) -> np.ndarray:
     return vals
 
 
-def _expect_density(rho: DensityMatrix, observable: Observable) -> float:
-    grid = rho.grid
-    if isinstance(observable, str):
-        key = observable.lower()
-        if key in ("p", "p2"):
-            masses = rho.momentum_masses()
-            pw = grid.p if key == "p" else grid.p**2
-            val = np.sum(pw * masses)
-            return float(val)
-        if key == "x":
-            vals = grid.x
-        elif key == "x2":
-            vals = grid.x**2
-        else:
-            raise ValueError(f"unknown observable {observable!r}")
-    else:
-        vals = _resolve_diagonal(grid, observable)
-    if rho.factor is None and rho._packed is None:
-        # a given kernel may have a complex diagonal; a factor's and R's are real
-        imag = np.sum(vals * np.diag(rho.elements).imag) * grid.dx
-        if abs(imag) > 1e-6:
-            raise NonHermitianState(f"expectation has imaginary part {imag:.3e}")
-    return float(np.sum(vals * rho.position_density()) * grid.dx)
+def _as_density(state: State) -> DensityMatrix:
+    """A DensityMatrix as it stands, a WaveFunction as its rank-1 to_density()."""
+    if not isinstance(state, (WaveFunction, DensityMatrix)):
+        raise TypeError(f"unsupported state type {type(state).__name__}")
+    return state.to_density() if isinstance(state, WaveFunction) else state
 
 
 def expectation(state: State, observable: Observable) -> float:
@@ -456,11 +456,13 @@ def expectation(state: State, observable: Observable) -> float:
     of diagonal (position-basis) values, or a callable f(x) -> values.  A
     WaveFunction is read through its rank-1 to_density().
     """
-    if isinstance(state, WaveFunction):
-        state = state.to_density()
-    if isinstance(state, DensityMatrix):
-        return _expect_density(state, observable)
-    raise TypeError(f"unsupported state type {type(state).__name__}")
+    rho = _as_density(state)
+    if not isinstance(observable, str):
+        return rho._moments(_resolve_diagonal(rho.grid, observable))[4]
+    keys = ("x", "p", "x2", "p2")
+    if observable.lower() not in keys:
+        raise ValueError(f"unknown observable {observable!r}")
+    return rho._moments()[keys.index(observable.lower())]
 
 
 def variance(state: State, which: str) -> float:
@@ -468,14 +470,14 @@ def variance(state: State, which: str) -> float:
     key = which.lower()
     if key not in ("x", "p"):
         raise ValueError("which must be 'x' or 'p'")
-    mean = expectation(state, key)
-    second = expectation(state, key + "2")
+    mean_x, mean_p, mean_x2, mean_p2 = _as_density(state)._moments()
+    mean, second = (mean_x, mean_x2) if key == "x" else (mean_p, mean_p2)
     return max(second - mean * mean, 0.0)
 
 
 def mean_phase_point(state: State) -> PhasePoint:
     """(<X>, <P>) bundled as a PhasePoint."""
-    return PhasePoint(expectation(state, "x"), expectation(state, "p"))
+    return PhasePoint(*_as_density(state)._moments()[:2])
 
 
 def purity_and_entropy(rho: DensityMatrix) -> tuple[float, float, float]:

@@ -26,6 +26,7 @@ from branchfall import (
     ExplicitModel,
     WaveFunction,
     bohm_evolve,
+    bohm_snapshots,
     cli,
     coherent_state,
     evolve_explicit,
@@ -40,7 +41,6 @@ from branchfall.config import (
     parse_config,
     validate_config,
 )
-from branchfall.dynamics import _SplitStep
 from branchfall.errors import ExplosionGuard
 from branchfall.qstate import PhasePoint
 from branchfall.reduction import PointResult, ReductionReport
@@ -238,6 +238,30 @@ def test_bohm_without_trajectories_exits_2_before_any_work(tmp_path, capsys, kin
     assert main(["run", write_cfg(tmp_path, "b.cfg", body)]) == 2
     assert f"bad value for key '{key}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, spoiled, at_cap",
+    [
+        pytest.param("total_time", "1e300", "204.8\node_dt = 0.05", id="snapshots"),
+        pytest.param("ode_dt", "1e-300", "5e-5", id="ode_steps"),
+    ],
+)
+def test_bohm_past_its_work_caps_exits_2_before_any_work(tmp_path, capsys, key, spoiled, at_cap):
+    # each passed validate before: at total_time = 1e300 the snapshot loop
+    # never ended, and at ode_dt = 1e-300 the run exited 2 only after its
+    # run directory existed; 4096 snapshots, and 10^4 ODE steps, stay valid
+    out = tmp_path / "runs"
+    body = _SPOILED_BODIES["bohm"].replace("total_time = 0.5\n", "") + f"out = {out}\n"
+    if key != "total_time":
+        body += "total_time = 0.5\n"
+    cfg = write_cfg(tmp_path, "c.cfg", body + f"{key} = {spoiled}\n")
+    for command in ("validate", "run"):
+        assert main([command, cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"bad value for key '{key}'" in err and "exceeds the cap" in err
+    assert not out.exists()
+    assert validate_config(parse_config(body + f"{key} = {at_cap}\n"))
 
 
 # valid bodies of the kinds with a window or a width key
@@ -1087,14 +1111,14 @@ def test_bohm_csv_is_the_columns_of_the_run(tmp_path):
     cfg = load_config(path)
     assert main(["run", path]) == 0
     got = Path(only_run_dir(out), "bohm.csv").read_bytes()
-    grid = make_grid(cfg)
-    core = _SplitStep(grid, make_potential(cfg).values(grid), cfg["dt"])
-    snapshots = [coherent_state(grid, cfg["q0"], cfg["p0"], cfg["sigma_x"])]
-    for _ in range(40):
-        snapshots.append(WaveFunction(grid, core.run(snapshots[-1].amplitudes), validate=False))
+    snapshots, times = bohm_snapshots(
+        coherent_state(make_grid(cfg), cfg["q0"], cfg["p0"], cfg["sigma_x"]),
+        make_potential(cfg), cfg["total_time"], cfg["dt"],
+    )
+    assert len(snapshots) == 41 and np.array_equal(times, np.arange(41) * cfg["dt"])
     run = bohm_evolve(
         BohmEnsemble.from_state(snapshots[0], cfg["n_traj"], cfg["seed"]),
-        snapshots, np.arange(41) * cfg["dt"], cfg["ode_dt"],
+        snapshots, times, cfg["ode_dt"],
     )
     cli._write_csv(str(tmp_path / "columns.csv"), run.as_columns())
     assert got == (tmp_path / "columns.csv").read_bytes()

@@ -21,7 +21,15 @@ from branchfall.ehrenfest import (
     ehrenfest_residual,
     marginal_widths,
 )
-from branchfall.qstate import GridSpec, WaveFunction, coherent_state, variance
+from branchfall.qstate import (
+    DensityMatrix,
+    GridSpec,
+    WaveFunction,
+    _Factor,
+    _pack_kernel,
+    coherent_state,
+    variance,
+)
 from oracles import operator_widths
 
 GRID = GridSpec(128, -10.0, 10.0, 1.0)
@@ -167,7 +175,19 @@ def test_dephasing_never_moves_first_moments():
         assert abs(dephasing_force_trace(rho)) < 1e-10
 
 
-def test_width_paths_agree():
+def _as_form(rho, form):
+    """rho as a given kernel, its packed kernel R or a low-rank factor."""
+    kernel = rho.elements
+    if form == "given":
+        return DensityMatrix(GRID, kernel)
+    if form == "packed":
+        return DensityMatrix._of(GRID, _pack_kernel(kernel))
+    lam, vecs = np.linalg.eigh(kernel)
+    return DensityMatrix._of(GRID, _Factor(lam, vecs.T.copy()))
+
+
+@pytest.mark.parametrize("form", ["factor", "packed", "given"])
+def test_width_paths_agree(form):
     amp = (
         coherent_state(GRID, -3.0, 0.0, 0.7).amplitudes
         + coherent_state(GRID, 3.0, 0.0, 0.7).amplitudes
@@ -177,7 +197,8 @@ def test_width_paths_agree():
         WaveFunction(GRID, amp).to_density(), HARMONIC, 0.7, dt=0.01, n_steps=50,
         record_every=50,
     )
-    rho = rec.final
+    rho = _as_form(rec.final, form)
+    assert (rho.factor is not None, rho._packed is not None) == (form == "factor", form == "packed")
     mw = marginal_widths(rho)
     ow = operator_widths(rho)
     vw = (math.sqrt(variance(rho, "x")), math.sqrt(variance(rho, "p")))

@@ -19,6 +19,7 @@ from branchfall import (
     PhasePartition,
     WaveFunction,
     bohm_evolve,
+    bohm_snapshots,
     bohm_velocity,
     branch_step,
     build_povm,
@@ -31,6 +32,7 @@ from branchfall import (
 )
 from branchfall import dynamics, mechanisms
 from branchfall.dynamics import Propagator
+from branchfall.errors import RuleError
 from branchfall.mechanisms import sample_positions
 
 GRID = GridSpec(128, -10.0, 10.0, 1.0)
@@ -345,6 +347,16 @@ def test_bohm_evolve_rejects_snapshots_between_ode_steps():
     assert bohm_evolve(ens, snaps, ts, ode_dt=0.025).positions.shape == (1, 21)
 
 
+def test_bohm_builders_cap_their_work():
+    # 4097 snapshots, and 2 * 10^4 ODE steps, are past the builders' caps
+    psi0 = coherent_state(GRID, 1.0, 0.0, 0.7071)
+    with pytest.raises(RuleError, match="snapshots exceeds the cap of 4096"):
+        bohm_snapshots(psi0, free_potential(), 4097 * 0.05, 0.05)
+    snaps, ts = free_run(GRID, psi0, 0.05, 2)
+    with pytest.raises(RuleError, match="ODE steps of ode_dt exceeds the cap of 10000"):
+        bohm_evolve(BohmEnsemble(np.array([1.0]), 0), snaps, ts, ode_dt=5e-6)
+
+
 def test_checkpoint_without_unflagged_trajectory_raises_node_region():
     # both positions sit where the packet's density is below DENSITY_FLOOR,
     # so every checkpoint finds no sample to compare with the density
@@ -353,14 +365,6 @@ def test_checkpoint_without_unflagged_trajectory_raises_node_region():
     ens = BohmEnsemble(np.array([-9.0, -9.0]), 0)
     with pytest.raises(NodeRegion, match="no unflagged trajectory"):
         bohm_evolve(ens, snaps, ts, ode_dt=0.0125)
-
-
-def _wave_snapshots(grid, psi, dt, n):
-    core = dynamics._SplitStep(grid, harmonic_potential(grid.mass, 1.0).values(grid), dt)
-    snaps = [psi]
-    for _ in range(n):
-        snaps.append(WaveFunction(grid, core.run(snaps[-1].amplitudes), validate=False))
-    return snaps, np.arange(n + 1) * dt
 
 
 def _explicit_snapshots(grid, psi, couplings, dt, n):
@@ -383,13 +387,15 @@ def test_bohm_evolve_matches_the_per_snapshot_reference_bitwise(case):
     if case == "wave_output":
         # the wave_output bohm shape: 41 snapshots, 160 ODE steps
         grid = GridSpec(192, -12.0, 12.0, 1.0)
-        snaps, ts = _wave_snapshots(grid, coherent_state(grid, 1.0, 0.0, 0.7071), 0.05, 40)
+        snaps, ts = bohm_snapshots(
+            coherent_state(grid, 1.0, 0.0, 0.7071), harmonic_potential(1.0, 1.0), 2.0, 0.05
+        )
         positions = BohmEnsemble.from_state(snaps[0], 500, 11).positions
         ode_dt, checkpoints = 0.0125, [0.0, 0.5, 1.3, 2.0]
     elif case in ("two_branch", "nodes"):
         grid = GridSpec(128, -10.0, 10.0, 2.0)
         psi = two_lobe(grid)
-        snaps, ts = _wave_snapshots(grid, psi, 0.04, 25)
+        snaps, ts = bohm_snapshots(psi, harmonic_potential(grid.mass, 1.0), 1.0, 0.04)
         positions = BohmEnsemble.from_state(psi, 300, 5).positions
         if case == "nodes":
             # a third of the trajectories start where the density is nil

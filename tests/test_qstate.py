@@ -216,6 +216,9 @@ def test_hermiticity_gate(grid):
     sneaky = DensityMatrix(grid, lopsided / (np.trace(lopsided) * grid.dx), validate=False)
     with pytest.raises(NonHermitianState):
         expectation(sneaky, "x")
+    # and so does mean_phase_point, which reads the moments in one call
+    with pytest.raises(NonHermitianState):
+        mean_phase_point(sneaky)
 
 
 def test_mixture_weight_validation(grid):
